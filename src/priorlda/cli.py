@@ -11,7 +11,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import re
 import sys
 from pathlib import Path
@@ -87,7 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a plan file over its grid")
     p.add_argument("--plan", required=True)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    # one job by default: report and the small numpy steps hold the GIL, so
+    # threads make the README demo plan slower, not faster
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out-dir", required=True)
     # every plan field is overridable; the plan file wins only when the flag
     # is not given

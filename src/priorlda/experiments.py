@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 from scipy import stats as scipy_stats
 
+from . import _kernels
 from .corpus import (Corpus, CorpusStats, build_corpus, compute_stats,
                      default_stoplist, delete_low_tfidf, delete_stopwords,
                      load_corpus, load_raw_documents, load_word_list)
@@ -553,5 +554,5 @@ def run_manifest(plan: ExperimentPlan, result: GridResult, corpus: Corpus) -> di
         "durations": {f"{r.variant.value}/seed{r.seed}": r.duration
                       for r in result.records},
         "versions": {"priorlda": __version__, "numpy": np.__version__,
-                     "scipy": scipy.__version__},
+                     "scipy": scipy.__version__, "kernel_backend": _kernels.BACKEND},
     }

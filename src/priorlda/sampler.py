@@ -124,13 +124,16 @@ def _doc_generators(corpus: Corpus, seed: int) -> list[np.random.Generator]:
 def tabulate(tokens: np.ndarray, doc_ix: np.ndarray, z: np.ndarray,
              n_docs: int, n_topics: int, vocab_size: int):
     """Recount n_dk, n_kw, n_k directly from the assignments."""
-    n_dk = np.zeros((n_docs, n_topics), dtype=np.int32)
-    n_kw = np.zeros((n_topics, vocab_size), dtype=np.int32)
-    n_k = np.zeros(n_topics, dtype=np.int32)
-    np.add.at(n_dk, (doc_ix, z), 1)
-    np.add.at(n_kw, (z, tokens), 1)
-    np.add.at(n_k, z, 1)
-    return n_dk, n_kw, n_k
+    # one bincount per table over flat cell indices, taken in int64 so that
+    # D*K and K*V cannot overflow
+    z = z.astype(np.int64)
+
+    def count(cells, shape):
+        return np.bincount(cells, minlength=int(np.prod(shape))).astype(np.int32).reshape(shape)
+
+    return (count(doc_ix.astype(np.int64) * n_topics + z, (n_docs, n_topics)),
+            count(z * vocab_size + tokens, (n_topics, vocab_size)),
+            count(z, (n_topics,)))
 
 
 def init(corpus: Corpus, prior: PriorMatrix, config: ModelConfig) -> ModelState:

@@ -4,7 +4,7 @@ from importlib import resources
 
 import pytest
 
-from priorlda.cli import main
+from priorlda.cli import build_parser, main
 
 
 @pytest.fixture
@@ -157,6 +157,10 @@ class TestExperimentAndReport:
         path = tmp_path / "plan.json"
         path.write_text(json.dumps(plan))
         return path
+
+    def test_jobs_defaults_to_one(self):
+        args = build_parser().parse_args(["experiment", "--plan", "p", "--out-dir", "o"])
+        assert args.jobs == 1
 
     def test_experiment_outputs_and_direction(self, tmp_path, plan_path, capsys):
         out_dir = tmp_path / "out"

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from priorlda import _kernels
 from priorlda.experiments import (FULL_SEARCH_GRID, ExperimentPlan, FailedRun,
                                   MissingResource, RunSettings, Variant,
                                   comparison_csv, comparison_table,
@@ -272,6 +273,8 @@ class TestReproducibility:
         assert manifest["corpus_hash"] == corpus_hash(resources.corpus)
         assert manifest["n_records"] == len(result.records)
         assert "priorlda" in manifest["versions"]
+        assert manifest["versions"]["kernel_backend"] == _kernels.BACKEND
+        assert manifest["versions"]["kernel_backend"] in ("c", "numpy")
 
 
 class TestMetricWindow:

@@ -1,7 +1,12 @@
+import importlib
+import json
+import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from priorlda import _kernels
 from priorlda.corpus import build_corpus
@@ -101,8 +106,65 @@ class TestSweep:
             hits += int(state.z[0] == 0)
         assert abs(hits / n - 0.5) < 0.05
 
-    @pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not installed")
-    def test_jit_and_python_kernels_agree(self):
+
+def _sweep_args(tokens, doc_lengths, n_topics, vocab_size, z, eta):
+    """Kernel arguments for a state given by its assignments."""
+    tokens = np.asarray(tokens, dtype=np.int32)
+    doc_ix = np.repeat(np.arange(len(doc_lengths), dtype=np.int32), doc_lengths)
+    z = np.asarray(z, dtype=np.int32)
+    n_dk, n_kw, n_k = tabulate(tokens, doc_ix, z, len(doc_lengths), n_topics, vocab_size)
+    eta = np.asarray(eta, dtype=np.float64)
+    return [tokens, doc_ix, z, n_dk, n_kw, n_k, eta, eta.sum(axis=1)]
+
+
+def _copy(args):
+    return [a.copy() for a in args]
+
+
+@st.composite
+def kernel_cases(draw):
+    n_topics = draw(st.integers(1, 5))
+    vocab_size = draw(st.integers(1, 6))
+    doc_lengths = draw(st.lists(st.integers(0, 8), min_size=1, max_size=5))
+    n_tokens = sum(doc_lengths)
+    tokens = draw(st.lists(st.integers(0, vocab_size - 1),
+                           min_size=n_tokens, max_size=n_tokens))
+    z = draw(st.lists(st.integers(0, n_topics - 1), min_size=n_tokens, max_size=n_tokens))
+    eta = draw(st.lists(st.lists(st.floats(1e-3, 10.0), min_size=vocab_size,
+                                 max_size=vocab_size),
+                        min_size=n_topics, max_size=n_topics))
+    alpha = draw(st.floats(1e-3, 10.0))
+    uniforms = draw(st.lists(st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                                      min_size=n_tokens, max_size=n_tokens),
+                             min_size=1, max_size=3))
+    args = _sweep_args(tokens, doc_lengths, n_topics, vocab_size, z, eta)
+    return args, alpha, [np.array(u) for u in uniforms]
+
+
+@pytest.fixture(params=["c", "numpy"])
+def backend(request, monkeypatch):
+    """Run the test against each kernel backend."""
+    if request.param == "numpy":
+        monkeypatch.setattr(_kernels, "_sweep_c", None)
+    elif _kernels.BACKEND != "c":
+        pytest.skip("C kernel not built: no compiler")
+    return request.param
+
+
+@pytest.fixture
+def no_compiler(monkeypatch, tmp_path):
+    """An empty kernel cache and no compiler on PATH; the module is
+    reimported as it was afterwards."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setenv("PATH", str(tmp_path))
+    yield
+    monkeypatch.undo()
+    importlib.reload(_kernels)
+
+
+@pytest.mark.skipif(_kernels.BACKEND != "c", reason="C kernel not built: no compiler")
+class TestKernelsAgree:
+    def test_c_and_python_kernels_agree(self):
         corpus = random_corpus(seed=9, n_docs=30, vocab_size=20)
         prior = symmetric_prior(4, corpus.vocabulary.size, 0.7)
         cfg = ModelConfig(topics=4, iterations=10, seed=4)
@@ -110,12 +172,120 @@ class TestSweep:
         rng = np.random.default_rng(0)
         for _ in range(5):
             uniforms = rng.random(s1.tokens.shape[0])
-            _kernels._sweep_jit(s1.tokens, s1.doc_ix, s1.z, s1.n_dk, s1.n_kw,
-                                s1.n_k, prior.weights, prior.row_sums, 0.4, uniforms)
+            _kernels.sweep_tokens(s1.tokens, s1.doc_ix, s1.z, s1.n_dk, s1.n_kw,
+                                  s1.n_k, prior.weights, prior.row_sums, 0.4, uniforms)
             _kernels._sweep_py(s2.tokens, s2.doc_ix, s2.z, s2.n_dk, s2.n_kw,
                                s2.n_k, prior.weights, prior.row_sums, 0.4, uniforms)
         assert (s1.z == s2.z).all()
+        assert (s1.n_dk == s2.n_dk).all()
         assert (s1.n_kw == s2.n_kw).all()
+        assert (s1.n_k == s2.n_k).all()
+
+    @settings(max_examples=80, deadline=None)
+    @given(kernel_cases())
+    def test_agree_on_random_states(self, case):
+        args, alpha, sweeps = case
+        c_args, py_args = _copy(args), _copy(args)
+        for uniforms in sweeps:
+            _kernels.sweep_tokens(*c_args, alpha, uniforms)
+            _kernels._sweep_py(*py_args, alpha, uniforms)
+        for got, want in zip(c_args, py_args):
+            assert (got == want).all()
+        tokens, doc_ix, z, n_dk, n_kw, n_k = c_args[:6]
+        n_add = np.zeros_like(n_dk), np.zeros_like(n_kw), np.zeros_like(n_k)
+        np.add.at(n_add[0], (doc_ix, z), 1)
+        np.add.at(n_add[1], (z, tokens), 1)
+        np.add.at(n_add[2], z, 1)
+        for got, want in zip((n_dk, n_kw, n_k), n_add):
+            assert got.dtype == np.int32 and (got == want).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(kernel_cases())
+    def test_cumulative_weights_bit_identical(self, case):
+        # a decision flips only when u falls near a boundary, so compare the
+        # kernel's running totals themselves, one token at a time: a
+        # reordered product or sum shows here even when z does not change
+        (tokens, doc_ix, z, n_dk, n_kw, n_k, eta, eta_sums), alpha, sweeps = case
+        uniforms = sweeps[0]
+        cum = np.empty(len(n_k))
+        for t in range(len(tokens)):
+            w, d, k_old = tokens[t], doc_ix[t], z[t]
+            dk, kw, k = n_dk[d].copy(), n_kw[:, w].copy(), n_k.copy()
+            dk[k_old] -= 1
+            kw[k_old] -= 1
+            k[k_old] -= 1
+            want = np.cumsum((dk + alpha) * (kw + eta[:, w]) / (k + eta_sums))
+            assert _kernels._sweep_c(
+                tokens[t:].ctypes.data, doc_ix[t:].ctypes.data, z[t:].ctypes.data, 1,
+                n_dk.ctypes.data, n_kw.ctypes.data, n_k.ctypes.data, eta.ctypes.data,
+                eta_sums.ctypes.data, alpha, uniforms[t:].ctypes.data, cum.ctypes.data,
+                *n_dk.shape, n_kw.shape[1]) == -1
+            assert cum.tobytes() == want.tobytes()
+
+    def test_exact_tie_takes_the_later_topic(self):
+        # one token, two topics, symmetric counts once it is removed: the
+        # cumulative weights are (p, 2p) and u = 0.5 * 2p equals cum[0], so
+        # the first k with cum[k] > u is topic 1
+        args = _sweep_args([0], [1], 2, 1, [0], [[0.5], [0.5]])
+        c_args, py_args = _copy(args), _copy(args)
+        _kernels.sweep_tokens(*c_args, 0.3, np.array([0.5]))
+        _kernels._sweep_py(*py_args, 0.3, np.array([0.5]))
+        assert c_args[2][0] == py_args[2][0] == 1
+
+    def test_fallback_without_compiler_gives_same_bytes(self, no_compiler, caplog):
+        corpus = random_corpus(seed=3, n_docs=20, vocab_size=15)
+        prior = symmetric_prior(3, corpus.vocabulary.size, 0.5)
+        cfg = ModelConfig(topics=3, iterations=6, seed=8)
+        c_bytes = json.dumps(fit(corpus, prior, cfg).to_json())
+        with caplog.at_level(logging.WARNING, logger=_kernels.__name__):
+            importlib.reload(_kernels)
+        assert _kernels.BACKEND == "numpy"
+        assert [r.levelno for r in caplog.records] == [logging.WARNING]
+        assert json.dumps(fit(corpus, prior, cfg).to_json()) == c_bytes
+
+
+class TestKernelInputValidation:
+    def _args(self):
+        return _sweep_args([0, 1, 2, 1], [2, 2], 3, 3, [0, 1, 2, 0],
+                           np.full((3, 3), 0.5)) + [0.4, np.full(4, 0.3)]
+
+    def _assert_rejected(self, args):
+        before = _copy([a for a in args if isinstance(a, np.ndarray)])
+        with pytest.raises(ValueError):
+            _kernels.sweep_tokens(*args)
+        after = [a for a in args if isinstance(a, np.ndarray)]
+        for got, want in zip(after, before):
+            assert (got == want).all()
+
+    def test_valid_arguments_run(self, backend):
+        args = self._args()
+        _kernels.sweep_tokens(*args)
+        assert args[5].sum() == 4
+
+    @pytest.mark.parametrize("position,dtype", [(0, np.int64), (4, np.int64),
+                                                (6, np.float32), (9, np.float32)])
+    def test_wrong_dtype(self, backend, position, dtype):
+        args = self._args()
+        args[position] = args[position].astype(dtype)
+        self._assert_rejected(args)
+
+    def test_non_contiguous_view(self, backend):
+        args = self._args()
+        wide = np.zeros((3, 6), dtype=np.int32)
+        wide[:, ::2] = args[4]
+        args[4] = wide[:, ::2]
+        self._assert_rejected(args)
+
+    def test_shape_disagreement(self, backend):
+        args = self._args()
+        args[9] = args[9][:3]
+        self._assert_rejected(args)
+
+    @pytest.mark.parametrize("position,value", [(0, 3), (0, -1), (1, 2), (2, 3)])
+    def test_out_of_range_index(self, backend, position, value):
+        args = self._args()
+        args[position][3] = value
+        self._assert_rejected(args)
 
 
 class TestGibbsAgainstEnumeration:
