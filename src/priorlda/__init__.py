@@ -4,9 +4,10 @@ experiment harness."""
 __version__ = "0.1.0"
 
 from .corpus import (AllDocumentsEmpty, Corpus, CorpusStats, Vocabulary,
-                     build_corpus, co_doc_freq, compute_stats, default_stoplist,
-                     delete_low_tfidf, delete_stopwords, load_corpus,
-                     load_raw_documents, load_word_list, save_corpus, tokenize)
+                     build_corpus, co_doc_counts, co_doc_freq, compute_stats,
+                     default_stoplist, delete_low_tfidf, delete_stopwords,
+                     load_corpus, load_raw_documents, load_word_list,
+                     save_corpus, tokenize)
 from .priors import (ConfigMismatch, PriorConfig, PriorMatrix, TopicKind,
                      assemble, keyword_prior, stopword_prior, symmetric_prior,
                      tfidf_prior, validate, wordfreq_prior)

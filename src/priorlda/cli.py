@@ -8,8 +8,6 @@ each successful subcommand prints a one-line summary to stdout.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import re
 import sys
@@ -22,7 +20,7 @@ from .corpus import (build_corpus, compute_stats, default_stoplist,
 from .experiments import (ExperimentPlan, _csv_cell, comparison_csv,
                           comparison_table, correlation_data, load_resources,
                           run_grid, run_manifest)
-from .metrics import MetricConfig, report as score_report
+from .metrics import MetricConfig, _rows_csv, report as score_report
 from .priors import PriorConfig, assemble, symmetric_prior, validate
 from .sampler import ModelConfig, fit as fit_model, load_model, save_model
 
@@ -260,12 +258,9 @@ def _cmd_report(args) -> int:
                                   encoding="utf-8")
     else:
         header = list(rows[0].keys())
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_csv_cell(row[h]) for h in header])
-        Path(args.out).write_text(buf.getvalue(), encoding="utf-8")
+        Path(args.out).write_text(
+            _rows_csv(header, ([_csv_cell(row[h]) for h in header] for row in rows)),
+            encoding="utf-8")
     print(f"aggregated {len(rows)} runs -> {args.out}")
     return 0
 

@@ -9,6 +9,7 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
 CORPUS_FORMAT_VERSION = 1
 
@@ -66,8 +67,16 @@ class Corpus:
         self.documents = [np.asarray(doc, dtype=np.int32) for doc in documents]
         self.vocabulary = vocabulary
         self.doc_ids = list(doc_ids) if doc_ids is not None else None
-        if self.doc_ids is not None and len(self.doc_ids) != len(self.documents):
-            raise ValueError("doc_ids length does not match document count")
+        if self.doc_ids is not None:
+            if len(self.doc_ids) != len(self.documents):
+                raise ValueError("doc_ids length does not match document count")
+            # per-document sampler streams are keyed by id, so a repeat would
+            # give two documents the same stream
+            seen: set[str] = set()
+            for doc_id in self.doc_ids:
+                if doc_id in seen:
+                    raise ValueError(f"duplicate document id: {doc_id!r}")
+                seen.add(doc_id)
         self._validate()
 
     def _validate(self):
@@ -224,6 +233,22 @@ def compute_stats(corpus: Corpus) -> CorpusStats:
 def co_doc_freq(stats: CorpusStats, w1: int, w2: int) -> int:
     """Number of documents where both words appear. Symmetric in arguments."""
     return int(np.intersect1d(stats.doc_index[w1], stats.doc_index[w2], assume_unique=True).size)
+
+
+def co_doc_counts(stats: CorpusStats, ids: Sequence[int]) -> np.ndarray:
+    """All co_doc_freq values among the given word ids, from one sparse product.
+
+    Entry (i, j) is the number of documents holding both ids[i] and ids[j];
+    the diagonal is each word's document frequency. Repeated ids give
+    repeated rows and columns. X is the document x word incidence matrix of
+    the ids, built from ``doc_index``, and the result is X.T @ X.
+    """
+    columns = [stats.doc_index[w] for w in ids]
+    indptr = np.cumsum([0] + [c.size for c in columns])
+    rows = np.concatenate(columns) if columns else np.zeros(0, dtype=np.int64)
+    x = sparse.csc_array((np.ones(rows.size, dtype=np.int64), rows, indptr),
+                         shape=(stats.n_docs, len(columns)))
+    return (x.T @ x).toarray()
 
 
 def _rebuild(corpus: Corpus, keep: np.ndarray) -> Corpus:

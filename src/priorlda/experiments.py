@@ -7,12 +7,11 @@ and skipped, never fatal to the sweep.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 import logging
 import time
+import traceback
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -27,7 +26,7 @@ from . import _kernels
 from .corpus import (Corpus, CorpusStats, build_corpus, compute_stats,
                      default_stoplist, delete_low_tfidf, delete_stopwords,
                      load_corpus, load_raw_documents, load_word_list)
-from .metrics import METRIC_COLUMNS, MetricConfig, ModelReport, report
+from .metrics import METRIC_COLUMNS, MetricConfig, ModelReport, _rows_csv, report
 from .priors import PriorConfig, TopicKind, assemble, symmetric_prior
 from .sampler import (DEFAULT_HYPER_GRID, FittedModel, ModelConfig, fit,
                       hyperparameter_search)
@@ -226,10 +225,21 @@ class RunRecord:
 
 @dataclass(frozen=True)
 class FailedRun:
+    """A run that raised; ``exception`` keeps its type and traceback."""
+
     variant: Variant
     settings: RunSettings
     seed: int
-    error: str
+    exception: Exception
+
+    @property
+    def error(self) -> str:
+        return str(self.exception)
+
+    def to_json(self) -> dict:
+        return {"variant": self.variant.value, "seed": self.seed, "error": self.error,
+                "type": type(self.exception).__name__,
+                "traceback": "".join(traceback.format_exception(self.exception))}
 
 
 @dataclass(eq=False)
@@ -383,7 +393,7 @@ def run_grid(plan: ExperimentPlan, jobs: int | None = None,
             records.append(outcome)
         else:
             log.warning("run failed: %s seed=%d: %s", spec.variant.value, spec.seed, outcome)
-            failures.append(FailedRun(spec.variant, spec.settings, spec.seed, str(outcome)))
+            failures.append(FailedRun(spec.variant, spec.settings, spec.seed, outcome))
     return GridResult(records=records, failures=failures)
 
 
@@ -440,12 +450,7 @@ def comparison_csv(records: list[RunRecord]) -> str:
     rows = comparison_table(records)
     header = (["variant", "seed"] + list(_SETTING_COLUMNS) + list(METRIC_COLUMNS)
               + [f"domain_{c}" for c in _DOMAIN_COLUMNS] + ["vocabulary_altered"])
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_csv_cell(row[h]) for h in header])
-    return buf.getvalue()
+    return _rows_csv(header, ([_csv_cell(row[h]) for h in header] for row in rows))
 
 
 # --- scatter + correlations -------------------------------------------------
@@ -462,20 +467,12 @@ class CorrelationData:
     def points_csv(self) -> str:
         header = ["variant", "seed", "metric", "metric_value",
                   "stopword_rate", "expert_rate", "codoc"]
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        for p in self.points:
-            writer.writerow([_csv_cell(p[h]) for h in header])
-        return buf.getvalue()
+        return _rows_csv(header, ([_csv_cell(p[h]) for h in header] for p in self.points))
 
     def correlations_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["metric", "axis", "spearman", "n"])
-        for c in self.correlations:
-            writer.writerow([c["metric"], c["axis"], _csv_cell(c["spearman"]), c["n"]])
-        return buf.getvalue()
+        return _rows_csv(["metric", "axis", "spearman", "n"],
+                         ([c["metric"], c["axis"], _csv_cell(c["spearman"]), c["n"]]
+                          for c in self.correlations))
 
     def correlation(self, metric: str, axis: str) -> float | None:
         for c in self.correlations:
@@ -549,8 +546,7 @@ def run_manifest(plan: ExperimentPlan, result: GridResult, corpus: Corpus) -> di
         "corpus_hash": corpus_hash(corpus),
         "plan": plan.to_json(),
         "n_records": len(result.records),
-        "failures": [{"variant": f.variant.value, "seed": f.seed, "error": f.error}
-                     for f in result.failures],
+        "failures": [f.to_json() for f in result.failures],
         "durations": {f"{r.variant.value}/seed{r.seed}": r.duration
                       for r in result.records},
         "versions": {"priorlda": __version__, "numpy": np.__version__,

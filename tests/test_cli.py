@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 from importlib import resources
 
@@ -208,6 +209,67 @@ class TestExperimentAndReport:
         assert [r["variant"] for r in rows] == ["no_deletion", "no_deletion"]
         assert [r["seed"] for r in rows] == ["5", "6"]
         assert rows[0]["iterations"] == "20"
+
+
+# sha256 of the outputs of the README demo plan at 10 sweeps and seed 1,
+# recorded before report took its co-document counts from one sparse
+# product; the scores must not move by a single bit.
+DEMO_DIGESTS = {
+    30: {
+        "comparison.csv": "d0abde9f9c458834fe3b1e40b71d1a7dba55111cb8e67183340a678307850754",
+        "scatter.csv": "aa910fdc20beeaeb022b5be2c45c27b86357f1c3b100e1fa6156477e05015da3",
+        "correlations.csv": "1f686c2e2abfd60668524d21f374ba1d598826416ac6916b9cec8fb628690fd7",
+        "table.csv": "d0abde9f9c458834fe3b1e40b71d1a7dba55111cb8e67183340a678307850754",
+        "0000_no_deletion_seed1": "5a8672e54d5b67abdc5080ea6c86cbb5ef34d6c9d1e6db67886884b196eaf6da",
+        "0001_stopword_deletion_seed1": "2a91357690e046fc4ee050388b27f234d27519ce33f2e7bb1f08dc97db34319a",
+        "0002_tfidf_prior_seed1": "7b9116cbeaacee205c4448a3b1ff4bbf514e0489abe91fa220bcc63fdfda0a09",
+        "0003_keyword_seeding_prior_seed1": "e765cf42f1dff3ab4d7aaf9afe3f01e16a79bcf14682e584fde163bcaa72df61",
+    },
+    # a 60-word window is wider than the 55-word vocabulary
+    60: {
+        "comparison.csv": "a39bd759b31fecf850e25f638555e9c77ead34aeb9a0b99a24a26447a5f012ae",
+        "scatter.csv": "78fcd71e120269521344057f42247c747d286d10fd74e7e1d27b2129b0ff26f6",
+        "correlations.csv": "7af44de0fa7e64f288d238329b91ffa8d2b8aa2512003b9fc606ecc5f95c9abf",
+        "table.csv": "a39bd759b31fecf850e25f638555e9c77ead34aeb9a0b99a24a26447a5f012ae",
+        "0000_no_deletion_seed1": "ccfa15b38162e11403bdc45b6bdf3ef1e2cd1c9d300e99c86013274ef80050ed",
+        "0001_stopword_deletion_seed1": "9948d93c998c87688f0f88668a01ab687353cf2d8fd6651b5286240da35631ab",
+        "0002_tfidf_prior_seed1": "78cdfcce721c4897af7dad0816e1bc0d5d27295157b95a52dec52ec26115f6d7",
+        "0003_keyword_seeding_prior_seed1": "c7f3ab1d4ca3934bba42210b601d740ee9940aa01a5d17e7d61c8093e897c65f",
+    },
+}
+
+
+class TestByteContract:
+    @pytest.mark.parametrize("top,jobs", [(30, 1), (60, 2)])
+    def test_demo_plan_digests(self, tmp_path, demo_corpus_path, demo_lists, top, jobs):
+        stop_path, white_path = demo_lists
+        plan = {
+            "corpus": str(demo_corpus_path),
+            "variants": ["no_deletion", "stopword_deletion", "tfidf_prior",
+                         "keyword_seeding_prior"],
+            "topics": [20], "iterations": [10], "seeds": [1], "alpha": 0.2,
+            "tfidf_topics": [9], "keyword_topics": [10], "metric_top_words": top,
+            "stoplist": str(stop_path), "whitelist": str(white_path),
+        }
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan))
+        out_dir = tmp_path / "out"
+        assert main(["experiment", "--plan", str(plan_path), "--jobs", str(jobs),
+                     "--out-dir", str(out_dir)]) == 0
+        assert main(["report", "--runs", str(out_dir / "runs"),
+                     "--out", str(out_dir / "table.csv")]) == 0
+
+        def sha(data: bytes) -> str:
+            return hashlib.sha256(data).hexdigest()
+
+        got = {name: sha((out_dir / name).read_bytes())
+               for name in ("comparison.csv", "scatter.csv", "correlations.csv", "table.csv")}
+        for path in sorted((out_dir / "runs").glob("*.report.json")):
+            # the bytes ModelReport.save writes; the run file adds a duration
+            report = json.loads(path.read_text())["report"]
+            got[path.name.removesuffix(".report.json")] = sha(
+                (json.dumps(report, separators=(",", ":")) + "\n").encode())
+        assert got == DEMO_DIGESTS[top]
 
 
 class TestDispatch:

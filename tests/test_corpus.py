@@ -65,6 +65,32 @@ class TestBuildCorpus:
         assert corpus.doc_ids == ["x", "y"]
 
 
+class TestDuplicateDocIds:
+    """Per-document sampler streams are keyed by id, so repeated ids are
+    rejected wherever a corpus is made."""
+
+    def test_build_corpus_names_first_repeat(self):
+        with pytest.raises(ValueError, match="duplicate document id: 'y'"):
+            build_corpus(["a", "b", "a b", "b a"], doc_ids=["x", "y", "y", "x"])
+
+    def test_from_json(self):
+        data = {"version": 1, "vocabulary": ["a", "b"], "documents": [[0], [1], [0, 1]],
+                "doc_ids": ["d0", "d1", "d0"]}
+        with pytest.raises(ValueError, match="duplicate document id: 'd0'"):
+            Corpus.from_json(data)
+
+    def test_load_corpus(self, tmp_path):
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps({"version": 1, "vocabulary": ["a"],
+                                    "documents": [[0], [0]], "doc_ids": ["same", "same"]}))
+        with pytest.raises(ValueError, match="duplicate document id: 'same'"):
+            load_corpus(path)
+
+    def test_unique_ids_and_no_ids_accepted(self):
+        assert build_corpus(["a", "a"], doc_ids=["1", "01"]).doc_ids == ["1", "01"]
+        assert build_corpus(["a", "a"]).doc_ids is None
+
+
 class TestVocabulary:
     def test_inverse_maps(self):
         vocab = Vocabulary(["a", "b", "c"])

@@ -154,6 +154,29 @@ class TestRunGrid:
         assert result.failures[0].variant is Variant.KEYWORD_SEEDING_PRIOR
         assert len(result.records) == 1
 
+    def test_failure_keeps_type_and_traceback(self, planted_on_disk):
+        planted, plan = planted_on_disk
+        no_list = ExperimentPlan(**{**plan.to_json(),
+                                    "variants": [Variant.KEYWORD_TOPICS_BASELINE.value,
+                                                 Variant.NO_DELETION.value],
+                                    "whitelist": None})
+        resources = load_resources(no_list)
+        result = run_grid(no_list, corpus=resources.corpus, metric_config=FAST_METRICS)
+        assert len(result.records) == 1
+        (failure,) = result.failures
+        assert isinstance(failure.exception, MissingResource)
+        manifest = run_manifest(no_list, result, resources.corpus)
+        (entry,) = manifest["failures"]
+        assert entry["variant"] == Variant.KEYWORD_TOPICS_BASELINE.value
+        assert entry["seed"] == 1
+        assert entry["error"] == str(failure.exception) == failure.error
+        assert "needs a whitelist" in entry["error"]
+        assert entry["type"] == "MissingResource"
+        assert entry["traceback"].startswith("Traceback (most recent call last):")
+        assert "in _build_model" in entry["traceback"]
+        assert entry["traceback"].rstrip().endswith(f"MissingResource: {entry['error']}")
+        json.dumps(manifest)
+
     def test_grid_completeness(self, planted_on_disk):
         planted, plan = planted_on_disk
         result = run_grid(plan, metric_config=FAST_METRICS)

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from priorlda.corpus import build_corpus, compute_stats
-from priorlda.metrics import (MetricConfig, codocument_appearance, coherence,
-                              expert_word_rate, lift_of_words, log_lift,
-                              pmi_score, report, stopword_rate)
+from priorlda.corpus import (AllDocumentsEmpty, build_corpus, co_doc_counts,
+                             co_doc_freq, compute_stats, delete_stopwords)
+from priorlda.metrics import (MetricConfig, _codoc_core, _count_blocks,
+                              _touches_whitelist, codocument_appearance,
+                              coherence, expert_word_rate, lift_of_words,
+                              log_lift, pmi_score, report, stopword_rate)
 from priorlda.priors import TopicKind, symmetric_prior
 from priorlda.sampler import ModelConfig, fit, top_words
 from priorlda.synthetic import pathology_corpus, planted_stopword_corpus
@@ -230,6 +234,95 @@ class TestReport:
         rep.save(tmp_path / "r.csv")
         rep.save(tmp_path / "r.json")
         assert (tmp_path / "r.csv").read_text() == csv_text
+
+
+@st.composite
+def count_cases(draw):
+    """A random corpus, sometimes after stopword deletion, and one top-word
+    window per topic as report makes them: distinct ids within a row, shared
+    across rows, and the whole vocabulary when the window is at least V."""
+    n_words = draw(st.integers(2, 12))
+    docs = draw(st.lists(st.lists(st.integers(0, n_words - 1), max_size=8),
+                         min_size=1, max_size=15))
+    texts = [" ".join(f"w{i}" for i in doc) for doc in docs]
+    assume(any(texts))
+    corpus = build_corpus(texts)
+    if draw(st.booleans()):
+        stop = draw(st.sets(st.sampled_from(corpus.vocabulary.id_to_word)))
+        try:
+            corpus = delete_stopwords(corpus, stop)
+        except AllDocumentsEmpty:
+            assume(False)
+    v = corpus.vocabulary.size
+    m = min(draw(st.integers(1, v + 3)), v)
+    windows = [draw(st.permutations(range(v)))[:m] for _ in range(draw(st.integers(1, 5)))]
+    ids = draw(st.lists(st.integers(0, v - 1), max_size=2 * v + 2))
+    return compute_stats(corpus), np.array(windows, dtype=np.int64), ids
+
+
+class TestBatchedCounts:
+    @settings(max_examples=150, deadline=None)
+    @given(count_cases())
+    def test_blocks_equal_pairwise_intersections(self, case):
+        stats, windows, ids = case
+        blocks = _count_blocks(windows, stats)
+        assert len(blocks) == len(windows)
+        for row, block in zip(windows.tolist(), blocks):
+            assert block.shape == (len(row), len(row))
+            for i, a in enumerate(row):
+                for j, b in enumerate(row):
+                    assert block[i, j] == co_doc_freq(stats, a, b)
+        # repeated ids within one list get repeated rows and columns
+        counts = co_doc_counts(stats, ids)
+        assert counts.shape == (len(ids), len(ids))
+        for i, a in enumerate(ids):
+            for j, b in enumerate(ids):
+                assert counts[i, j] == co_doc_freq(stats, a, b)
+
+    def test_counts_shape_checked(self):
+        stats = compute_stats(build_corpus(["a b", "b c"]))
+        with pytest.raises(ValueError, match="counts must be 3x3"):
+            coherence(["a", "b", "c"], stats, counts=np.zeros((2, 2), dtype=np.int64))
+        with pytest.raises(ValueError, match="counts must be 2x2"):
+            pmi_score(["a", "b"], stats, counts=np.zeros((3, 3), dtype=np.int64))
+
+
+def _same(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+class TestBatchedReport:
+    """report's one-product counts give exactly what the per-topic functions
+    give when each makes its own counts."""
+
+    @pytest.mark.parametrize("cfg", [
+        MetricConfig(m_small=5, m_large=10, n_lift=10),
+        MetricConfig(m_small=12, m_large=6, n_lift=3, pmi_smoothing=False),
+        MetricConfig(m_small=10, m_large=80, n_lift=80),
+    ], ids=["default-order", "small-window-larger", "window-beyond-vocabulary"])
+    @pytest.mark.parametrize("delete", [False, True], ids=["full", "stopwords-deleted"])
+    def test_report_equals_per_topic_calls(self, cfg, delete):
+        planted = planted_stopword_corpus(seed=1)
+        corpus = (delete_stopwords(planted.corpus, planted.stopwords) if delete
+                  else planted.corpus)
+        stats = compute_stats(corpus)
+        model = fit(corpus, symmetric_prior(4, corpus.vocabulary.size, 1.0),
+                    ModelConfig(topics=4, iterations=20, seed=2))
+        stoplist = set(planted.stopwords)
+        whitelist = set(planted.clusters[0]) | {"not-a-word"}
+        rep = report(model, stats, stoplist, whitelist, cfg)
+        white_ids = stats.vocabulary.ids(whitelist)
+        for t, score in enumerate(rep.per_topic):
+            small = top_words(model, t, cfg.m_small)
+            large = top_words(model, t, cfg.m_large)
+            ids = [stats.vocabulary.word_to_id[w] for w in large]
+            assert score.coherence_10 == coherence(small, stats)
+            assert score.coherence_30 == coherence(large, stats)
+            assert _same(score.pmi, pmi_score(large, stats, cfg))
+            assert score.log_lift == log_lift(model, t, stats, cfg.n_lift)
+            assert score.stopword_rate == stopword_rate(large, stoplist)
+            assert score.expert_rate == expert_word_rate(large, whitelist)
+            assert score.codoc == _codoc_core(ids, _touches_whitelist(ids, white_ids, stats))
 
 
 class TestNaiveEquivalenceFuzz:
