@@ -280,6 +280,39 @@ def delete_low_tfidf(corpus: Corpus, percentile: float = 0.05) -> Corpus:
 
 # --- file I/O -------------------------------------------------------------
 
+def json_float_array(a: np.ndarray) -> str:
+    """The text ``json.dumps(a.tolist(), separators=(",", ":"))`` gives for a
+    1-D or 2-D float64 array, formatting each distinct value once.
+
+    Values are told apart by bit pattern, so -0.0 keeps its sign and no NaN
+    is merged with a number; each distinct value gets json's own
+    shortest-repr text (``NaN`` and ``Infinity`` included). Fitted estimates
+    take few distinct values, which is what makes this fast.
+    """
+    if a.dtype != np.float64:
+        raise TypeError(f"expected a float64 array, got {a.dtype}")
+    if a.ndim not in (1, 2):
+        raise ValueError(f"expected a 1-D or 2-D array, got {a.ndim}-D")
+    bits, inverse = np.unique(np.ascontiguousarray(a).view(np.int64), return_inverse=True)
+    strs = json.dumps(bits.view(np.float64).tolist(), separators=(",", ":"))[1:-1].split(",")
+    texts = np.array(strs, dtype=object)[inverse.reshape(a.shape)].tolist()
+    if a.ndim == 1:
+        return "[" + ",".join(texts) + "]"
+    return "[" + ",".join("[" + ",".join(row) + "]" for row in texts) + "]"
+
+
+def write_json(path: str | Path, fields: dict, arrays: dict[str, np.ndarray]) -> None:
+    """Write ``json.dumps({**fields, **lists}, separators=(",", ":")) + "\\n"``
+    byte for byte, where ``lists`` maps each name in ``arrays`` to its array's
+    ``tolist()``; the arrays are written by ``json_float_array``."""
+    with Path(path).open("w", encoding="utf-8") as f:
+        f.write(json.dumps(fields, separators=(",", ":"))[:-1])
+        for i, (name, a) in enumerate(arrays.items()):
+            f.write(("," if fields or i else "") + json.dumps(name) + ":")
+            f.write(json_float_array(a))
+        f.write("}\n")
+
+
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
     Path(path).write_text(json.dumps(corpus.to_json(), separators=(",", ":")) + "\n",
                           encoding="utf-8")

@@ -11,8 +11,9 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+from scipy.special import gammaln
 
-from .corpus import CorpusStats, Vocabulary
+from .corpus import CorpusStats, Vocabulary, write_json
 
 log = logging.getLogger(__name__)
 
@@ -137,12 +138,23 @@ class PriorMatrix:
     def row_sums(self) -> np.ndarray:
         return self.weights.sum(axis=1)
 
+    # the log-likelihood's prior terms, which no sweep changes
+    @cached_property
+    def gammaln_weights(self) -> np.ndarray:
+        return gammaln(self.weights)
+
+    @cached_property
+    def gammaln_row_sums(self) -> np.ndarray:
+        return gammaln(self.row_sums)
+
+    def _parts(self) -> tuple[dict, dict[str, np.ndarray]]:
+        """The JSON fields in file order: plain values, then float arrays."""
+        return ({"version": PRIOR_FORMAT_VERSION, "kinds": [k.value for k in self.kinds]},
+                {"weights": self.weights})
+
     def to_json(self) -> dict:
-        return {
-            "version": PRIOR_FORMAT_VERSION,
-            "kinds": [k.value for k in self.kinds],
-            "weights": self.weights.tolist(),
-        }
+        fields, arrays = self._parts()
+        return {**fields, **{name: a.tolist() for name, a in arrays.items()}}
 
     @classmethod
     def from_json(cls, data: dict) -> "PriorMatrix":
@@ -219,8 +231,9 @@ def validate(prior: PriorMatrix) -> list[str]:
 
 
 def save_prior(prior: PriorMatrix, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(prior.to_json(), separators=(",", ":")) + "\n",
-                          encoding="utf-8")
+    """Write ``json.dumps(prior.to_json(), separators=(",", ":")) + "\\n"``,
+    byte for byte, formatting each distinct weight once (see ``save_model``)."""
+    write_json(path, *prior._parts())
 
 
 def load_prior(path: str | Path) -> PriorMatrix:

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import _kernels
-from .corpus import Corpus, Vocabulary
+from .corpus import Corpus, Vocabulary, write_json
 from .priors import PriorMatrix, TopicKind, symmetric_prior
 
 MODEL_FORMAT_VERSION = 1
@@ -209,12 +209,10 @@ def log_likelihood(state: ModelState, prior: PriorMatrix, alpha: float) -> float
     """Collapsed joint log p(w, z | alpha, eta): a product of
     Dirichlet-multinomial normalizers over documents and topics."""
     k_total = state.n_topics
-    eta = prior.weights
-    eta_sums = prior.row_sums
     doc_part = float((gammaln(k_total * alpha) - gammaln(state.doc_lengths + k_total * alpha)).sum())
     doc_part += float((gammaln(state.n_dk + alpha) - gammaln(alpha)).sum())
-    topic_part = float((gammaln(eta_sums) - gammaln(state.n_k + eta_sums)).sum())
-    topic_part += float((gammaln(state.n_kw + eta) - gammaln(eta)).sum())
+    topic_part = float((prior.gammaln_row_sums - gammaln(state.n_k + prior.row_sums)).sum())
+    topic_part += float((gammaln(state.n_kw + prior.weights) - prior.gammaln_weights).sum())
     return doc_part + topic_part
 
 
@@ -248,15 +246,17 @@ class FittedModel:
     def n_topics(self) -> int:
         return self.beta_hat.shape[0]
 
+    def _parts(self) -> tuple[dict, dict[str, np.ndarray]]:
+        """The JSON fields in file order: plain values, then float arrays."""
+        return ({"version": MODEL_FORMAT_VERSION,
+                 "config": self.config.to_json() if self.config else None,
+                 "kinds": [k.value for k in self.kinds]},
+                {"beta_hat": self.beta_hat, "theta_hat": self.theta_hat,
+                 "loglik_trace": self.loglik_trace})
+
     def to_json(self) -> dict:
-        return {
-            "version": MODEL_FORMAT_VERSION,
-            "config": self.config.to_json() if self.config else None,
-            "kinds": [k.value for k in self.kinds],
-            "beta_hat": self.beta_hat.tolist(),
-            "theta_hat": self.theta_hat.tolist(),
-            "loglik_trace": self.loglik_trace.tolist(),
-        }
+        fields, arrays = self._parts()
+        return {**fields, **{name: a.tolist() for name, a in arrays.items()}}
 
     @classmethod
     def from_json(cls, data: dict, vocabulary: Vocabulary | None = None) -> "FittedModel":
@@ -404,8 +404,10 @@ def heldout_perplexity(model: FittedModel, corpus: Corpus,
 
 
 def save_model(model: FittedModel, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(model.to_json(), separators=(",", ":")) + "\n",
-                          encoding="utf-8")
+    """Write ``json.dumps(model.to_json(), separators=(",", ":")) + "\\n"``,
+    byte for byte: compact separators, shortest-repr floats, with each distinct
+    value of an array formatted once (``corpus.json_float_array``)."""
+    write_json(path, *model._parts())
 
 
 def load_model(path: str | Path, vocabulary: Vocabulary | None = None) -> FittedModel:

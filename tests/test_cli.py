@@ -6,6 +6,8 @@ from importlib import resources
 import pytest
 
 from priorlda.cli import build_parser, main
+from priorlda.corpus import compute_stats, load_corpus
+from priorlda.priors import PriorConfig, assemble, save_prior
 
 
 @pytest.fixture
@@ -270,6 +272,29 @@ class TestByteContract:
             got[path.name.removesuffix(".report.json")] = sha(
                 (json.dumps(report, separators=(",", ":")) + "\n").encode())
         assert got == DEMO_DIGESTS[top]
+
+    # sha256 of `priorlda fit` model files and of a save_prior file on the
+    # demo corpus, recorded before the writers stopped formatting every float
+    # through json.dumps of tolist()
+    @pytest.mark.parametrize("extra,digest", [
+        ([], "260b78fc4e087098f4704ddac7363c2e05b1dada20b905d38aaf1b6ca5197ba4"),
+        (["--average-estimates"],
+         "b064cd4041bab60ad5907e3855d669b186d7aeca950700e1644fb1126bd5a618"),
+    ])
+    def test_fit_model_digest(self, tmp_path, ingested, extra, digest):
+        out = tmp_path / "model.json"
+        assert main(["fit", "--corpus", str(ingested), "--prior", "tfidf", "--topics", "8",
+                     "--alpha", "0.2", "--iters", "30", "--seed", "7", *extra,
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_save_prior_digest(self, tmp_path, ingested):
+        stats = compute_stats(load_corpus(ingested))
+        prior = assemble(PriorConfig(topics=8, stopword_topics=1, tfidf_topics=7), stats)
+        out = tmp_path / "prior.json"
+        save_prior(prior, out)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "83687054462b6bcb08ba6ee60d531ed3a4310968bdb7e1dd71028d54342fd87e")
 
 
 class TestDispatch:

@@ -1,13 +1,16 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from priorlda.corpus import (AllDocumentsEmpty, Corpus, Vocabulary, build_corpus,
                              co_doc_freq, compute_stats, default_stoplist,
-                             delete_low_tfidf, delete_stopwords, load_corpus,
-                             load_raw_documents, load_word_list, save_corpus,
-                             tokenize)
+                             delete_low_tfidf, delete_stopwords, json_float_array,
+                             load_corpus, load_raw_documents, load_word_list,
+                             save_corpus, tokenize, write_json)
 
 from .oracles import reference_prior_data
 
@@ -298,3 +301,71 @@ class TestLoaders:
         stoplist = default_stoplist()
         assert len(stoplist) == 127
         assert "the" in stoplist and "and" in stoplist
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, separators=(",", ":"))
+
+
+# values whose text is easy to get wrong: signed zeros, the smallest
+# subnormal, the smallest normal, exponent switch-overs, non-finite values
+SPECIAL_FLOATS = [0.0, -0.0, 1.0, 1e-05, 1e16, 5e-324, 2.2250738585072014e-308,
+                  1e-4, 1e15, 0.1, math.nan, math.inf, -math.inf]
+
+
+@st.composite
+def float_arrays(draw):
+    shape = draw(st.one_of(st.tuples(st.integers(0, 40)),
+                           st.tuples(st.integers(0, 8), st.integers(0, 8))))
+    size = math.prod(shape)
+    # a small pool of values drawn with repeats gives heavy duplication;
+    # a pool as large as the array allows all-distinct entries
+    values = st.one_of(st.floats(width=64), st.sampled_from(SPECIAL_FLOATS))
+    pool = draw(st.lists(values, min_size=1, max_size=max(1, size)))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=size, max_size=size))
+    return np.array([pool[i] for i in picks], dtype=np.float64).reshape(shape)
+
+
+class TestJsonFloatArray:
+    @settings(max_examples=300, deadline=None)
+    @given(float_arrays())
+    def test_matches_json_dumps(self, a):
+        assert json_float_array(a) == _dumps(a.tolist())
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 0), (0, 5), (4, 0)])
+    def test_empty_shapes(self, shape):
+        a = np.empty(shape)
+        assert json_float_array(a) == _dumps(a.tolist())
+
+    def test_all_distinct_and_non_contiguous(self):
+        a = np.random.default_rng(0).random((6, 40))
+        assert json_float_array(a) == _dumps(a.tolist())
+        assert json_float_array(a[:, ::3]) == _dumps(a[:, ::3].tolist())
+        assert json_float_array(a.T) == _dumps(a.T.tolist())
+
+    def test_signed_zeros_and_nan_payloads_keep_their_text(self):
+        nans = np.array([0x7FF8000000000001, -0x0008000000000000, 0x7FF0000000000001],
+                        dtype=np.int64).view(np.float64)
+        a = np.concatenate([[0.0, -0.0, 1.0, -0.0], nans, [math.nan, 0.0]])
+        assert json_float_array(a) == "[0.0,-0.0,1.0,-0.0,NaN,NaN,NaN,NaN,0.0]"
+
+    def test_rejects_other_dtypes_and_ranks(self):
+        with pytest.raises(TypeError):
+            json_float_array(np.arange(3))
+        with pytest.raises(TypeError):
+            json_float_array(np.ones(3, dtype=np.float32))
+        with pytest.raises(ValueError):
+            json_float_array(np.ones((2, 2, 2)))
+
+    @pytest.mark.parametrize("fields,arrays", [
+        ({}, {}),
+        ({"version": 1}, {}),
+        ({}, {"a": np.ones(2), "b": np.zeros((1, 2))}),
+        ({"version": 1, "kinds": ["stopword"], "config": None, "é": {"x": [1.5]}},
+         {"w": np.eye(2), "t": np.empty(0)}),
+    ])
+    def test_write_json_matches_dumps(self, tmp_path, fields, arrays):
+        path = tmp_path / "out.json"
+        write_json(path, fields, arrays)
+        want = _dumps({**fields, **{name: a.tolist() for name, a in arrays.items()}}) + "\n"
+        assert path.read_bytes() == want.encode("utf-8")

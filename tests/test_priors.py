@@ -1,3 +1,4 @@
+import json
 import logging
 
 import numpy as np
@@ -200,6 +201,17 @@ class TestPriorMatrix:
         loaded = load_prior(path)
         np.testing.assert_array_equal(loaded.weights, prior.weights)
         assert loaded.kinds == prior.kinds
+
+    def test_save_prior_writes_compact_to_json(self, alice_stats, tmp_path):
+        cfg = PriorConfig(topics=6, stopword_topics=1, wordfreq_topics=1, tfidf_topics=2,
+                          keyword_topics=1)
+        prior = assemble(cfg, alice_stats, ALICE_KEYWORDS)
+        path = tmp_path / "prior.json"
+        save_prior(prior, path)
+        want = json.dumps(prior.to_json(), separators=(",", ":")) + "\n"
+        assert path.read_bytes() == want.encode()
+        save_prior(load_prior(path), path)
+        assert path.read_bytes() == want.encode()
 
     def test_symmetric_prior(self):
         prior = symmetric_prior(3, 4, 0.5)

@@ -7,14 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from priorlda import _kernels
 from priorlda.corpus import build_corpus
 from priorlda.priors import PriorMatrix, TopicKind, symmetric_prior
 from priorlda.sampler import (DimensionMismatch, FittedModel, ModelConfig,
                               estimate, fit, heldout_perplexity,
-                              hyperparameter_search, init, log_likelihood,
-                              sweep, sweep_snapshot, tabulate, top_words)
+                              hyperparameter_search, init, load_model,
+                              log_likelihood, save_model, sweep, sweep_snapshot,
+                              tabulate, top_words)
 from priorlda.synthetic import random_corpus, two_topic_corpus
 
 from .oracles import enumerate_posterior, greedy_align_cosine, urn_log_joint
@@ -398,6 +400,90 @@ class TestLogLikelihood:
                 total_ref += math.exp(urn_log_joint([state.tokens.tolist()],
                                                     [[z0, z1]], prior.weights, 0.8))
         assert total_pkg == pytest.approx(total_ref, rel=1e-10)
+
+
+def _log_likelihood_reference(state, prior, alpha):
+    """log_likelihood with every gammaln term recomputed from the prior."""
+    k_total = state.n_topics
+    eta, eta_sums = prior.weights, prior.weights.sum(axis=1)
+    doc_part = float((gammaln(k_total * alpha) - gammaln(state.doc_lengths + k_total * alpha)).sum())
+    doc_part += float((gammaln(state.n_dk + alpha) - gammaln(alpha)).sum())
+    topic_part = float((gammaln(eta_sums) - gammaln(state.n_k + eta_sums)).sum())
+    topic_part += float((gammaln(state.n_kw + eta) - gammaln(eta)).sum())
+    return doc_part + topic_part
+
+
+class TestLogLikelihoodCache:
+    def test_bit_identical_to_uncached_terms(self):
+        rng = np.random.default_rng(11)
+        corpus = random_corpus(seed=12, n_docs=40, vocab_size=30)
+        for k, alpha in [(1, 0.5), (4, 0.1), (7, 2.0)]:
+            prior = PriorMatrix(rng.uniform(1e-6, 3.0, size=(k, corpus.vocabulary.size)),
+                                (TopicKind.SYMMETRIC,) * k)
+            state = init(corpus, prior, ModelConfig(topics=k, iterations=10, seed=k))
+            for _ in range(3):
+                sweep(state, prior, alpha)
+                got = log_likelihood(state, prior, alpha)
+                assert got.hex() == _log_likelihood_reference(state, prior, alpha).hex()
+            assert np.array_equal(prior.gammaln_weights, gammaln(prior.weights))
+            assert np.array_equal(prior.gammaln_row_sums, gammaln(prior.row_sums))
+
+
+class TestSaveModel:
+    """save_model writes exactly json.dumps(to_json(), compact) + newline."""
+
+    @staticmethod
+    def _reference(model) -> bytes:
+        return (json.dumps(model.to_json(), separators=(",", ":")) + "\n").encode()
+
+    def _check(self, model, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        first = path.read_bytes()
+        assert first == self._reference(model)
+        loaded = load_model(path)
+        for name in ("beta_hat", "theta_hat", "loglik_trace"):
+            assert getattr(loaded, name).tobytes() == getattr(model, name).tobytes()
+        save_model(loaded, path)
+        assert path.read_bytes() == first
+        return first
+
+    @pytest.mark.parametrize("config", [
+        ModelConfig(topics=4, alpha=0.3, iterations=12, seed=3),
+        ModelConfig(topics=1, iterations=6, seed=1),
+        ModelConfig(topics=5, alpha=0.2, iterations=14, seed=8, average_estimates=True),
+        ModelConfig(topics=3, iterations=8, seed=2, doc_streams=True),
+    ], ids=["default", "k1", "averaged", "doc_streams"])
+    def test_fitted_models(self, tmp_path, config):
+        base = random_corpus(seed=9, n_docs=25)
+        corpus = build_corpus([" ".join(base.doc_words(d)) for d in range(25)],
+                              doc_ids=[f"d{i}" for i in range(25)])
+        rng = np.random.default_rng(config.seed)
+        prior = PriorMatrix(rng.uniform(0.05, 2.0, size=(config.topics, corpus.vocabulary.size)),
+                            (TopicKind.TFIDF,) * config.topics)
+        model = fit(corpus, prior, config)
+        text = self._check(model, tmp_path)
+        if config.topics == 1:
+            assert (model.theta_hat == 1.0).all()
+            assert b'"theta_hat":[[1.0],[1.0],' in text
+
+    def test_model_without_config_or_trace(self, tmp_path):
+        corpus = random_corpus(seed=4, n_docs=10)
+        prior = symmetric_prior(3, corpus.vocabulary.size, 0.5)
+        state = init(corpus, prior, ModelConfig(topics=3, iterations=4, seed=0))
+        text = self._check(estimate(state, prior, 0.5), tmp_path)
+        assert text.endswith(b',"loglik_trace":[]}\n') and b'"config":null' in text
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**16), k=st.integers(1, 6),
+           alpha=st.sampled_from([0.01, 0.2, 1.0, 7.5]),
+           iterations=st.integers(1, 6), average=st.booleans())
+    def test_random_fits(self, tmp_path_factory, seed, k, alpha, iterations, average):
+        corpus = random_corpus(seed=seed, n_docs=12, vocab_size=20, min_len=1, max_len=9)
+        prior = symmetric_prior(k, corpus.vocabulary.size, 0.1 + seed % 5)
+        model = fit(corpus, prior, ModelConfig(topics=k, alpha=alpha, iterations=iterations,
+                                               seed=seed, average_estimates=average))
+        self._check(model, tmp_path_factory.mktemp("fit"))
 
 
 class TestFit:
