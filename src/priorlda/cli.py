@@ -17,11 +17,12 @@ from . import __version__
 from .corpus import (build_corpus, compute_stats, default_stoplist,
                      delete_low_tfidf, delete_stopwords, load_corpus,
                      load_raw_documents, load_word_list, save_corpus)
-from .experiments import (ExperimentPlan, _csv_cell, comparison_csv,
-                          comparison_table, correlation_data, load_resources,
-                          run_grid, run_manifest)
+from .experiments import (PLAN_LIST_FIELDS, VARIANTS, ExperimentPlan, RunSettings,
+                          Variant, _csv_cell, comparison_csv, comparison_table,
+                          correlation_data, load_resources, run_grid, run_manifest,
+                          run_stem)
 from .metrics import MetricConfig, _rows_csv, report as score_report
-from .priors import PriorConfig, assemble, symmetric_prior, validate
+from .priors import validate
 from .sampler import ModelConfig, fit as fit_model, load_model, save_model
 
 
@@ -34,6 +35,12 @@ class _Parser(argparse.ArgumentParser):
 def _error_code(exc: Exception) -> str:
     name = type(exc).__name__
     return re.sub(r"(?<!^)(?=[A-Z])", "-", name).lower()
+
+
+# the variant whose prior each `fit --prior` choice fits with
+_FIT_PRIORS = {"none": Variant.NO_DELETION, "symmetric": Variant.NO_DELETION,
+               "wordfreq": Variant.WORDFREQ_PRIOR, "tfidf": Variant.TFIDF_PRIOR,
+               "keyword": Variant.KEYWORD_SEEDING_PRIOR}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,8 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit one model")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--prior", choices=("none", "symmetric", "wordfreq", "tfidf", "keyword"),
-                   default="none")
+    p.add_argument("--prior", choices=tuple(_FIT_PRIORS), default="none")
     p.add_argument("--topics", type=int, default=20)
     p.add_argument("--stopword-topics", type=int, default=1)
     p.add_argument("--tfidf-topics", type=int, default=9)
@@ -140,31 +146,22 @@ def _cmd_stats(args) -> int:
 def _cmd_fit(args) -> int:
     corpus = load_corpus(args.corpus)
     k = args.topics
-    if args.prior in ("none", "symmetric"):
-        prior = symmetric_prior(k, corpus.vocabulary.size, 1.0)
-    else:
-        stats = compute_stats(corpus)
-        keywords: list[str] = []
-        if args.prior == "keyword":
-            if not args.keywords:
-                print("error: usage: --prior keyword requires --keywords", file=sys.stderr)
-                return 2
-            keywords = load_word_list(args.keywords)
-            keyword_topics = (args.keyword_topics if args.keyword_topics is not None
-                              else k - args.stopword_topics - args.tfidf_topics)
-            cfg = PriorConfig(topics=k, stopword_topics=args.stopword_topics,
-                              tfidf_topics=args.tfidf_topics,
-                              keyword_topics=keyword_topics,
-                              c1=args.c1, c2=args.c2, keyword_boost=args.keyword_boost)
-        elif args.prior == "wordfreq":
-            cfg = PriorConfig(topics=k, stopword_topics=args.stopword_topics,
-                              wordfreq_topics=k - args.stopword_topics)
-        else:  # tfidf
-            cfg = PriorConfig(topics=k, stopword_topics=args.stopword_topics,
-                              tfidf_topics=k - args.stopword_topics, c1=args.c1)
-        prior = assemble(cfg, stats, keywords)
-        for warning in validate(prior):
-            print(warning, file=sys.stderr)
+    spec = VARIANTS[_FIT_PRIORS[args.prior]]
+    keywords: list[str] = []
+    if spec.needs_whitelist:
+        if not args.keywords:
+            print(f"error: usage: --prior {args.prior} requires --keywords", file=sys.stderr)
+            return 2
+        keywords = load_word_list(args.keywords)
+    keyword_topics = (args.keyword_topics if args.keyword_topics is not None
+                      else k - args.stopword_topics - args.tfidf_topics)
+    settings = RunSettings(topics=k, c1=args.c1, c2=args.c2,
+                           keyword_boost=args.keyword_boost,
+                           stopword_topics=args.stopword_topics,
+                           tfidf_topics=args.tfidf_topics, keyword_topics=keyword_topics)
+    prior = spec.prior(settings, compute_stats(corpus), keywords)
+    for warning in validate(prior):
+        print(warning, file=sys.stderr)
     config = ModelConfig(topics=k, alpha=args.alpha, iterations=args.iters,
                          burn_in=args.burn_in, seed=args.seed,
                          average_estimates=args.average_estimates)
@@ -190,18 +187,14 @@ def _cmd_score(args) -> int:
     return 0
 
 
-_PLAN_LIST_FIELDS = {
-    "variants": str, "topics": int, "iterations": int, "seeds": int,
-    "c1": float, "c2": float, "keyword_boost": float,
-    "tfidf_topics": int, "keyword_topics": int,
-}
 _PLAN_SCALAR_FIELDS = ("corpus", "stopword_topics", "alpha", "tfidf_cut",
                        "metric_top_words", "stoplist", "whitelist")
 
 
 def _plan_with_overrides(args) -> ExperimentPlan:
     data = json.loads(Path(args.plan).read_text(encoding="utf-8"))
-    for name, cast in _PLAN_LIST_FIELDS.items():
+    # list fields without a flag (hyper_alphas, hyper_etas) come from the plan
+    for name, cast in PLAN_LIST_FIELDS.items():
         value = getattr(args, name, None)
         if value is not None:
             data[name] = [cast(item) for item in str(value).split(",") if item]
@@ -230,9 +223,8 @@ def _cmd_experiment(args) -> int:
             "row": row,
             "report": rec.report.to_json(),
         }
-        name = f"{i:04d}_{rec.variant.value}_seed{rec.seed}.report.json"
-        (runs_dir / name).write_text(json.dumps(payload, separators=(",", ":")) + "\n",
-                                     encoding="utf-8")
+        (runs_dir / f"{run_stem(i, rec)}.report.json").write_text(
+            json.dumps(payload, separators=(",", ":")) + "\n", encoding="utf-8")
     (out_dir / "comparison.csv").write_text(comparison_csv(result.records), encoding="utf-8")
     scatter = correlation_data(result.records)
     (out_dir / "scatter.csv").write_text(scatter.points_csv(), encoding="utf-8")

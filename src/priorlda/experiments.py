@@ -13,6 +13,7 @@ import logging
 import time
 import traceback
 import warnings
+from collections.abc import Callable, Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from enum import Enum
@@ -27,7 +28,7 @@ from .corpus import (Corpus, CorpusStats, build_corpus, compute_stats,
                      default_stoplist, delete_low_tfidf, delete_stopwords,
                      load_corpus, load_raw_documents, load_word_list)
 from .metrics import METRIC_COLUMNS, MetricConfig, ModelReport, _rows_csv, report
-from .priors import PriorConfig, TopicKind, assemble, symmetric_prior
+from .priors import PriorConfig, PriorMatrix, TopicKind, assemble, symmetric_prior
 from .sampler import (DEFAULT_HYPER_GRID, FittedModel, ModelConfig, fit,
                       hyperparameter_search)
 
@@ -52,40 +53,80 @@ class Variant(str, Enum):
     KEYWORD_SEEDING_PRIOR = "keyword_seeding_prior"
 
 
-# Variants that change the vocabulary, making coherence/PMI incomparable
-# against full-vocabulary runs.
-ALTERS_VOCABULARY = frozenset({
-    Variant.STOPWORD_DELETION,
-    Variant.TFIDF_DELETION,
-    Variant.DELETION_PLUS_HYPERPARAM_OPT,
-})
+# Model builders that fit without an assembled prior.
+SYMMETRIC = "symmetric"  # one fit under a flat prior of weight 1
+SEARCH = "search"        # symmetric fits over the plan's hyper grid, best kept
 
-# Variants whose stopword rate is zero by construction (the scored stoplist
-# was deleted from the vocabulary).
-FORCES_ZERO_STOPWORD_RATE = frozenset({
-    Variant.STOPWORD_DELETION,
-    Variant.DELETION_PLUS_HYPERPARAM_OPT,
-})
 
-NEEDS_WHITELIST = frozenset({
-    Variant.KEYWORD_TOPICS_BASELINE,
-    Variant.KEYWORD_SEEDING_PRIOR,
-})
+@dataclass(frozen=True)
+class VariantSpec:
+    """Everything the harness knows about one variant.
 
-# Searchable dimensions that actually apply, per variant; topics and
-# iterations always do.
-_EXTRA_DIMS = {
-    Variant.NO_DELETION: (),
-    Variant.STOPWORD_DELETION: (),
-    Variant.TFIDF_DELETION: (),
-    Variant.KEYWORD_TOPICS_BASELINE: ("c2", "keyword_boost"),
-    Variant.HYPERPARAM_OPT: (),
-    Variant.DELETION_PLUS_HYPERPARAM_OPT: (),
-    Variant.WORDFREQ_PRIOR: (),
-    Variant.TFIDF_PRIOR: ("c1",),
-    Variant.KEYWORD_SEEDING_PRIOR: ("c1", "c2", "tfidf_topics",
-                                    "keyword_topics", "keyword_boost"),
+    ``preprocessing`` names the corpus the variant fits: "none" (as loaded),
+    "stoplist" (the scored stoplist deleted) or "tfidf" (the lowest average
+    TF-IDF words deleted). ``model`` is SYMMETRIC, SEARCH, or a function from
+    RunSettings to the PriorConfig to assemble. ``extra_dims`` are the plan's
+    searchable dimensions that apply beyond topics and iterations.
+    """
+
+    preprocessing: str
+    model: str | Callable[[RunSettings], PriorConfig]
+    extra_dims: tuple[str, ...] = ()
+    needs_whitelist: bool = False
+
+    @property
+    def alters_vocabulary(self) -> bool:
+        """Coherence/PMI are then incomparable against full-vocabulary runs."""
+        return self.preprocessing != "none"
+
+    @property
+    def forces_zero_stopword_rate(self) -> bool:
+        """The scored stoplist was deleted from the vocabulary."""
+        return self.preprocessing == "stoplist"
+
+    def prior(self, settings: RunSettings, stats: CorpusStats,
+              keywords: Iterable[str] = ()) -> PriorMatrix:
+        """The prior one fit of a SYMMETRIC or assembled-prior variant uses."""
+        if self.model == SYMMETRIC:
+            return symmetric_prior(settings.topics, stats.vocabulary.size, 1.0)
+        return assemble(self.model(settings), stats, keywords)
+
+
+VARIANTS: dict[Variant, VariantSpec] = {
+    Variant.NO_DELETION: VariantSpec("none", SYMMETRIC),
+    Variant.STOPWORD_DELETION: VariantSpec("stoplist", SYMMETRIC),
+    Variant.TFIDF_DELETION: VariantSpec("tfidf", SYMMETRIC),
+    Variant.KEYWORD_TOPICS_BASELINE: VariantSpec(
+        "none", lambda s: PriorConfig(topics=s.topics, stopword_topics=0,
+                                      keyword_topics=s.topics, c2=s.c2,
+                                      keyword_boost=s.keyword_boost),
+        extra_dims=("c2", "keyword_boost"), needs_whitelist=True),
+    Variant.HYPERPARAM_OPT: VariantSpec("none", SEARCH),
+    Variant.DELETION_PLUS_HYPERPARAM_OPT: VariantSpec("stoplist", SEARCH),
+    Variant.WORDFREQ_PRIOR: VariantSpec(
+        "none", lambda s: PriorConfig(topics=s.topics, stopword_topics=s.stopword_topics,
+                                      wordfreq_topics=s.topics - s.stopword_topics)),
+    Variant.TFIDF_PRIOR: VariantSpec(
+        "none", lambda s: PriorConfig(topics=s.topics, stopword_topics=s.stopword_topics,
+                                      tfidf_topics=s.topics - s.stopword_topics,
+                                      c1=s.c1),
+        extra_dims=("c1",)),
+    Variant.KEYWORD_SEEDING_PRIOR: VariantSpec(
+        "none", lambda s: PriorConfig(topics=s.topics, stopword_topics=s.stopword_topics,
+                                      tfidf_topics=s.tfidf_topics,
+                                      keyword_topics=s.keyword_topics, c1=s.c1,
+                                      c2=s.c2, keyword_boost=s.keyword_boost),
+        extra_dims=("c1", "c2", "tfidf_topics", "keyword_topics", "keyword_boost"),
+        needs_whitelist=True),
 }
+
+# Plan fields that hold a list of values, with the type of one value. The
+# grid dimensions are those a run takes one value of; topics and iterations
+# apply to every variant, the rest where a variant lists them in extra_dims.
+GRID_DIMS = {"topics": int, "iterations": int, "c1": float, "c2": float,
+             "tfidf_topics": int, "keyword_topics": int, "keyword_boost": float}
+PLAN_LIST_FIELDS = {"variants": str, **GRID_DIMS, "seeds": int,
+                    "hyper_alphas": float, "hyper_etas": float}
 
 # The full search grid the default settings were selected from.
 FULL_SEARCH_GRID = {
@@ -154,10 +195,7 @@ class ExperimentPlan:
 
     def __post_init__(self):
         self.variants = [Variant(v) for v in self.variants]
-        if not self.variants:
-            raise ValueError("plan needs at least one variant")
-        for name in ("topics", "c1", "c2", "tfidf_topics", "keyword_topics",
-                     "keyword_boost", "iterations", "seeds"):
+        for name in PLAN_LIST_FIELDS:
             if not getattr(self, name):
                 raise ValueError(f"plan field {name} must be a non-empty list")
 
@@ -188,22 +226,12 @@ def enumerate_runs(plan: ExperimentPlan) -> list[RunSpec]:
     to a variant are pinned to their first plan value."""
     specs = []
     for variant in plan.variants:
-        dims = ("topics", "iterations") + _EXTRA_DIMS[variant]
-        combos = product(*(getattr(plan, d) for d in dims))
-        for combo in combos:
-            resolved = {d: v for d, v in zip(dims, combo)}
-            settings = RunSettings(
-                topics=resolved.get("topics", plan.topics[0]),
-                iterations=resolved.get("iterations", plan.iterations[0]),
-                c1=resolved.get("c1", plan.c1[0]),
-                c2=resolved.get("c2", plan.c2[0]),
-                keyword_boost=resolved.get("keyword_boost", plan.keyword_boost[0]),
-                stopword_topics=plan.stopword_topics,
-                tfidf_topics=resolved.get("tfidf_topics", plan.tfidf_topics[0]),
-                keyword_topics=resolved.get("keyword_topics", plan.keyword_topics[0]),
-                alpha=plan.alpha,
-                tfidf_cut=plan.tfidf_cut,
-            )
+        dims = ("topics", "iterations") + VARIANTS[variant].extra_dims
+        for combo in product(*(getattr(plan, d) for d in dims)):
+            values = {d: getattr(plan, d)[0] for d in GRID_DIMS}
+            values.update(zip(dims, combo))
+            settings = RunSettings(stopword_topics=plan.stopword_topics,
+                                   alpha=plan.alpha, tfidf_cut=plan.tfidf_cut, **values)
             for seed in plan.seeds:
                 specs.append(RunSpec(variant, settings, seed))
     return specs
@@ -216,11 +244,14 @@ class RunRecord:
     seed: int
     model: FittedModel
     report: ModelReport
-    duration: float
-    vocabulary_altered: bool
+    duration: float  # fit plus score; the shared preprocessing is not included
+
+    @property
+    def vocabulary_altered(self) -> bool:
+        return VARIANTS[self.variant].alters_vocabulary
 
     def forced_zero_stopword_rate(self) -> bool:
-        return self.variant in FORCES_ZERO_STOPWORD_RATE
+        return VARIANTS[self.variant].forces_zero_stopword_rate
 
 
 @dataclass(frozen=True)
@@ -272,58 +303,40 @@ def _load_plan_corpus(plan: ExperimentPlan) -> Corpus:
     return build_corpus(texts, doc_ids=ids)
 
 
-def _preprocess(variant: Variant, corpus: Corpus, stoplist: list[str],
+def _preprocess(key: str, corpus: Corpus, stoplist: list[str],
                 tfidf_cut: float) -> Corpus:
-    if variant in (Variant.STOPWORD_DELETION, Variant.DELETION_PLUS_HYPERPARAM_OPT):
+    """The corpus a variant whose preprocessing is ``key`` fits."""
+    if key == "stoplist":
         return delete_stopwords(corpus, stoplist)
-    if variant is Variant.TFIDF_DELETION:
+    if key == "tfidf":
         return delete_low_tfidf(corpus, tfidf_cut)
     return corpus
-
-
-def _preprocessing_key(variant: Variant) -> str:
-    if variant in (Variant.STOPWORD_DELETION, Variant.DELETION_PLUS_HYPERPARAM_OPT):
-        return "stoplist"
-    if variant is Variant.TFIDF_DELETION:
-        return "tfidf"
-    return "none"
 
 
 def _build_model(variant: Variant, working: Corpus, stats: CorpusStats,
                  settings: RunSettings, seed: int,
                  whitelist: list[str] | None, plan: ExperimentPlan) -> FittedModel:
-    k = settings.topics
-    config = ModelConfig(topics=k, alpha=settings.alpha,
-                         iterations=settings.iterations, seed=seed)
-    if variant in NEEDS_WHITELIST and not whitelist:
+    spec = VARIANTS[variant]
+    if spec.needs_whitelist and not whitelist:
         raise MissingResource(f"variant {variant.value} needs a whitelist (keyword list)")
-    if variant in (Variant.NO_DELETION, Variant.STOPWORD_DELETION, Variant.TFIDF_DELETION):
-        prior = symmetric_prior(k, working.vocabulary.size, 1.0)
-        return fit(working, prior, config)
-    if variant in (Variant.HYPERPARAM_OPT, Variant.DELETION_PLUS_HYPERPARAM_OPT):
+    config = ModelConfig(topics=settings.topics, alpha=settings.alpha,
+                         iterations=settings.iterations, seed=seed)
+    if spec.model == SEARCH:
         grid = [(a, e) for a in plan.hyper_alphas for e in plan.hyper_etas]
         return hyperparameter_search(working, grid, config).model
-    if variant is Variant.KEYWORD_TOPICS_BASELINE:
-        prior_cfg = PriorConfig(topics=k, stopword_topics=0, tfidf_topics=0,
-                                keyword_topics=k, c2=settings.c2,
-                                keyword_boost=settings.keyword_boost)
-    elif variant is Variant.WORDFREQ_PRIOR:
-        prior_cfg = PriorConfig(topics=k, stopword_topics=settings.stopword_topics,
-                                wordfreq_topics=k - settings.stopword_topics)
-    elif variant is Variant.TFIDF_PRIOR:
-        prior_cfg = PriorConfig(topics=k, stopword_topics=settings.stopword_topics,
-                                tfidf_topics=k - settings.stopword_topics,
-                                c1=settings.c1)
-    elif variant is Variant.KEYWORD_SEEDING_PRIOR:
-        prior_cfg = PriorConfig(topics=k, stopword_topics=settings.stopword_topics,
-                                tfidf_topics=settings.tfidf_topics,
-                                keyword_topics=settings.keyword_topics,
-                                c1=settings.c1, c2=settings.c2,
-                                keyword_boost=settings.keyword_boost)
-    else:  # pragma: no cover
-        raise ValueError(f"unhandled variant {variant!r}")
-    prior = assemble(prior_cfg, stats, whitelist or ())
-    return fit(working, prior, config)
+    return fit(working, spec.prior(settings, stats, whitelist or ()), config)
+
+
+def _run(plan: ExperimentPlan, spec: RunSpec, working: Corpus, stats: CorpusStats,
+         resources: PlanResources, metric_config: MetricConfig) -> RunRecord:
+    """Fit and score one run on its already preprocessed corpus."""
+    t0 = time.perf_counter()
+    model = _build_model(spec.variant, working, stats, spec.settings, spec.seed,
+                         resources.whitelist, plan)
+    rep = report(model, stats, resources.stoplist, resources.whitelist or (),
+                 metric_config)
+    return RunRecord(variant=spec.variant, settings=spec.settings, seed=spec.seed,
+                     model=model, report=rep, duration=time.perf_counter() - t0)
 
 
 def run_variant(plan: ExperimentPlan, variant: Variant, settings: RunSettings,
@@ -331,17 +344,10 @@ def run_variant(plan: ExperimentPlan, variant: Variant, settings: RunSettings,
                 metric_config: MetricConfig | None = None) -> RunRecord:
     """Preprocess, build the variant's prior, fit, and score one run."""
     resources = resources or load_resources(plan)
-    metric_config = metric_config or plan.metric_config()
-    t0 = time.perf_counter()
-    working = _preprocess(variant, resources.corpus, resources.stoplist, settings.tfidf_cut)
-    stats = compute_stats(working)
-    model = _build_model(variant, working, stats, settings, seed,
-                         resources.whitelist, plan)
-    rep = report(model, stats, resources.stoplist, resources.whitelist or (),
-                 metric_config)
-    return RunRecord(variant=variant, settings=settings, seed=seed, model=model,
-                     report=rep, duration=time.perf_counter() - t0,
-                     vocabulary_altered=variant in ALTERS_VOCABULARY)
+    working = _preprocess(VARIANTS[variant].preprocessing, resources.corpus,
+                          resources.stoplist, settings.tfidf_cut)
+    return _run(plan, RunSpec(variant, settings, seed), working, compute_stats(working),
+                resources, metric_config or plan.metric_config())
 
 
 @dataclass(eq=False)
@@ -362,23 +368,15 @@ def run_grid(plan: ExperimentPlan, jobs: int | None = None,
     # up front so workers never race on the cache.
     prep: dict[str, tuple[Corpus, CorpusStats]] = {}
     for spec in specs:
-        key = _preprocessing_key(spec.variant)
+        key = VARIANTS[spec.variant].preprocessing
         if key not in prep:
-            working = _preprocess(spec.variant, resources.corpus,
-                                  resources.stoplist, spec.settings.tfidf_cut)
+            working = _preprocess(key, resources.corpus, resources.stoplist,
+                                  spec.settings.tfidf_cut)
             prep[key] = (working, compute_stats(working))
 
     def one(spec: RunSpec):
-        working, stats = prep[_preprocessing_key(spec.variant)]
-        t0 = time.perf_counter()
-        model = _build_model(spec.variant, working, stats, spec.settings,
-                             spec.seed, resources.whitelist, plan)
-        rep = report(model, stats, resources.stoplist,
-                     resources.whitelist or (), metric_config)
-        return RunRecord(variant=spec.variant, settings=spec.settings,
-                         seed=spec.seed, model=model, report=rep,
-                         duration=time.perf_counter() - t0,
-                         vocabulary_altered=spec.variant in ALTERS_VOCABULARY)
+        return _run(plan, spec, *prep[VARIANTS[spec.variant].preprocessing],
+                    resources, metric_config)
 
     records: list[RunRecord] = []
     failures: list[FailedRun] = []
@@ -536,6 +534,12 @@ def corpus_hash(corpus: Corpus) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
+def run_stem(index: int, record: RunRecord) -> str:
+    """The name of a record's run file (without suffix) and its manifest key;
+    ``index`` is the record's place in plan order."""
+    return f"{index:04d}_{record.variant.value}_seed{record.seed}"
+
+
 def run_manifest(plan: ExperimentPlan, result: GridResult, corpus: Corpus) -> dict:
     import scipy
 
@@ -547,8 +551,8 @@ def run_manifest(plan: ExperimentPlan, result: GridResult, corpus: Corpus) -> di
         "plan": plan.to_json(),
         "n_records": len(result.records),
         "failures": [f.to_json() for f in result.failures],
-        "durations": {f"{r.variant.value}/seed{r.seed}": r.duration
-                      for r in result.records},
+        "durations": {run_stem(i, r): r.duration
+                      for i, r in enumerate(result.records)},
         "versions": {"priorlda": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__, "kernel_backend": _kernels.BACKEND},
     }

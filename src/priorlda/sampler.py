@@ -13,7 +13,6 @@ the inference.
 from __future__ import annotations
 
 import json
-import zlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -109,15 +108,17 @@ def _doc_generators(corpus: Corpus, seed: int) -> list[np.random.Generator]:
     """One independent, reproducible stream per document.
 
     Streams are keyed by doc_id when present (so they follow the document
-    under reordering), by position otherwise.
+    under reordering), by position otherwise. An id keys its stream by its
+    full UTF-8 bytes and their length, so distinct ids never share a key.
     """
     gens = []
     for d in range(corpus.n_docs):
         if corpus.doc_ids is not None:
-            key = zlib.crc32(corpus.doc_ids[d].encode("utf-8"))
+            raw = corpus.doc_ids[d].encode("utf-8")
+            key = [seed, len(raw), int.from_bytes(raw, "big")]
         else:
-            key = d
-        gens.append(np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, key]))))
+            key = [seed, d]
+        gens.append(np.random.Generator(np.random.PCG64(np.random.SeedSequence(key))))
     return gens
 
 

@@ -186,6 +186,17 @@ class TestExperimentAndReport:
         assert (dir_a / "comparison.csv").read_bytes() == (dir_b / "comparison.csv").read_bytes()
         assert (dir_a / "scatter.csv").read_bytes() == (dir_b / "scatter.csv").read_bytes()
 
+    def test_manifest_durations_keyed_like_run_files(self, tmp_path, plan_path):
+        out_dir = tmp_path / "out"
+        assert main(["experiment", "--plan", str(plan_path), "--iterations", "5,10",
+                     "--out-dir", str(out_dir)]) == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        stems = sorted(p.name.removesuffix(".report.json")
+                       for p in (out_dir / "runs").glob("*.report.json"))
+        # runs that differ only in a grid setting keep one entry each
+        assert len(manifest["durations"]) == manifest["n_records"] == 4
+        assert sorted(manifest["durations"]) == stems
+
     def test_report_aggregates_runs(self, tmp_path, plan_path):
         out_dir = tmp_path / "out"
         assert main(["experiment", "--plan", str(plan_path), "--out-dir", str(out_dir)]) == 0
@@ -241,6 +252,17 @@ DEMO_DIGESTS = {
 }
 
 
+# sha256 of the outputs of TestByteContract.test_all_variants_digests,
+# recorded while each variant's facts were still spread over separate sets
+# and if-chains in the experiment harness
+ALL_VARIANTS_DIGESTS = {
+    "comparison.csv": "7929ad9f2d0cf70e68961051d16a5e39e45473af38714d0f893afc6acc37952d",
+    "scatter.csv": "6514f1a34f90cfbdcc821694d9cc2b2536ec793a33e4980ed639d63d81ae9cde",
+    # which runs count on the stopword-rate axis
+    "correlations.csv": "5602f259e62498ff7fb254ff611a9a09481c9286ebfb842bf51437a7200e092a",
+}
+
+
 class TestByteContract:
     @pytest.mark.parametrize("top,jobs", [(30, 1), (60, 2)])
     def test_demo_plan_digests(self, tmp_path, demo_corpus_path, demo_lists, top, jobs):
@@ -285,6 +307,54 @@ class TestByteContract:
         out = tmp_path / "model.json"
         assert main(["fit", "--corpus", str(ingested), "--prior", "tfidf", "--topics", "8",
                      "--alpha", "0.2", "--iters", "30", "--seed", "7", *extra,
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    # every variant with each of its extra grid dimensions at two values
+    # where the plan gives two, so the per-variant settings and the plan order
+    # are pinned along with the scores
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_all_variants_digests(self, tmp_path, demo_corpus_path, demo_lists, jobs):
+        stop_path, white_path = demo_lists
+        plan = {
+            "corpus": str(demo_corpus_path),
+            "variants": [
+                "no_deletion", "stopword_deletion", "tfidf_deletion",
+                "keyword_topics_baseline", "hyperparam_opt",
+                "deletion_plus_hyperparam_opt", "wordfreq_prior", "tfidf_prior",
+                "keyword_seeding_prior"],
+            "topics": [6], "iterations": [3], "seeds": [1], "alpha": 0.2,
+            "c1": [1.0, 10.0], "c2": [0.5], "keyword_boost": [50.0, 100.0],
+            "tfidf_topics": [2], "keyword_topics": [3],
+            "hyper_alphas": [0.1, 0.5], "hyper_etas": [0.05],
+            "metric_top_words": 10,
+            "stoplist": str(stop_path), "whitelist": str(white_path),
+        }
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan))
+        out_dir = tmp_path / "out"
+        assert main(["experiment", "--plan", str(plan_path), "--jobs", str(jobs),
+                     "--out-dir", str(out_dir)]) == 0
+        got = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+               for name in ALL_VARIANTS_DIGESTS}
+        assert got == ALL_VARIANTS_DIGESTS
+
+    # `priorlda fit` model files for the other prior kinds
+    @pytest.mark.parametrize("prior,digest", [
+        (["--prior", "symmetric"],
+         "0e478fbc64694684afa6636ae81cb3605dcfb2733895bf7d175737e71db3f18f"),
+        (["--prior", "wordfreq", "--stopword-topics", "2"],
+         "a21965aba46b2835e26c9706cecaa21df533a1e1269c37132f7b3bd02f302687"),
+        (["--prior", "keyword", "--keywords", "{whitelist}", "--tfidf-topics", "3",
+          "--c1", "10", "--c2", "0.5", "--c", "50"],
+         "bfd1118d3891ce1b64d877bfa4e1657bda49e53cf2a8eee93d8070f2eccc3af2"),
+    ])
+    def test_fit_prior_digest(self, tmp_path, ingested, demo_lists, prior, digest):
+        _, white_path = demo_lists
+        prior = [arg.format(whitelist=white_path) for arg in prior]
+        out = tmp_path / "model.json"
+        assert main(["fit", "--corpus", str(ingested), *prior,
+                     "--topics", "8", "--alpha", "0.2", "--iters", "30", "--seed", "7",
                      "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from priorlda import _kernels
-from priorlda.experiments import (FULL_SEARCH_GRID, ExperimentPlan, FailedRun,
-                                  MissingResource, RunSettings, Variant,
+from priorlda.experiments import (FULL_SEARCH_GRID, PLAN_LIST_FIELDS, ExperimentPlan,
+                                  FailedRun, MissingResource, RunSettings, Variant,
                                   comparison_csv, comparison_table,
                                   correlation_data, corpus_hash, enumerate_runs,
                                   load_resources, run_grid, run_variant,
@@ -127,18 +127,23 @@ class TestRunVariant:
 
 
 class TestRunGrid:
-    def test_singleton_matches_run_variant(self, planted_on_disk):
+    # a symmetric fit, a preprocessing variant and an assembled prior
+    @pytest.mark.parametrize("variant", [Variant.NO_DELETION, Variant.STOPWORD_DELETION,
+                                         Variant.KEYWORD_SEEDING_PRIOR],
+                             ids=lambda v: v.value)
+    def test_singleton_matches_run_variant(self, planted_on_disk, variant):
         planted, plan = planted_on_disk
-        single = ExperimentPlan(**{**plan.to_json(),
-                                   "variants": [Variant.NO_DELETION.value]})
+        single = ExperimentPlan(**{**plan.to_json(), "variants": [variant.value],
+                                   "tfidf_topics": [4], "keyword_topics": [3]})
         result = run_grid(single, metric_config=FAST_METRICS)
         assert not result.failures
         assert len(result.records) == 1
         resources = load_resources(plan)
-        direct = run_variant(single, Variant.NO_DELETION,
+        direct = run_variant(single, variant,
                              result.records[0].settings, 1,
                              resources=resources, metric_config=FAST_METRICS)
         assert np.array_equal(direct.model.beta_hat, result.records[0].model.beta_hat)
+        assert comparison_csv([direct]) == comparison_csv(result.records)
 
     def test_failures_recorded_not_fatal(self, planted_on_disk):
         planted, plan = planted_on_disk
@@ -323,3 +328,8 @@ class TestPlanSerialization:
     def test_empty_variants_rejected(self):
         with pytest.raises(ValueError):
             ExperimentPlan(corpus="x", variants=[])
+
+    @pytest.mark.parametrize("name", list(PLAN_LIST_FIELDS))
+    def test_every_empty_list_field_rejected(self, name):
+        with pytest.raises(ValueError, match=f"plan field {name} must be a non-empty list"):
+            ExperimentPlan(corpus="x", **{name: []})

@@ -13,7 +13,7 @@ from priorlda import _kernels
 from priorlda.corpus import build_corpus
 from priorlda.priors import PriorMatrix, TopicKind, symmetric_prior
 from priorlda.sampler import (DimensionMismatch, FittedModel, ModelConfig,
-                              estimate, fit, heldout_perplexity,
+                              _doc_generators, estimate, fit, heldout_perplexity,
                               hyperparameter_search, init, load_model,
                               log_likelihood, save_model, sweep, sweep_snapshot,
                               tabulate, top_words)
@@ -640,6 +640,15 @@ class TestDocStreamSweeps:
         remap = [permuted.vocabulary.word_to_id[w] for w in base.vocabulary.id_to_word]
         np.testing.assert_array_equal(model_a.beta_hat, model_b.beta_hat[:, remap])
         np.testing.assert_array_equal(model_b.theta_hat, model_a.theta_hat[order])
+
+    @pytest.mark.parametrize("ids", [
+        ["plumless", "buckeroo"],  # the same crc32, which once keyed the streams
+        ["a", "\x00a"],            # the same integer value of their bytes
+    ])
+    def test_distinct_ids_get_distinct_streams(self, ids):
+        corpus = build_corpus(["x y", "x y"], doc_ids=ids)
+        a, b = _doc_generators(corpus, seed=3)
+        assert a.random(4).tolist() != b.random(4).tolist()
 
     def test_snapshot_counts_consistent(self):
         corpus = random_corpus(seed=5, n_docs=20)
