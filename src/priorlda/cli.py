@@ -16,7 +16,7 @@ from pathlib import Path
 from . import __version__
 from .corpus import (build_corpus, compute_stats, default_stoplist,
                      delete_low_tfidf, delete_stopwords, load_corpus,
-                     load_raw_documents, load_word_list, save_corpus)
+                     load_raw_documents, load_word_list, save_corpus, write_json)
 from .experiments import (PLAN_LIST_FIELDS, VARIANTS, ExperimentPlan, RunSettings,
                           Variant, _csv_cell, comparison_csv, comparison_table,
                           correlation_data, load_resources, run_grid, run_manifest,
@@ -137,8 +137,7 @@ def _cmd_ingest(args) -> int:
 def _cmd_stats(args) -> int:
     corpus = load_corpus(args.corpus)
     stats = compute_stats(corpus)
-    Path(args.out).write_text(json.dumps(stats.to_json(), separators=(",", ":")) + "\n",
-                              encoding="utf-8")
+    write_json(args.out, stats.to_json(), {})
     print(f"stats over {stats.n_docs} documents, {stats.vocabulary.size} words -> {args.out}")
     return 0
 
@@ -223,8 +222,7 @@ def _cmd_experiment(args) -> int:
             "row": row,
             "report": rec.report.to_json(),
         }
-        (runs_dir / f"{run_stem(i, rec)}.report.json").write_text(
-            json.dumps(payload, separators=(",", ":")) + "\n", encoding="utf-8")
+        write_json(runs_dir / f"{run_stem(i, rec)}.report.json", payload, {})
     (out_dir / "comparison.csv").write_text(comparison_csv(result.records), encoding="utf-8")
     scatter = correlation_data(result.records)
     (out_dir / "scatter.csv").write_text(scatter.points_csv(), encoding="utf-8")
@@ -233,8 +231,7 @@ def _cmd_experiment(args) -> int:
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n",
                                            encoding="utf-8")
     for failure in result.failures:
-        print(f"run failed: {failure.variant.value} seed={failure.seed}: {failure.error}",
-              file=sys.stderr)
+        print(f"run failed: {failure}", file=sys.stderr)
     print(f"ran {len(result.records)} runs ({len(result.failures)} failures) -> {out_dir}")
     return 0
 

@@ -314,8 +314,7 @@ def write_json(path: str | Path, fields: dict, arrays: dict[str, np.ndarray]) ->
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(corpus.to_json(), separators=(",", ":")) + "\n",
-                          encoding="utf-8")
+    write_json(path, corpus.to_json(), {})
 
 
 def load_corpus(path: str | Path) -> Corpus:
@@ -343,13 +342,8 @@ def load_raw_documents(path: str | Path, fmt: str = "text") -> tuple[list[str], 
 
 def load_word_list(path: str | Path) -> list[str]:
     """One lowercased word per line; blank lines and '#' comments ignored."""
-    words = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        words.append(stripped.lower())
-    return words
+    lines = (line.strip() for line in Path(path).read_text(encoding="utf-8").splitlines())
+    return [w.lower() for w in lines if w and not w.startswith("#")]
 
 
 def default_stoplist() -> list[str]:

@@ -267,8 +267,13 @@ class FailedRun:
     def error(self) -> str:
         return str(self.exception)
 
+    def __str__(self) -> str:
+        settings = " ".join(f"{k}={v}" for k, v in self.settings.to_json().items())
+        return f"{self.variant.value} seed={self.seed} {settings}: {self.error}"
+
     def to_json(self) -> dict:
-        return {"variant": self.variant.value, "seed": self.seed, "error": self.error,
+        return {"variant": self.variant.value, "seed": self.seed,
+                "settings": self.settings.to_json(), "error": self.error,
                 "type": type(self.exception).__name__,
                 "traceback": "".join(traceback.format_exception(self.exception))}
 
@@ -390,8 +395,8 @@ def run_grid(plan: ExperimentPlan, jobs: int | None = None,
         if isinstance(outcome, RunRecord):
             records.append(outcome)
         else:
-            log.warning("run failed: %s seed=%d: %s", spec.variant.value, spec.seed, outcome)
             failures.append(FailedRun(spec.variant, spec.settings, spec.seed, outcome))
+            log.warning("run failed: %s", failures[-1])
     return GridResult(records=records, failures=failures)
 
 

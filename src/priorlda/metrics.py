@@ -4,26 +4,28 @@ Coherence and PMI are computed from in-corpus document co-occurrence counts.
 Both are known to reward topics full of words that appear in every document,
 which is exactly what the lift score is here to counterbalance.
 
-The counts come from ``corpus.co_doc_counts``: one sparse document x word
-product over the words scored. ``report`` makes that product once, over the
-union of every topic's top words, and hands each topic its block through the
-``counts=`` argument of ``coherence`` and ``pmi_score``; called without it,
-each function makes the product over its own words.
+The counts come from one sparse product (``corpus.co_doc_counts``), which
+``report`` makes once over every topic's top words; it passes each topic's
+block to one ``coherence`` call per window and one ``pmi_score`` call, which
+compute their pairs' log arguments with numpy over the pairs i<j, then take
+libm's ``math.log`` of each in that order (``np.log`` may differ in the last bit).
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
+import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, CorpusStats, co_doc_counts, compute_stats
+from .corpus import Corpus, CorpusStats, co_doc_counts, compute_stats, write_json
 from .priors import TopicKind
 from .sampler import FittedModel, top_words
 
@@ -52,23 +54,31 @@ class MetricConfig:
 
 
 def _word_ids(top: Sequence[str], stats: CorpusStats) -> list[int]:
-    ids = []
-    for w in top:
-        if w not in stats.vocabulary:
-            raise ValueError(f"word {w!r} is not in the statistics vocabulary")
-        ids.append(stats.vocabulary.word_to_id[w])
-    return ids
+    word_to_id = stats.vocabulary.word_to_id
+    try:
+        return [word_to_id[w] for w in top]
+    except KeyError as exc:
+        raise ValueError(f"word {exc.args[0]!r} is not in the statistics vocabulary") from None
+
+
+@functools.lru_cache(maxsize=16)
+def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (rows, cols) of the pairs i<j among m words, i-major."""
+    rows, cols = np.triu_indices(m, 1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
 
 
 def _pair_counts(ids: list[int], stats: CorpusStats,
-                 counts: np.ndarray | None) -> list[list[int]]:
-    """Co-document counts among ``ids`` as nested lists of ints: ``counts``
-    when given (one row and column per id, in order), else one product."""
+                 counts: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Co-document counts of the pairs i<j of ``ids`` and the pairs' (rows, cols),
+    from ``counts`` when given (one row and column per id, in order), else one product."""
     if counts is None:
         counts = co_doc_counts(stats, ids)
     elif np.shape(counts) != (len(ids), len(ids)):
         raise ValueError(f"counts must be {len(ids)}x{len(ids)}, got {np.shape(counts)}")
-    return np.asarray(counts).tolist()
+    pairs = _pairs(len(ids))
+    return np.asarray(counts)[pairs], *pairs
 
 
 def coherence(top: Sequence[str], stats: CorpusStats, *,
@@ -83,19 +93,15 @@ def coherence(top: Sequence[str], stats: CorpusStats, *,
     ids = _word_ids(top, stats)
     if len(ids) < 2:
         raise ValueError("coherence needs at least 2 words")
-    joint = _pair_counts(ids, stats, counts)
-    doc_freq = stats.doc_freq[ids].tolist()
-    total = 0.0
-    for i in range(len(ids) - 1):
-        d_i, row = doc_freq[i], joint[i]
-        for j in range(i + 1, len(ids)):
-            total += math.log((row[j] + 1) / d_i)
-    return total
+    joint, rows, _ = _pair_counts(ids, stats, counts)
+    args = (joint + 1) / stats.doc_freq[ids][rows]
+    # a strict left fold: sum() compensates from Python 3.12, np.sum is pairwise
+    return functools.reduce(operator.add, map(math.log, args.tolist()), 0.0)
 
 
-def _median_low(values: Sequence[float]) -> float:
+def _median_low(values: Iterable[float]) -> float:
     ordered = sorted(values)
-    return ordered[(len(ordered) - 1) // 2]
+    return ordered[(len(ordered) - 1) // 2] if ordered else float("nan")
 
 
 def pmi_score(top: Sequence[str], stats: CorpusStats,
@@ -112,27 +118,24 @@ def pmi_score(top: Sequence[str], stats: CorpusStats,
     ids = _word_ids(top, stats)
     if len(ids) < 2:
         raise ValueError("pmi needs at least 2 words")
-    pair_counts = _pair_counts(ids, stats, counts)
+    joint, rows, cols = _pair_counts(ids, stats, counts)
+    if config.pmi_smoothing:
+        joint = joint + 1
+    else:
+        kept = joint != 0
+        joint, rows, cols = joint[kept], rows[kept], cols[kept]
     n = stats.n_docs
-    p = [d / n for d in stats.doc_freq[ids].tolist()]
-    values = []
-    for i in range(len(ids) - 1):
-        p_i, row = p[i], pair_counts[i]
-        for j in range(i + 1, len(ids)):
-            joint = row[j]
-            if config.pmi_smoothing:
-                joint += 1
-            elif joint == 0:
-                continue
-            values.append(math.log((joint / n) / (p_i * p[j])))
-    if not values:
-        return float("nan")
-    return _median_low(values)
+    p = stats.doc_freq[ids] / n
+    args = (joint / n) / (p[rows] * p[cols])
+    return _median_low(map(math.log, args.tolist()))
 
 
 def lift_of_words(words: Sequence[str], beta_row: np.ndarray, stats: CorpusStats) -> float:
     """Mean ln(beta_w / b_w) over the given words."""
-    ids = _word_ids(words, stats)
+    return _lift(_word_ids(words, stats), beta_row, stats)
+
+
+def _lift(ids: Sequence[int] | np.ndarray, beta_row: np.ndarray, stats: CorpusStats) -> float:
     return float(np.mean(np.log(beta_row[ids] / stats.word_freq[ids])))
 
 
@@ -244,12 +247,11 @@ class ModelReport:
         if path.suffix == ".csv":
             path.write_text(self.to_csv(), encoding="utf-8")
         else:
-            path.write_text(json.dumps(self.to_json(), separators=(",", ":")) + "\n",
-                            encoding="utf-8")
+            write_json(path, self.to_json(), {})
 
 
 def _means(scores: list[TopicScore]) -> dict:
-    return {name: float(np.mean([s.metric_values()[name] for s in scores]))
+    return {name: float(np.mean([getattr(s, name) for s in scores]))
             for name in METRIC_COLUMNS}
 
 
@@ -259,7 +261,7 @@ def _count_blocks(windows: np.ndarray, stats: CorpusStats) -> list[np.ndarray]:
     union of the rows."""
     union, inverse = np.unique(windows.ravel(), return_inverse=True)
     counts = co_doc_counts(stats, union.tolist())
-    return [counts[np.ix_(pos, pos)] for pos in inverse.reshape(windows.shape)]
+    return [counts[pos[:, None], pos] for pos in inverse.reshape(windows.shape)]
 
 
 def report(model: FittedModel, stats: CorpusStats, stoplist: Iterable[str],
@@ -267,9 +269,9 @@ def report(model: FittedModel, stats: CorpusStats, stoplist: Iterable[str],
     """Score every topic and aggregate. Stoplist and whitelist words are
     matched by string against the statistics vocabulary.
 
-    Top words follow ``top_words``: one stable argsort of every topic row.
-    Every co-document count comes from one product over the union of the
-    topics' coherence and PMI windows.
+    Top words follow ``top_words``: one stable argsort of every topic row;
+    each of them is looked up once. Every co-document count comes from one
+    product over the union of the topics' coherence and PMI windows.
     """
     stoplist = set(stoplist)
     whitelist = set(whitelist)
@@ -277,12 +279,15 @@ def report(model: FittedModel, stats: CorpusStats, stoplist: Iterable[str],
         raise ValueError("model has no vocabulary attached")
     words = model.vocabulary.id_to_word
     order = np.argsort(-model.beta_hat, axis=1, kind="stable")
-    # the coherence and PMI windows are prefixes of each topic's pair window
-    pair_words = [[words[i] for i in row]
-                  for row in order[:, :max(config.m_small, config.m_large)].tolist()]
-    pair_ids = np.array([_word_ids(top, stats) for top in pair_words], dtype=np.int64)
-    blocks = _count_blocks(pair_ids, stats)
-    rate_ids = pair_ids[:, :config.m_large].tolist()
+    # every window is a prefix of the topic's head, the PMI/coherence ones of its pair window
+    n_pair = max(config.m_small, config.m_large)
+    head = order[:, :max(n_pair, config.n_lift)]
+    union, inverse = np.unique(head, return_inverse=True)
+    head_ids = np.array(_word_ids([words[i] for i in union.tolist()], stats),
+                        dtype=np.int64)[inverse.reshape(head.shape)]
+    pair_words = [[words[i] for i in row] for row in head[:, :n_pair].tolist()]
+    blocks = _count_blocks(head_ids[:, :n_pair], stats)
+    rate_ids = head_ids[:, :config.m_large].tolist()
     touches = _touches_whitelist({w for ids in rate_ids for w in ids},
                                  stats.vocabulary.ids(whitelist), stats)
     scores = []
@@ -294,8 +299,7 @@ def report(model: FittedModel, stats: CorpusStats, stoplist: Iterable[str],
             coherence_10=coherence(small, stats, counts=blocks[t][:n_small, :n_small]),
             coherence_30=coherence(rate_window, stats, counts=large_counts),
             pmi=pmi_score(rate_window, stats, config, counts=large_counts),
-            log_lift=lift_of_words([words[i] for i in order[t, :config.n_lift]],
-                                   model.beta_hat[t], stats),
+            log_lift=_lift(head_ids[t, :config.n_lift], model.beta_hat[t], stats),
             stopword_rate=stopword_rate(rate_window, stoplist),
             expert_rate=expert_word_rate(rate_window, whitelist),
             codoc=_codoc_core(rate_ids[t], touches),

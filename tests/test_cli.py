@@ -197,6 +197,26 @@ class TestExperimentAndReport:
         assert len(manifest["durations"]) == manifest["n_records"] == 4
         assert sorted(manifest["durations"]) == stems
 
+    def test_failed_run_names_its_settings(self, tmp_path, plan_path, capsys, caplog):
+        # K=6 hosts 1 stopword + 2 TF-IDF + 3 keyword rows, but not 9 keyword rows
+        plan = {**json.loads(plan_path.read_text()), "variants": ["keyword_seeding_prior"],
+                "topics": [6], "tfidf_topics": [2], "keyword_topics": [3, 9],
+                "iterations": [5]}
+        plan_path.write_text(json.dumps(plan))
+        out_dir = tmp_path / "out"
+        assert main(["experiment", "--plan", str(plan_path), "--out-dir", str(out_dir)]) == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["n_records"] == 1
+        (entry,) = manifest["failures"]
+        assert entry["settings"]["keyword_topics"] == 9
+        assert entry["settings"]["topics"] == 6
+        (line,) = [ln for ln in capsys.readouterr().err.splitlines()
+                   if ln.startswith("run failed:")]
+        assert line.startswith("run failed: keyword_seeding_prior seed=1 topics=6 ")
+        assert " keyword_topics=9 " in line
+        assert [r.getMessage() for r in caplog.records
+                if r.getMessage().startswith("run failed:")] == [line]
+
     def test_report_aggregates_runs(self, tmp_path, plan_path):
         out_dir = tmp_path / "out"
         assert main(["experiment", "--plan", str(plan_path), "--out-dir", str(out_dir)]) == 0

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from priorlda import metrics
 from priorlda.corpus import (AllDocumentsEmpty, build_corpus, co_doc_counts,
                              co_doc_freq, compute_stats, delete_stopwords)
 from priorlda.metrics import (MetricConfig, _codoc_core, _count_blocks,
@@ -323,6 +324,80 @@ class TestBatchedReport:
             assert score.stopword_rate == stopword_rate(large, stoplist)
             assert score.expert_rate == expert_word_rate(large, whitelist)
             assert score.codoc == _codoc_core(ids, _touches_whitelist(ids, white_ids, stats))
+
+
+@st.composite
+def scored_windows(draw):
+    """A random corpus, sometimes one whose documents each hold a single
+    distinct word (no pair ever co-occurs), and a window of 2 up to all of
+    its words, drawn as the prefix of a permutation of the vocabulary."""
+    n_words = draw(st.integers(2, 15))
+    word = st.integers(0, n_words - 1)
+    if draw(st.booleans()):
+        docs = draw(st.lists(st.lists(word, max_size=8), min_size=1, max_size=20))
+    else:
+        docs = [[w] * k for w, k in draw(st.lists(st.tuples(word, st.integers(0, 3)),
+                                                    min_size=1, max_size=20))]
+    texts = [" ".join(f"w{i}" for i in doc) for doc in docs]
+    assume(len({w for doc in docs for w in doc}) >= 2)
+    corpus = build_corpus(texts)
+    order = draw(st.permutations(corpus.vocabulary.id_to_word))
+    return corpus, order, draw(st.integers(2, len(order)))
+
+
+class TestExactScores:
+    """coherence and pmi_score give bit for bit what the per-pair oracles
+    give: ln of each pair's quotient in i<j order, summed left to right or
+    taken at the lower median, with and without a ``counts`` block."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(scored_windows())
+    def test_equal_to_oracles(self, case):
+        corpus, order, m = case
+        stats = compute_stats(corpus)
+        token_docs = token_docs_of(corpus)
+        window = order[:m]
+        # the window's block cut from a larger one, as report cuts it
+        block = co_doc_counts(stats, stats.vocabulary.ids(order))[:m, :m]
+        want = naive_coherence(window, token_docs)
+        assert coherence(window, stats) == want
+        assert coherence(window, stats, counts=block) == want
+        for smoothing in (True, False):
+            cfg = MetricConfig(pmi_smoothing=smoothing)
+            want = naive_pmi(window, token_docs, smoothing=smoothing)
+            assert _same(pmi_score(window, stats, cfg), want)
+            assert _same(pmi_score(window, stats, cfg, counts=block), want)
+
+
+class TestReportCallContract:
+    """report scores each topic through one call of the public ``coherence``
+    per coherence window and one of ``pmi_score``, looked up as module
+    globals: ``perfbench/layers.py`` reads ``metrics.coherence_ms`` and
+    ``metrics.pmi_ms`` from the spans of those per-topic calls, which a
+    traced run records by wrapping these names."""
+
+    def test_one_call_per_topic_and_window(self, monkeypatch):
+        planted = planted_stopword_corpus(seed=1)
+        stats = compute_stats(planted.corpus)
+        model = fit(planted.corpus, symmetric_prior(4, planted.corpus.vocabulary.size, 1.0),
+                    ModelConfig(topics=4, iterations=20, seed=2))
+        cfg = MetricConfig(m_small=5, m_large=10, n_lift=10)
+        args = (model, stats, set(planted.stopwords), set(planted.clusters[0]), cfg)
+        plain = report(*args)
+        calls = {"coherence": [], "pmi_score": []}
+        for name, seen in calls.items():
+            def counted(top, *rest, _scorer=getattr(metrics, name), _seen=seen, **kwargs):
+                _seen.append((list(top), kwargs.get("counts") is not None))
+                return _scorer(top, *rest, **kwargs)
+            monkeypatch.setattr(metrics, name, counted)
+        wrapped = report(*args)
+        topics = model.n_topics
+        assert calls["coherence"] == [(top_words(model, t, m), True)
+                                      for t in range(topics) for m in (5, 10)]
+        assert calls["pmi_score"] == [(top_words(model, t, 10), True) for t in range(topics)]
+        assert wrapped.per_topic == plain.per_topic
+        assert wrapped.model_means == plain.model_means
+        assert wrapped.domain_means == plain.domain_means
 
 
 class TestNaiveEquivalenceFuzz:
