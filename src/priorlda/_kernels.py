@@ -5,7 +5,8 @@ a cache directory and called through ctypes (which releases the GIL during
 the call). Without a C compiler the pure-numpy twin ``_sweep_py`` runs
 instead. Both consume pre-drawn uniforms and perform the same arithmetic in
 the same order, so a fixed seed yields bit-identical chains either way. The
-snapshot sweep has only its numpy form.
+snapshot sweep's per-document step runs ``sweep_tokens`` too, on either
+backend.
 """
 
 from __future__ import annotations
@@ -173,22 +174,16 @@ def _sweep_py(tokens, doc_ix, z, n_dk, n_kw, n_k, eta, eta_sums, alpha, uniforms
         n_k[k_new] += 1
 
 
-def sweep_doc_snapshot(tokens, z, ndk_row, kw_snap, k_snap, delta_kw, delta_k,
+def sweep_doc_snapshot(tokens, z, n_dk_row, n_kw, n_k, kw_snap, k_snap,
                        eta, eta_sums, alpha, uniforms):
-    k_total = k_snap.shape[0]
-    for t in range(tokens.shape[0]):
-        w = tokens[t]
-        k_old = z[t]
-        ndk_row[k_old] -= 1
-        delta_kw[k_old, w] -= 1
-        delta_k[k_old] -= 1
-        p = ((ndk_row + alpha)
-             * (kw_snap[:, w] + delta_kw[:, w] + eta[:, w])
-             / (k_snap + delta_k + eta_sums))
-        cum = np.cumsum(p)
-        k_new = min(int(np.searchsorted(cum, uniforms[t] * cum[-1], side="right")),
-                    k_total - 1)
-        z[t] = k_new
-        ndk_row[k_new] += 1
-        delta_kw[k_new, w] += 1
-        delta_k[k_new] += 1
+    """Resample one document's tokens against the sweep-start counts.
+
+    n_kw and n_k hold the snapshot kw_snap and k_snap on entry. The document
+    runs through ``sweep_tokens`` on them, seeing only its own changes, and
+    the columns of its words and the topic totals are then put back to the
+    snapshot. n_dk_row and z are updated in place.
+    """
+    sweep_tokens(tokens, np.zeros(len(tokens), dtype=np.int32), z, n_dk_row[None],
+                 n_kw, n_k, eta, eta_sums, alpha, uniforms)
+    n_kw[:, tokens] = kw_snap[:, tokens]
+    n_k[:] = k_snap

@@ -424,6 +424,8 @@ def comparison_table(records: list[RunRecord]) -> list[dict]:
         row = {"variant": rec.variant.value, "seed": rec.seed}
         for name in _SETTING_COLUMNS:
             row[name] = getattr(rec.settings, name)
+        # the alpha the fit ran with: a hyperparameter search picks its own
+        row["alpha"] = rec.model.config.alpha
         for name in METRIC_COLUMNS:
             row[name] = rec.report.model_means[name]
         has_stopword_topics = (rec.report.domain_means is not None

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
@@ -65,8 +66,8 @@ class PriorConfig:
             raise ConfigMismatch(
                 f"kind counts sum to {sum(counts)} but only {self.topics} topics requested")
         for name in ("c1", "c2", "keyword_boost", "floor", "symmetric_weight"):
-            if getattr(self, name) <= 0:
-                raise ConfigMismatch(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigMismatch(f"{name} must be positive and finite")
 
 
 def stopword_prior(vocab_size: int) -> np.ndarray:
@@ -123,8 +124,8 @@ class PriorMatrix:
             raise ValueError("weights must be a K x V matrix")
         if len(self.kinds) != self.weights.shape[0]:
             raise ValueError("one kind label required per topic row")
-        if not (self.weights > 0).all():
-            raise ValueError("Dirichlet weights must be strictly positive")
+        if not ((self.weights > 0) & (self.weights < np.inf)).all():
+            raise ValueError("Dirichlet weights must be strictly positive and finite")
 
     @property
     def n_topics(self) -> int:

@@ -13,7 +13,8 @@ the inference.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -59,21 +60,13 @@ class ModelConfig:
             object.__setattr__(self, "burn_in", self.iterations // 2)
         if self.topics < 1:
             raise ValueError("topics must be >= 1")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, not {self.alpha}")
         if not self.iterations > self.burn_in >= 0:
             raise ValueError("need iterations > burn_in >= 0")
 
     def to_json(self) -> dict:
-        return {
-            "topics": self.topics,
-            "alpha": self.alpha,
-            "iterations": self.iterations,
-            "burn_in": self.burn_in,
-            "seed": self.seed,
-            "average_estimates": self.average_estimates,
-            "doc_streams": self.doc_streams,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, data: dict) -> "ModelConfig":
@@ -179,25 +172,22 @@ def sweep_snapshot(state: ModelState, prior: PriorMatrix, alpha: float) -> Model
     """Document-order-independent sweep.
 
     Each document is resampled against a sweep-start snapshot of the topic
-    counts plus its own running delta, drawing randomness from its own
-    stream. Equivalent under any document ordering or parallel schedule.
+    counts plus its own changes, drawing randomness from its own stream.
+    Equivalent under any document ordering or parallel schedule. The
+    per-document step runs the sequential kernel ``sweep_tokens`` on the
+    counts and then puts the snapshot back.
     """
     if state.doc_rngs is None:
         raise ValueError("snapshot sweeps need doc_streams=True at init")
     kw_snap = state.n_kw.copy()
     k_snap = state.n_k.copy()
-    delta_kw = np.zeros_like(state.n_kw)
-    delta_k = np.zeros_like(state.n_k)
     for d in range(len(state.doc_lengths)):
         lo, hi = state.doc_starts[d], state.doc_starts[d + 1]
         if hi == lo:
             continue
-        delta_kw[:] = 0
-        delta_k[:] = 0
         uniforms = state.doc_rngs[d].random(int(hi - lo))
-        _kernels.sweep_doc_snapshot(state.tokens[lo:hi], state.z[lo:hi],
-                                    state.n_dk[d], kw_snap, k_snap,
-                                    delta_kw, delta_k,
+        _kernels.sweep_doc_snapshot(state.tokens[lo:hi], state.z[lo:hi], state.n_dk[d],
+                                    state.n_kw, state.n_k, kw_snap, k_snap,
                                     prior.weights, prior.row_sums, alpha, uniforms)
     n_dk, n_kw, n_k = tabulate(state.tokens, state.doc_ix, state.z,
                                len(state.doc_lengths), state.n_topics,

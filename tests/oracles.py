@@ -137,6 +137,42 @@ def urn_log_joint(token_docs, z_docs, eta, alpha):
     return total
 
 
+def _recount(token_docs, z_docs, k_total, v_total):
+    n_dk = np.zeros((len(token_docs), k_total), dtype=np.int32)
+    n_kw = np.zeros((k_total, v_total), dtype=np.int32)
+    n_k = np.zeros(k_total, dtype=np.int32)
+    for d, (words, zs) in enumerate(zip(token_docs, z_docs)):
+        for w, k in zip(words, zs):
+            n_dk[d, k] += 1
+            n_kw[k, w] += 1
+            n_k[k] += 1
+    return n_dk, n_kw, n_k
+
+
+def snapshot_sweeps(resample, token_docs, z_docs, eta, alpha, uniforms):
+    """Snapshot sweeps by their definition: within a sweep each document is
+    resampled on fresh copies of the sweep-start topic-word and topic
+    counts, so no document sees another's changes; after the sweep every
+    table is recounted from the assignments.
+
+    ``resample`` is a sequential token sweep taking (tokens, doc_ix, z,
+    n_dk, n_kw, n_k, eta, eta_sums, alpha, uniforms), as the package's
+    numpy kernel does; ``uniforms[s][d]`` holds document d's draws in
+    sweep s. Returns the assignments per document and n_dk, n_kw, n_k.
+    """
+    k_total, v_total = eta.shape
+    eta_sums = eta.sum(axis=1)
+    z_docs = [np.array(zs, dtype=np.int32) for zs in z_docs]
+    n_dk, n_kw, n_k = _recount(token_docs, z_docs, k_total, v_total)
+    for sweep_uniforms in uniforms:
+        for d, words in enumerate(token_docs):
+            resample(np.array(words, dtype=np.int32), np.zeros(len(words), dtype=np.int32),
+                     z_docs[d], n_dk[d:d + 1].copy(), n_kw.copy(), n_k.copy(),
+                     eta, eta_sums, alpha, sweep_uniforms[d])
+        n_dk, n_kw, n_k = _recount(token_docs, z_docs, k_total, v_total)
+    return z_docs, n_dk, n_kw, n_k
+
+
 def enumerate_posterior(token_docs, eta, alpha):
     """Exact posterior over all K^N assignments of a tiny corpus. Returns a
     dict mapping the flat assignment tuple to its normalized probability."""

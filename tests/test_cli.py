@@ -99,6 +99,14 @@ class TestFit:
         assert code == 2
         assert "requires --keywords" in capsys.readouterr().err
 
+    def test_nan_alpha_is_an_error_before_any_sweep(self, tmp_path, ingested, capsys):
+        out = tmp_path / "model.json"
+        code = main(["fit", "--corpus", str(ingested), "--topics", "4", "--alpha", "nan",
+                     "--out", str(out)])
+        assert code == 1
+        assert "error: value-error: alpha must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_corpus_flag(self, tmp_path, capsys):
         code = main(["fit", "--out", str(tmp_path / "m.json")])
         assert code == 2
@@ -276,7 +284,9 @@ DEMO_DIGESTS = {
 # recorded while each variant's facts were still spread over separate sets
 # and if-chains in the experiment harness
 ALL_VARIANTS_DIGESTS = {
-    "comparison.csv": "7929ad9f2d0cf70e68961051d16a5e39e45473af38714d0f893afc6acc37952d",
+    # re-recorded when the alpha column began to report the alpha each fit
+    # used: the two hyperparameter-search rows read 0.1, not the plan's 0.2
+    "comparison.csv": "d93ee0078a4d2fbb88191b2032e0b3370fa1517669d018628709829db5b5bd91",
     "scatter.csv": "6514f1a34f90cfbdcc821694d9cc2b2536ec793a33e4980ed639d63d81ae9cde",
     # which runs count on the stopword-rate axis
     "correlations.csv": "5602f259e62498ff7fb254ff611a9a09481c9286ebfb842bf51437a7200e092a",

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -204,6 +205,14 @@ class TestComparisonTable:
         assert len(rows) == 1
         assert rows[0]["variant"] == "no_deletion"
         assert rows[0]["domain_stopword_rate"] is None  # no designated stopword topic
+
+    def test_search_rows_report_the_alpha_the_fit_used(self, planted_on_disk):
+        planted, plan = planted_on_disk
+        plan = replace(plan, hyper_alphas=[0.05], hyper_etas=[0.1])
+        rec = run_variant(plan, Variant.HYPERPARAM_OPT,
+                          RunSettings(topics=4, iterations=20, alpha=0.2), seed=1,
+                          resources=load_resources(plan), metric_config=FAST_METRICS)
+        assert comparison_table([rec])[0]["alpha"] == rec.model.config.alpha == 0.05
 
     def test_deletion_rows_flagged_non_comparable(self, planted_on_disk):
         planted, plan = planted_on_disk

@@ -142,6 +142,13 @@ class TestAssemble:
         kinds = [k.value for k in prior.kinds]
         assert kinds == ["stopword"] + ["word_frequency"] * 3 + ["symmetric"] * 2
 
+    @pytest.mark.parametrize("name", ["c1", "c2", "keyword_boost", "floor",
+                                      "symmetric_weight"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_constants_rejected(self, name, value):
+        with pytest.raises(ConfigMismatch, match=f"{name} must be positive and finite"):
+            PriorConfig(topics=4, **{name: value})
+
     def test_counts_exceeding_topics_rejected(self):
         with pytest.raises(ConfigMismatch):
             PriorConfig(topics=5, stopword_topics=2, tfidf_topics=4)
@@ -188,6 +195,13 @@ class TestPriorMatrix:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             PriorMatrix(np.zeros((1, 3)), (TopicKind.SYMMETRIC,))
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_rejects_non_finite(self, value):
+        weights = np.ones((2, 3))
+        weights[1, 2] = value
+        with pytest.raises(ValueError, match="strictly positive and finite"):
+            PriorMatrix(weights, (TopicKind.SYMMETRIC,) * 2)
 
     def test_kind_count_must_match(self):
         with pytest.raises(ValueError):

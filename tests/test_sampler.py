@@ -1,25 +1,28 @@
+import hashlib
 import importlib
 import json
 import logging
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from priorlda import _kernels
 from priorlda.corpus import build_corpus
 from priorlda.priors import PriorMatrix, TopicKind, symmetric_prior
-from priorlda.sampler import (DimensionMismatch, FittedModel, ModelConfig,
+from priorlda.sampler import (DimensionMismatch, FittedModel, ModelConfig, ModelState,
                               _doc_generators, estimate, fit, heldout_perplexity,
                               hyperparameter_search, init, load_model,
                               log_likelihood, save_model, sweep, sweep_snapshot,
                               tabulate, top_words)
 from priorlda.synthetic import random_corpus, two_topic_corpus
 
-from .oracles import enumerate_posterior, greedy_align_cosine, urn_log_joint
+from .oracles import (enumerate_posterior, greedy_align_cosine, snapshot_sweeps,
+                      urn_log_joint)
 
 
 def counts_match_assignments(state):
@@ -41,6 +44,11 @@ class TestModelConfig:
             ModelConfig(alpha=0.0)
         with pytest.raises(ValueError):
             ModelConfig(iterations=10, burn_in=10)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            ModelConfig(alpha=alpha)
 
     def test_round_trip(self):
         cfg = ModelConfig(topics=7, alpha=0.3, iterations=50, seed=9)
@@ -448,6 +456,17 @@ class TestSaveModel:
         assert path.read_bytes() == first
         return first
 
+    @staticmethod
+    def _fit_with_ids(config):
+        """A fit on a corpus with document ids and a random TF-IDF prior."""
+        base = random_corpus(seed=9, n_docs=25)
+        corpus = build_corpus([" ".join(base.doc_words(d)) for d in range(25)],
+                              doc_ids=[f"d{i}" for i in range(25)])
+        rng = np.random.default_rng(config.seed)
+        prior = PriorMatrix(rng.uniform(0.05, 2.0, size=(config.topics, corpus.vocabulary.size)),
+                            (TopicKind.TFIDF,) * config.topics)
+        return fit(corpus, prior, config)
+
     @pytest.mark.parametrize("config", [
         ModelConfig(topics=4, alpha=0.3, iterations=12, seed=3),
         ModelConfig(topics=1, iterations=6, seed=1),
@@ -455,17 +474,21 @@ class TestSaveModel:
         ModelConfig(topics=3, iterations=8, seed=2, doc_streams=True),
     ], ids=["default", "k1", "averaged", "doc_streams"])
     def test_fitted_models(self, tmp_path, config):
-        base = random_corpus(seed=9, n_docs=25)
-        corpus = build_corpus([" ".join(base.doc_words(d)) for d in range(25)],
-                              doc_ids=[f"d{i}" for i in range(25)])
-        rng = np.random.default_rng(config.seed)
-        prior = PriorMatrix(rng.uniform(0.05, 2.0, size=(config.topics, corpus.vocabulary.size)),
-                            (TopicKind.TFIDF,) * config.topics)
-        model = fit(corpus, prior, config)
+        model = self._fit_with_ids(config)
         text = self._check(model, tmp_path)
         if config.topics == 1:
             assert (model.theta_hat == 1.0).all()
             assert b'"theta_hat":[[1.0],[1.0],' in text
+
+    # sha256 of save_model for the doc_streams fit above, recorded while the
+    # snapshot sweep still kept its own numpy token loop
+    def test_doc_streams_model_digest(self, tmp_path, backend):
+        model = self._fit_with_ids(ModelConfig(topics=3, iterations=8, seed=2,
+                                               doc_streams=True))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "b3b4d091bb0711d73fa00d3ea43f879e23d3f8a7a92240d6159096fbfe790d22")
 
     def test_model_without_config_or_trace(self, tmp_path):
         corpus = random_corpus(seed=4, n_docs=10)
@@ -592,6 +615,22 @@ class TestHyperparameterSearch:
             hyperparameter_search(corpus, [], ModelConfig(topics=2, iterations=10))
 
 
+@st.composite
+def snapshot_cases(draw):
+    """Documents (some empty, words often repeated), their assignments,
+    eta rows, alpha and the seed of the per-document streams."""
+    n_topics = draw(st.integers(1, 4))
+    vocab_size = draw(st.integers(1, 5))
+    docs = draw(st.lists(st.lists(st.integers(0, vocab_size - 1), max_size=7),
+                         min_size=1, max_size=5))
+    z_docs = [draw(st.lists(st.integers(0, n_topics - 1), min_size=len(doc),
+                            max_size=len(doc))) for doc in docs]
+    eta = draw(st.lists(st.lists(st.floats(1e-3, 10.0), min_size=vocab_size,
+                                 max_size=vocab_size),
+                        min_size=n_topics, max_size=n_topics))
+    return docs, z_docs, eta, draw(st.floats(1e-3, 10.0)), draw(st.integers(0, 2**32 - 1))
+
+
 class TestDocStreamSweeps:
     def _permute(self, corpus, order):
         docs = [corpus.documents[i] for i in order]
@@ -658,6 +697,38 @@ class TestDocStreamSweeps:
         for _ in range(5):
             sweep_snapshot(state, prior, 0.5)
             assert counts_match_assignments(state)
+
+    @pytest.mark.parametrize("numpy_fallback", [False, True], ids=["default", "numpy"])
+    @settings(max_examples=60, deadline=None)
+    @given(case=snapshot_cases())
+    @example(case=([[0, 0, 1], [], [1, 1]], [[0, 0, 0], [], [0, 0]], [[0.5, 2.0]], 0.3, 5))
+    def test_snapshot_sweeps_match_oracle(self, numpy_fallback, case):
+        # K=1, an empty document and repeated words in the example above
+        docs, z_docs, eta, alpha, seed = case
+        eta = np.array(eta)
+        n_topics, vocab_size = eta.shape
+        tokens, doc_ix, z, n_dk, n_kw, n_k, _, _ = _sweep_args(
+            [w for doc in docs for w in doc], [len(doc) for doc in docs],
+            n_topics, vocab_size, [k for zs in z_docs for k in zs], eta)
+        lengths = np.array([len(doc) for doc in docs], dtype=np.int64)
+        state = ModelState(tokens=tokens, doc_ix=doc_ix, doc_lengths=lengths, z=z,
+                           n_dk=n_dk, n_kw=n_kw, n_k=n_k, rng=np.random.default_rng(0),
+                           doc_rngs=[np.random.default_rng([seed, d]) for d in range(len(docs))],
+                           doc_starts=np.concatenate([[0], np.cumsum(lengths)]))
+        prior = PriorMatrix(eta, (TopicKind.TFIDF,) * n_topics)
+        sweeps = 4
+        kernel = None if numpy_fallback else _kernels._sweep_c
+        with mock.patch.object(_kernels, "_sweep_c", kernel):
+            for _ in range(sweeps):
+                sweep_snapshot(state, prior, alpha)
+        gens = [np.random.default_rng([seed, d]) for d in range(len(docs))]
+        uniforms = [[gen.random(len(doc)) if doc else np.empty(0)
+                     for gen, doc in zip(gens, docs)] for _ in range(sweeps)]
+        want_z, *want_counts = snapshot_sweeps(_kernels._sweep_py, docs, z_docs, eta,
+                                               alpha, uniforms)
+        assert state.z.tolist() == [k for zs in want_z for k in zs.tolist()]
+        for got, want in zip((state.n_dk, state.n_kw, state.n_k), want_counts):
+            assert got.dtype == np.int32 and (got == want).all()
 
     def test_snapshot_requires_doc_streams(self):
         corpus = random_corpus(seed=5, n_docs=5)
