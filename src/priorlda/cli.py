@@ -175,8 +175,6 @@ def _cmd_score(args) -> int:
     corpus = load_corpus(args.corpus)
     stats = compute_stats(corpus)
     model = load_model(args.model, vocabulary=corpus.vocabulary)
-    if model.beta_hat.shape[1] != corpus.vocabulary.size:
-        raise ValueError("model and corpus vocabulary sizes differ")
     stoplist = load_word_list(args.stoplist) if args.stoplist else default_stoplist()
     whitelist = load_word_list(args.whitelist) if args.whitelist else []
     config = MetricConfig(m_small=min(10, args.top), m_large=args.top, n_lift=args.top)

@@ -57,15 +57,29 @@ class Vocabulary:
 class Corpus:
     """Documents as token-id sequences over a shared dense vocabulary.
 
-    Token order within documents is preserved. Empty documents are allowed;
-    they simply contribute no tokens. Every vocabulary word is guaranteed to
-    occur in at least one document.
+    The tokens are held once, as one read-only int32 stream ``tokens``:
+    document d is ``tokens[offsets[d]:offsets[d + 1]]``, ``doc_ix`` gives
+    each token's document, and ``documents`` are read-only views of the
+    stream. Token order within documents is preserved. Empty documents are
+    allowed; they simply contribute no tokens. Every vocabulary word is
+    guaranteed to occur in at least one document.
     """
 
     def __init__(self, documents: Sequence[Sequence[int]], vocabulary: Vocabulary,
                  doc_ids: Sequence[str] | None = None):
-        self.documents = [np.asarray(doc, dtype=np.int32) for doc in documents]
+        docs = [np.asarray(doc) for doc in documents]
+        # a float, bool or string id would be cast to a wrong word; an empty [] is float64
+        if any(doc.ndim != 1 or (doc.size and doc.dtype.kind not in "iu") for doc in docs):
+            raise ValueError("each document must be a sequence of integer token ids")
+        flat = np.concatenate([np.zeros(0, np.int64)] + [doc for doc in docs if doc.size],
+                              dtype=np.int64)
         self.vocabulary = vocabulary
+        self._validate(flat)
+        self.tokens = _frozen(flat.astype(np.int32))
+        self.offsets = _frozen(np.cumsum([0] + [doc.size for doc in docs], dtype=np.int64))
+        self.doc_ix = _frozen(np.repeat(np.arange(len(docs), dtype=np.int32), np.diff(self.offsets)))
+        bounds = self.offsets.tolist()
+        self.documents = [self.tokens[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
         self.doc_ids = list(doc_ids) if doc_ids is not None else None
         if self.doc_ids is not None:
             if len(self.doc_ids) != len(self.documents):
@@ -77,18 +91,15 @@ class Corpus:
                 if doc_id in seen:
                     raise ValueError(f"duplicate document id: {doc_id!r}")
                 seen.add(doc_id)
-        self._validate()
 
-    def _validate(self):
+    def _validate(self, flat: np.ndarray):
         v = self.vocabulary.size
-        seen = np.zeros(v, dtype=bool)
-        for doc in self.documents:
-            if doc.size and (doc.min() < 0 or doc.max() >= v):
-                raise ValueError("token id outside vocabulary range")
-            seen[doc] = True
-        if not seen.all():
-            missing = int(np.flatnonzero(~seen)[0])
-            raise ValueError(f"vocabulary word never used: {self.vocabulary.id_to_word[missing]!r}")
+        if flat.size and (flat.min() < 0 or flat.max() >= v):
+            raise ValueError("token id outside vocabulary range")
+        unused = np.flatnonzero(np.bincount(flat, minlength=v) == 0)
+        if unused.size:
+            word = self.vocabulary.id_to_word[unused[0]]
+            raise ValueError(f"vocabulary word never used: {word!r}")
 
     @property
     def n_docs(self) -> int:
@@ -96,7 +107,7 @@ class Corpus:
 
     @property
     def n_tokens(self) -> int:
-        return sum(int(doc.size) for doc in self.documents)
+        return self.tokens.size
 
     def doc_words(self, d: int) -> list[str]:
         return [self.vocabulary.id_to_word[i] for i in self.documents[d]]
@@ -134,14 +145,7 @@ def _index_token_docs(token_docs: list[list[str]], doc_ids: Sequence[str] | None
     if all(len(doc) == 0 for doc in token_docs):
         raise AllDocumentsEmpty("no tokens remain in any document")
     word_to_id: dict[str, int] = {}
-    documents = []
-    for doc in token_docs:
-        ids = []
-        for w in doc:
-            if w not in word_to_id:
-                word_to_id[w] = len(word_to_id)
-            ids.append(word_to_id[w])
-        documents.append(ids)
+    documents = [[word_to_id.setdefault(w, len(word_to_id)) for w in doc] for doc in token_docs]
     return Corpus(documents, Vocabulary(list(word_to_id)), doc_ids)
 
 
@@ -199,34 +203,33 @@ def compute_stats(corpus: Corpus) -> CorpusStats:
 
     TF(w,d) is count/len within a document; IDF uses the natural log. The
     average runs over only the documents that contain the word, so a word
-    present in every document has avg_tfidf exactly 0.
+    present in every document has avg_tfidf exactly 0. Everything is read
+    from the corpus's flat token stream through its (document, word) cells;
+    each word's TF terms are summed in document order.
     """
     v = corpus.vocabulary.size
     n_docs = corpus.n_docs
-    counts = np.zeros(v, dtype=np.int64)
-    doc_freq = np.zeros(v, dtype=np.int64)
+    # one cell per distinct (document, word) pair, sorted by document first
+    cells, per_cell = np.unique(corpus.doc_ix.astype(np.int64) * v + corpus.tokens,
+                                return_counts=True)
+    cell_doc, cell_word = np.divmod(cells, v)
+    counts = np.bincount(corpus.tokens, minlength=v)
+    doc_freq = np.bincount(cell_word, minlength=v)
     tf_sum = np.zeros(v, dtype=np.float64)
-    doc_lists: list[list[int]] = [[] for _ in range(v)]
-    for d, doc in enumerate(corpus.documents):
-        if doc.size == 0:
-            continue
-        words, per_doc = np.unique(doc, return_counts=True)
-        counts[words] += per_doc
-        doc_freq[words] += 1
-        tf_sum[words] += per_doc / doc.size
-        for w in words:
-            doc_lists[int(w)].append(d)
-    total = counts.sum()
-    word_freq = counts / total
+    np.add.at(tf_sum, cell_word, per_cell / np.diff(corpus.offsets)[cell_doc])
+    word_freq = counts / corpus.n_tokens
     avg_tfidf = (tf_sum / doc_freq) * np.log(n_docs / doc_freq)
+    # each word's documents in ascending order, one word after another
+    by_word = cell_doc[np.argsort(cell_word, kind="stable")]
+    bounds = np.concatenate([[0], np.cumsum(doc_freq)]).tolist()
     return CorpusStats(
         vocabulary=corpus.vocabulary,
         word_freq=_frozen(word_freq),
         doc_freq=_frozen(doc_freq),
         avg_tfidf=_frozen(avg_tfidf),
-        doc_index=tuple(_frozen(np.asarray(lst, dtype=np.int64)) for lst in doc_lists),
+        doc_index=tuple(_frozen(by_word[lo:hi]) for lo, hi in zip(bounds, bounds[1:])),
         n_docs=n_docs,
-        n_tokens=int(total),
+        n_tokens=corpus.n_tokens,
     )
 
 

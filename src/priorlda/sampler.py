@@ -77,7 +77,7 @@ class ModelConfig:
 class ModelState:
     """Token-level assignments and the count arrays the sweeps maintain."""
 
-    tokens: np.ndarray        # flat token ids
+    tokens: np.ndarray        # flat token ids (the corpus's read-only stream)
     doc_ix: np.ndarray        # document index per token
     doc_lengths: np.ndarray
     z: np.ndarray             # topic per token
@@ -93,8 +93,7 @@ class ModelState:
         return self.n_k.shape[0]
 
     def z_by_doc(self) -> list[np.ndarray]:
-        return [self.z[self.doc_starts[d]:self.doc_starts[d + 1]]
-                for d in range(len(self.doc_lengths))]
+        return [self.z[lo:hi] for lo, hi in zip(self.doc_starts, self.doc_starts[1:])]
 
 
 def _doc_generators(corpus: Corpus, seed: int) -> list[np.random.Generator]:
@@ -139,10 +138,7 @@ def init(corpus: Corpus, prior: PriorMatrix, config: ModelConfig) -> ModelState:
         raise DimensionMismatch(
             f"prior has {prior.n_topics} topics, config wants {config.topics}")
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    lengths = np.array([doc.size for doc in corpus.documents], dtype=np.int64)
-    tokens = (np.concatenate(corpus.documents) if lengths.sum()
-              else np.empty(0, dtype=np.int32)).astype(np.int32)
-    doc_ix = np.repeat(np.arange(corpus.n_docs, dtype=np.int32), lengths)
+    lengths = np.diff(corpus.offsets)
     doc_rngs = _doc_generators(corpus, config.seed) if config.doc_streams else None
     if doc_rngs is not None:
         # initial assignments come from the per-document streams so that the
@@ -150,13 +146,12 @@ def init(corpus: Corpus, prior: PriorMatrix, config: ModelConfig) -> ModelState:
         z = np.concatenate([gen.integers(0, config.topics, int(length))
                             for gen, length in zip(doc_rngs, lengths)]).astype(np.int32)
     else:
-        z = rng.integers(0, config.topics, tokens.shape[0]).astype(np.int32)
-    n_dk, n_kw, n_k = tabulate(tokens, doc_ix, z, corpus.n_docs,
+        z = rng.integers(0, config.topics, corpus.n_tokens).astype(np.int32)
+    n_dk, n_kw, n_k = tabulate(corpus.tokens, corpus.doc_ix, z, corpus.n_docs,
                                config.topics, corpus.vocabulary.size)
-    starts = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
-    return ModelState(tokens=tokens, doc_ix=doc_ix, doc_lengths=lengths, z=z,
+    return ModelState(tokens=corpus.tokens, doc_ix=corpus.doc_ix, doc_lengths=lengths, z=z,
                       n_dk=n_dk, n_kw=n_kw, n_k=n_k, rng=rng,
-                      doc_rngs=doc_rngs, doc_starts=starts)
+                      doc_rngs=doc_rngs, doc_starts=corpus.offsets)
 
 
 def sweep(state: ModelState, prior: PriorMatrix, alpha: float) -> ModelState:
@@ -181,10 +176,8 @@ def sweep_snapshot(state: ModelState, prior: PriorMatrix, alpha: float) -> Model
         raise ValueError("snapshot sweeps need doc_streams=True at init")
     kw_snap = state.n_kw.copy()
     k_snap = state.n_k.copy()
-    for d in range(len(state.doc_lengths)):
+    for d in np.flatnonzero(state.doc_lengths).tolist():
         lo, hi = state.doc_starts[d], state.doc_starts[d + 1]
-        if hi == lo:
-            continue
         uniforms = state.doc_rngs[d].random(int(hi - lo))
         _kernels.sweep_doc_snapshot(state.tokens[lo:hi], state.z[lo:hi], state.n_dk[d],
                                     state.n_kw, state.n_k, kw_snap, k_snap,
@@ -224,7 +217,6 @@ class FittedModel:
     loglik_trace: np.ndarray
     config: ModelConfig | None = None
     vocabulary: Vocabulary | None = None
-    prior: PriorMatrix | None = None
 
     def __post_init__(self):
         for name, rows in (("beta_hat", self.beta_hat), ("theta_hat", self.theta_hat)):
@@ -232,6 +224,13 @@ class FittedModel:
                 raise ValueError(f"{name} must be strictly positive")
             if np.abs(rows.sum(axis=1) - 1.0).max() > 1e-9:
                 raise ValueError(f"{name} rows must sum to 1")
+        k_total, v_total = self.beta_hat.shape
+        for got, want, what in ((len(self.kinds), k_total, "topic kinds"),
+                                (self.theta_hat.shape[1], k_total, "theta_hat columns"),
+                                (v_total if self.vocabulary is None else self.vocabulary.size,
+                                 v_total, "vocabulary words")):
+            if got != want:
+                raise ValueError(f"{got} {what} for a {k_total}x{v_total} beta_hat")
 
     @property
     def n_topics(self) -> int:
@@ -274,7 +273,7 @@ def estimate(state: ModelState, prior: PriorMatrix, alpha: float,
     """
     beta, theta = _point_estimates(state, prior, alpha)
     return FittedModel(beta_hat=beta, theta_hat=theta, kinds=prior.kinds,
-                       loglik_trace=np.empty(0), vocabulary=vocabulary, prior=prior)
+                       loglik_trace=np.empty(0), vocabulary=vocabulary)
 
 
 def fit(corpus: Corpus, prior: PriorMatrix, config: ModelConfig) -> FittedModel:
@@ -304,8 +303,7 @@ def fit(corpus: Corpus, prior: PriorMatrix, config: ModelConfig) -> FittedModel:
     else:
         beta, theta = _point_estimates(state, prior, config.alpha)
     return FittedModel(beta_hat=beta, theta_hat=theta, kinds=prior.kinds,
-                       loglik_trace=trace, config=config,
-                       vocabulary=corpus.vocabulary, prior=prior)
+                       loglik_trace=trace, config=config, vocabulary=corpus.vocabulary)
 
 
 def top_words(model: FittedModel, topic: int, n: int = 30) -> list[str]:

@@ -39,6 +39,37 @@ def reference_prior_data(token_docs, keywords=()):
     return data
 
 
+def per_document_stats(documents, vocab_size):
+    """The package's compute_stats as it was when it walked the corpus one
+    document at a time, over plain lists of word ids. Each word's TF terms
+    are summed in document order. Returns the CorpusStats fields as a dict."""
+    v = vocab_size
+    n_docs = len(documents)
+    counts = np.zeros(v, dtype=np.int64)
+    doc_freq = np.zeros(v, dtype=np.int64)
+    tf_sum = np.zeros(v, dtype=np.float64)
+    doc_lists = [[] for _ in range(v)]
+    for d, doc in enumerate(documents):
+        doc = np.asarray(doc, dtype=np.int32)
+        if doc.size == 0:
+            continue
+        words, per_doc = np.unique(doc, return_counts=True)
+        counts[words] += per_doc
+        doc_freq[words] += 1
+        tf_sum[words] += per_doc / doc.size
+        for w in words:
+            doc_lists[int(w)].append(d)
+    total = counts.sum()
+    return {
+        "word_freq": counts / total,
+        "doc_freq": doc_freq,
+        "avg_tfidf": (tf_sum / doc_freq) * np.log(n_docs / doc_freq),
+        "doc_index": [np.asarray(lst, dtype=np.int64) for lst in doc_lists],
+        "n_docs": n_docs,
+        "n_tokens": int(total),
+    }
+
+
 def reference_prior_rows(prior_data, vocab_words, c1=1.0, c2=1.0):
     """The four prior row builders, verbatim logic over the word dictionary.
     Note the keyword row carries weight 0 on non-keywords here; the package

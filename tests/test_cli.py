@@ -107,6 +107,17 @@ class TestFit:
         assert "error: value-error: alpha must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_integer_token_id_is_an_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"version": 1, "vocabulary": ["a", "b"],
+                                   "documents": [[0, 1.7], [1]]}))
+        out = tmp_path / "model.json"
+        code = main(["fit", "--corpus", str(bad), "--topics", "2", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: value-error: each document must be a sequence of integer token ids")
+        assert not out.exists()
+
     def test_missing_corpus_flag(self, tmp_path, capsys):
         code = main(["fit", "--out", str(tmp_path / "m.json")])
         assert code == 2
@@ -147,6 +158,24 @@ class TestScore:
         rows = list(csv.DictReader(out.read_text().splitlines()))
         assert len(rows) == 6 + 2
         assert rows[0]["kind"] == "stopword"
+
+    def test_model_of_another_vocabulary_is_an_error(self, tmp_path, ingested,
+                                                     demo_corpus_path, demo_lists, capsys):
+        stop_path, _ = demo_lists
+        model_path, other = tmp_path / "model.json", tmp_path / "other.json"
+        assert main(["fit", "--corpus", str(ingested), "--topics", "4", "--iters", "4",
+                     "--out", str(model_path)]) == 0
+        assert main(["ingest", "--input", str(demo_corpus_path), "--format", "jsonl",
+                     "--stoplist", str(stop_path), "--remove-stopwords",
+                     "--out", str(other)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "scores.csv"
+        code = main(["score", "--model", str(model_path), "--corpus", str(other),
+                     "--stoplist", str(stop_path), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: value-error: 50 vocabulary words for a 4x55 beta_hat\n")
+        assert not out.exists()
 
 
 class TestExperimentAndReport:
@@ -387,6 +416,34 @@ class TestByteContract:
                      "--topics", "8", "--alpha", "0.2", "--iters", "30", "--seed", "7",
                      "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    # `priorlda ingest` corpus files and a `priorlda stats` file from the
+    # demo corpus, recorded while Corpus kept one array per document and
+    # compute_stats looped over them. The demo stoplist is passed because the
+    # bundled one holds none of the demo words; a 0.05 cut drops nothing here
+    # (its cutoff is 0, the stopwords' TF-IDF), so 0.2 is pinned as well.
+    @pytest.mark.parametrize("flags,digest", [
+        ([], "cee536b63ab2f54f8808a77902b7811c565f254fbf7c8d85044bfdc9a5c072bc"),
+        (["--stoplist", "{stoplist}", "--remove-stopwords"],
+         "9b35ecb11cf984a1d44b8b7a759134be691db85950b3de011f7261812b5f94b8"),
+        (["--tfidf-cut", "0.05"],
+         "cee536b63ab2f54f8808a77902b7811c565f254fbf7c8d85044bfdc9a5c072bc"),
+        (["--tfidf-cut", "0.2"],
+         "211cf735cdc59d7846fe1ab728362a7c5cc87e23b6d7af01457499e2ea951509"),
+    ])
+    def test_ingest_digest(self, tmp_path, demo_corpus_path, demo_lists, flags, digest):
+        stop_path, _ = demo_lists
+        out = tmp_path / "corpus.json"
+        assert main(["ingest", "--input", str(demo_corpus_path), "--format", "jsonl",
+                     *[arg.format(stoplist=stop_path) for arg in flags],
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_stats_digest(self, tmp_path, ingested):
+        out = tmp_path / "stats.json"
+        assert main(["stats", "--corpus", str(ingested), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "fa5eabbf65457272ba7069dd6f1d5897d8c9b5e8729558320cd18722cdfe546e")
 
     def test_save_prior_digest(self, tmp_path, ingested):
         stats = compute_stats(load_corpus(ingested))

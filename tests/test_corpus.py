@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from priorlda.corpus import (AllDocumentsEmpty, Corpus, Vocabulary, build_corpus,
@@ -12,7 +12,7 @@ from priorlda.corpus import (AllDocumentsEmpty, Corpus, Vocabulary, build_corpus
                              load_corpus, load_raw_documents, load_word_list,
                              save_corpus, tokenize, write_json)
 
-from .oracles import reference_prior_data
+from .oracles import per_document_stats, reference_prior_data
 
 
 class TestTokenize:
@@ -68,6 +68,44 @@ class TestBuildCorpus:
         assert corpus.doc_ids == ["x", "y"]
 
 
+class TestTokenLayout:
+    def test_one_stream_with_offsets(self):
+        corpus = build_corpus(["a b a", "", "c"])
+        assert corpus.tokens.dtype == np.int32 and corpus.tokens.tolist() == [0, 1, 0, 2]
+        assert corpus.offsets.dtype == np.int64 and corpus.offsets.tolist() == [0, 3, 3, 4]
+        assert corpus.doc_ix.tolist() == [0, 0, 0, 2]
+        assert [doc.tolist() for doc in corpus.documents] == [[0, 1, 0], [], [2]]
+        assert all(np.shares_memory(doc, corpus.tokens) for doc in corpus.documents if doc.size)
+        for arr in (corpus.tokens, corpus.offsets, corpus.doc_ix, *corpus.documents):
+            assert not arr.flags.writeable
+
+    def test_no_documents(self):
+        corpus = Corpus([], Vocabulary([]))
+        assert corpus.documents == []
+        assert (corpus.n_docs, corpus.n_tokens, corpus.offsets.tolist()) == (0, 0, [0])
+
+    def test_other_integer_dtypes_accepted(self):
+        corpus = Corpus([np.array([1, 0], dtype=np.uint8), [], np.array([1], dtype=np.int64)],
+                        Vocabulary(["a", "b"]))
+        assert corpus.tokens.dtype == np.int32 and corpus.tokens.tolist() == [1, 0, 1]
+
+    @pytest.mark.parametrize("documents", [
+        [[0, 1.7], [True]], [[0, 1], [True]], [[0, 1], ["1"]], [[0.0, 1.0]], [[[0, 1]]],
+    ], ids=["float", "bool", "string", "integral-float", "nested"])
+    def test_non_integer_ids_rejected(self, documents):
+        with pytest.raises(ValueError, match="integer token ids"):
+            Corpus(documents, Vocabulary(["a", "b"]))
+
+    def test_from_json_rejects_a_string_id(self):
+        data = {"version": 1, "vocabulary": ["a", "b"], "documents": [[0, "1"]]}
+        with pytest.raises(ValueError, match="integer token ids"):
+            Corpus.from_json(data)
+
+    def test_ids_beyond_int32_are_out_of_range_not_wrapped(self):
+        with pytest.raises(ValueError, match="outside vocabulary range"):
+            Corpus([np.array([0, 2**32], dtype=np.int64)], Vocabulary(["a"]))
+
+
 class TestDuplicateDocIds:
     """Per-document sampler streams are keyed by id, so repeated ids are
     rejected wherever a corpus is made."""
@@ -112,6 +150,16 @@ class TestVocabulary:
             Corpus([[0]], Vocabulary(["a", "b"]))
 
 
+@st.composite
+def id_documents(draw):
+    """Documents of word ids where every id below the largest is used and
+    at least one document is non-empty; ids are renumbered by first use."""
+    raw = draw(st.lists(st.lists(st.integers(0, 7), max_size=9), min_size=1, max_size=8)
+               .filter(lambda docs: any(docs)))
+    dense: dict[int, int] = {}
+    return [[dense.setdefault(w, len(dense)) for w in doc] for doc in raw]
+
+
 class TestComputeStats:
     def test_single_doc_counts(self):
         stats = compute_stats(build_corpus(["a a b"]))
@@ -142,6 +190,28 @@ class TestComputeStats:
         assert alice_stats.word_freq[wid["the"]] == pytest.approx(3 / 65, abs=1e-12)
         assert alice_stats.avg_tfidf[wid[","]] == pytest.approx(
             0.162034405845182, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(id_documents())
+    @example([[0, 1], [], [1, 0, 0], []])     # empty documents, repeated words
+    @example([[2, 0, 1, 0, 2]])               # a single document
+    @example([[0, 1], [1, 0, 2], [0], [0, 3, 3]])  # word 0 in every document
+    def test_matches_per_document_oracle_bit_for_bit(self, documents):
+        vocab = Vocabulary([f"w{i}" for i in range(max(max(doc, default=0)
+                                                       for doc in documents) + 1)])
+        stats = compute_stats(Corpus(documents, vocab))
+        want = per_document_stats(documents, vocab.size)
+        for name in ("word_freq", "avg_tfidf"):
+            got = getattr(stats, name)
+            assert got.dtype == want[name].dtype
+            assert got.tobytes() == want[name].tobytes()
+        assert stats.doc_freq.dtype == want["doc_freq"].dtype
+        assert stats.doc_freq.tolist() == want["doc_freq"].tolist()
+        assert len(stats.doc_index) == len(want["doc_index"])
+        for got, ix in zip(stats.doc_index, want["doc_index"]):
+            assert got.dtype == ix.dtype
+            assert got.tolist() == ix.tolist()
+        assert (stats.n_docs, stats.n_tokens) == (want["n_docs"], want["n_tokens"])
 
     def test_matches_reference_field_for_field(self, alice_texts, alice_stats):
         token_docs = [t.lower().split() for t in alice_texts]

@@ -3,6 +3,7 @@ import importlib
 import json
 import logging
 import math
+import shutil
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from priorlda import _kernels
-from priorlda.corpus import build_corpus
+from priorlda.corpus import Vocabulary, build_corpus
 from priorlda.priors import PriorMatrix, TopicKind, symmetric_prior
 from priorlda.sampler import (DimensionMismatch, FittedModel, ModelConfig, ModelState,
                               _doc_generators, estimate, fit, heldout_perplexity,
@@ -252,6 +253,14 @@ class TestKernelsAgree:
         assert _kernels.BACKEND == "numpy"
         assert [r.levelno for r in caplog.records] == [logging.WARNING]
         assert json.dumps(fit(corpus, prior, cfg).to_json()) == c_bytes
+
+
+def test_c_kernel_loads_where_a_compiler_is_present():
+    # a kernel that fails to build or load only logs a warning, and every
+    # C-backend case would then skip while the numpy twin passes them
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH")
+    assert _kernels.BACKEND == "c"
 
 
 class TestKernelInputValidation:
@@ -507,6 +516,40 @@ class TestSaveModel:
         model = fit(corpus, prior, ModelConfig(topics=k, alpha=alpha, iterations=iterations,
                                                seed=seed, average_estimates=average))
         self._check(model, tmp_path_factory.mktemp("fit"))
+
+
+class TestFittedModelShapes:
+    """A model whose parts disagree about K or V is rejected when it is made."""
+
+    @staticmethod
+    def _parts(kinds=3, theta_columns=3, words=4):
+        return {"beta_hat": np.full((3, 4), 0.25),
+                "theta_hat": np.full((2, theta_columns), 1 / theta_columns),
+                "kinds": (TopicKind.SYMMETRIC,) * kinds, "loglik_trace": np.empty(0),
+                "vocabulary": Vocabulary([f"w{i}" for i in range(words)])}
+
+    def test_consistent_parts_accepted(self):
+        assert FittedModel(**self._parts()).n_topics == 3
+
+    @pytest.mark.parametrize("change,message", [
+        ({"kinds": 2}, "2 topic kinds for a 3x4 beta_hat"),
+        ({"theta_columns": 4}, "4 theta_hat columns for a 3x4 beta_hat"),
+        ({"words": 5}, "5 vocabulary words for a 3x4 beta_hat"),
+    ], ids=["kinds", "theta_hat", "vocabulary"])
+    def test_mismatch_rejected(self, change, message):
+        with pytest.raises(ValueError, match=message):
+            FittedModel(**self._parts(**change))
+
+    def test_load_model_with_truncated_kinds(self, tmp_path):
+        corpus = random_corpus(seed=4, n_docs=10)
+        prior = symmetric_prior(3, corpus.vocabulary.size, 0.5)
+        path = tmp_path / "model.json"
+        save_model(fit(corpus, prior, ModelConfig(topics=3, iterations=4, seed=0)), path)
+        data = json.loads(path.read_text())
+        data["kinds"] = data["kinds"][:2]
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="2 topic kinds for a 3x"):
+            load_model(path)
 
 
 class TestFit:
