@@ -67,10 +67,7 @@ class Corpus:
 
     def __init__(self, documents: Sequence[Sequence[int]], vocabulary: Vocabulary,
                  doc_ids: Sequence[str] | None = None):
-        docs = [np.asarray(doc) for doc in documents]
-        # a float, bool or string id would be cast to a wrong word; an empty [] is float64
-        if any(doc.ndim != 1 or (doc.size and doc.dtype.kind not in "iu") for doc in docs):
-            raise ValueError("each document must be a sequence of integer token ids")
+        docs = [_id_array(doc) for doc in documents]
         flat = np.concatenate([np.zeros(0, np.int64)] + [doc for doc in docs if doc.size],
                               dtype=np.int64)
         self.vocabulary = vocabulary
@@ -129,6 +126,21 @@ class Corpus:
         return cls(data["documents"], Vocabulary(data["vocabulary"]), data.get("doc_ids"))
 
 
+def _id_array(doc) -> np.ndarray:
+    """One document's token ids as an integer array; ValueError otherwise.
+
+    A float, bool or string id would be cast to a wrong word, and numpy
+    reads a bool among ints as 0 or 1, so a plain sequence is checked id by
+    id. An empty [] comes out float64 and is allowed.
+    """
+    arr = np.asarray(doc)
+    if (arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu")
+            or (not isinstance(doc, np.ndarray)
+                and any(isinstance(t, (bool, np.bool_)) for t in doc))):
+        raise ValueError("each document must be a sequence of integer token ids")
+    return arr
+
+
 def build_corpus(raw_docs: Sequence[str], remove_set: Iterable[str] = (),
                  lowercase: bool = True, doc_ids: Sequence[str] | None = None) -> Corpus:
     """Tokenize raw documents and index them into a dense-vocabulary corpus.
@@ -145,7 +157,9 @@ def _index_token_docs(token_docs: list[list[str]], doc_ids: Sequence[str] | None
     if all(len(doc) == 0 for doc in token_docs):
         raise AllDocumentsEmpty("no tokens remain in any document")
     word_to_id: dict[str, int] = {}
-    documents = [[word_to_id.setdefault(w, len(word_to_id)) for w in doc] for doc in token_docs]
+    # integer arrays, so that Corpus need not check the ids one by one
+    documents = [np.array([word_to_id.setdefault(w, len(word_to_id)) for w in doc], dtype=np.int64)
+                 for doc in token_docs]
     return Corpus(documents, Vocabulary(list(word_to_id)), doc_ids)
 
 

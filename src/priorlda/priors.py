@@ -126,6 +126,11 @@ class PriorMatrix:
             raise ValueError("one kind label required per topic row")
         if not ((self.weights > 0) & (self.weights < np.inf)).all():
             raise ValueError("Dirichlet weights must be strictly positive and finite")
+        # every weight is at most its row sum, so this keeps gammaln finite on
+        # every weight too, and the log-likelihood free of inf - inf
+        if self.weights.size and not np.isfinite(gammaln(self.row_sums.max())):
+            raise ValueError(f"a prior row sums to {self.row_sums.max():.6g}, "
+                             "too large for a finite log-gamma")
 
     @property
     def n_topics(self) -> int:
@@ -139,14 +144,10 @@ class PriorMatrix:
     def row_sums(self) -> np.ndarray:
         return self.weights.sum(axis=1)
 
-    # the log-likelihood's prior terms, which no sweep changes
+    # the weights word-major (V x K), as the sweep kernel reads them
     @cached_property
-    def gammaln_weights(self) -> np.ndarray:
-        return gammaln(self.weights)
-
-    @cached_property
-    def gammaln_row_sums(self) -> np.ndarray:
-        return gammaln(self.row_sums)
+    def weights_by_word(self) -> np.ndarray:
+        return np.ascontiguousarray(self.weights.T)
 
     def _parts(self) -> tuple[dict, dict[str, np.ndarray]]:
         """The JSON fields in file order: plain values, then float arrays."""

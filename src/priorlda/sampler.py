@@ -82,7 +82,7 @@ class ModelState:
     doc_lengths: np.ndarray
     z: np.ndarray             # topic per token
     n_dk: np.ndarray          # (D, K)
-    n_kw: np.ndarray          # (K, V)
+    n_kw: np.ndarray          # (K, V), the transpose of a word-major (V, K) buffer
     n_k: np.ndarray           # (K,)
     rng: np.random.Generator
     doc_rngs: list[np.random.Generator] | None = None
@@ -116,16 +116,20 @@ def _doc_generators(corpus: Corpus, seed: int) -> list[np.random.Generator]:
 
 def tabulate(tokens: np.ndarray, doc_ix: np.ndarray, z: np.ndarray,
              n_docs: int, n_topics: int, vocab_size: int):
-    """Recount n_dk, n_kw, n_k directly from the assignments."""
+    """Recount n_dk, n_kw, n_k directly from the assignments.
+
+    n_kw is the (K, V) transpose of a C-contiguous word-major (V, K) count
+    buffer, the layout the sweep kernel takes.
+    """
     # one bincount per table over flat cell indices, taken in int64 so that
-    # D*K and K*V cannot overflow
+    # D*K and V*K cannot overflow
     z = z.astype(np.int64)
 
     def count(cells, shape):
         return np.bincount(cells, minlength=int(np.prod(shape))).astype(np.int32).reshape(shape)
 
     return (count(doc_ix.astype(np.int64) * n_topics + z, (n_docs, n_topics)),
-            count(z * vocab_size + tokens, (n_topics, vocab_size)),
+            count(tokens.astype(np.int64) * n_topics + z, (vocab_size, n_topics)).T,
             count(z, (n_topics,)))
 
 
@@ -158,8 +162,8 @@ def sweep(state: ModelState, prior: PriorMatrix, alpha: float) -> ModelState:
     """Resample every token once, in document order, updating counts in place."""
     uniforms = state.rng.random(state.tokens.shape[0])
     _kernels.sweep_tokens(state.tokens, state.doc_ix, state.z,
-                          state.n_dk, state.n_kw, state.n_k,
-                          prior.weights, prior.row_sums, alpha, uniforms)
+                          state.n_dk, state.n_kw.T, state.n_k,
+                          prior.weights_by_word, prior.row_sums, alpha, uniforms)
     return state
 
 
@@ -174,14 +178,15 @@ def sweep_snapshot(state: ModelState, prior: PriorMatrix, alpha: float) -> Model
     """
     if state.doc_rngs is None:
         raise ValueError("snapshot sweeps need doc_streams=True at init")
-    kw_snap = state.n_kw.copy()
+    n_wk = state.n_kw.T
+    wk_snap = n_wk.copy()
     k_snap = state.n_k.copy()
     for d in np.flatnonzero(state.doc_lengths).tolist():
         lo, hi = state.doc_starts[d], state.doc_starts[d + 1]
         uniforms = state.doc_rngs[d].random(int(hi - lo))
         _kernels.sweep_doc_snapshot(state.tokens[lo:hi], state.z[lo:hi], state.n_dk[d],
-                                    state.n_kw, state.n_k, kw_snap, k_snap,
-                                    prior.weights, prior.row_sums, alpha, uniforms)
+                                    n_wk, state.n_k, wk_snap, k_snap,
+                                    prior.weights_by_word, prior.row_sums, alpha, uniforms)
     n_dk, n_kw, n_k = tabulate(state.tokens, state.doc_ix, state.z,
                                len(state.doc_lengths), state.n_topics,
                                state.n_kw.shape[1])
@@ -191,12 +196,24 @@ def sweep_snapshot(state: ModelState, prior: PriorMatrix, alpha: float) -> Model
 
 def log_likelihood(state: ModelState, prior: PriorMatrix, alpha: float) -> float:
     """Collapsed joint log p(w, z | alpha, eta): a product of
-    Dirichlet-multinomial normalizers over documents and topics."""
+    Dirichlet-multinomial normalizers over documents and topics.
+
+    An empty cell contributes exactly 0.0, gammaln(0 + eta) - gammaln(eta),
+    since PriorMatrix keeps gammaln(eta) finite. So gammaln runs only on the
+    occupied word-topic cells, the document cells read a table by count, and
+    both are summed as full C-order arrays: the dense formula's bits.
+    """
     k_total = state.n_topics
     doc_part = float((gammaln(k_total * alpha) - gammaln(state.doc_lengths + k_total * alpha)).sum())
-    doc_part += float((gammaln(state.n_dk + alpha) - gammaln(alpha)).sum())
-    topic_part = float((prior.gammaln_row_sums - gammaln(state.n_k + prior.row_sums)).sum())
-    topic_part += float((gammaln(state.n_kw + prior.weights) - prior.gammaln_weights).sum())
+    by_count = gammaln(np.arange(state.n_dk.max(initial=0) + 1) + alpha) - gammaln(alpha)
+    doc_part += float(by_count[state.n_dk].sum())
+    topic_part = float((gammaln(prior.row_sums) - gammaln(state.n_k + prior.row_sums)).sum())
+    counts = np.ravel(state.n_kw)
+    occupied = np.flatnonzero(counts != 0)  # faster on bools than on int32
+    eta = prior.weights.ravel()[occupied]
+    cells = np.zeros(state.n_kw.shape)
+    cells.ravel()[occupied] = gammaln(counts[occupied] + eta) - gammaln(eta)
+    topic_part += float(cells.sum())
     return doc_part + topic_part
 
 

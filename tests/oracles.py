@@ -187,19 +187,22 @@ def snapshot_sweeps(resample, token_docs, z_docs, eta, alpha, uniforms):
     table is recounted from the assignments.
 
     ``resample`` is a sequential token sweep taking (tokens, doc_ix, z,
-    n_dk, n_kw, n_k, eta, eta_sums, alpha, uniforms), as the package's
-    numpy kernel does; ``uniforms[s][d]`` holds document d's draws in
-    sweep s. Returns the assignments per document and n_dk, n_kw, n_k.
+    n_dk, n_wk, n_k, eta_wk, eta_sums, alpha, uniforms), as the package's
+    numpy kernel does, with n_wk and eta_wk word-major (V, K): the (K, V)
+    tables kept here are transposed at the call. ``uniforms[s][d]`` holds
+    document d's draws in sweep s. Returns the assignments per document and
+    n_dk, n_kw, n_k.
     """
     k_total, v_total = eta.shape
     eta_sums = eta.sum(axis=1)
+    eta_wk = np.ascontiguousarray(eta.T)
     z_docs = [np.array(zs, dtype=np.int32) for zs in z_docs]
     n_dk, n_kw, n_k = _recount(token_docs, z_docs, k_total, v_total)
     for sweep_uniforms in uniforms:
         for d, words in enumerate(token_docs):
             resample(np.array(words, dtype=np.int32), np.zeros(len(words), dtype=np.int32),
-                     z_docs[d], n_dk[d:d + 1].copy(), n_kw.copy(), n_k.copy(),
-                     eta, eta_sums, alpha, sweep_uniforms[d])
+                     z_docs[d], n_dk[d:d + 1].copy(), n_kw.T.copy(), n_k.copy(),
+                     eta_wk, eta_sums, alpha, sweep_uniforms[d])
         n_dk, n_kw, n_k = _recount(token_docs, z_docs, k_total, v_total)
     return z_docs, n_dk, n_kw, n_k
 

@@ -118,6 +118,16 @@ class TestFit:
             "error: value-error: each document must be a sequence of integer token ids")
         assert not out.exists()
 
+    def test_bool_token_id_is_an_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"version": 1, "vocabulary": ["a", "b"], "documents": [[0, true]]}')
+        out = tmp_path / "model.json"
+        code = main(["fit", "--corpus", str(bad), "--topics", "2", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: value-error: each document must be a sequence of integer token ids")
+        assert not out.exists()
+
     def test_missing_corpus_flag(self, tmp_path, capsys):
         code = main(["fit", "--out", str(tmp_path / "m.json")])
         assert code == 2

@@ -91,10 +91,17 @@ class TestTokenLayout:
 
     @pytest.mark.parametrize("documents", [
         [[0, 1.7], [True]], [[0, 1], [True]], [[0, 1], ["1"]], [[0.0, 1.0]], [[[0, 1]]],
-    ], ids=["float", "bool", "string", "integral-float", "nested"])
+        [[0, True]], [(np.True_, 0)],
+    ], ids=["float", "bool", "string", "integral-float", "nested", "bool-among-ints",
+            "numpy-bool-among-ints"])
     def test_non_integer_ids_rejected(self, documents):
         with pytest.raises(ValueError, match="integer token ids"):
             Corpus(documents, Vocabulary(["a", "b"]))
+
+    def test_from_json_rejects_a_bool_among_ints(self):
+        data = json.loads('{"version": 1, "vocabulary": ["a", "b"], "documents": [[0, true]]}')
+        with pytest.raises(ValueError, match="integer token ids"):
+            Corpus.from_json(data)
 
     def test_from_json_rejects_a_string_id(self):
         data = {"version": 1, "vocabulary": ["a", "b"], "documents": [[0, "1"]]}

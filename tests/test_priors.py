@@ -203,6 +203,21 @@ class TestPriorMatrix:
         with pytest.raises(ValueError, match="strictly positive and finite"):
             PriorMatrix(weights, (TopicKind.SYMMETRIC,) * 2)
 
+    @pytest.mark.parametrize("weight", [1e306, 1e308], ids=["gammaln-overflows", "sum-overflows"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered in reduce:RuntimeWarning")
+    def test_rejects_rows_too_heavy_for_a_finite_log_gamma(self, weight):
+        # gammaln(2e306) is inf, and 2 * 1e308 overflows to inf (numpy warns
+        # as it sums the row); the trace would come out NaN
+        with pytest.raises(ValueError, match="too large for a finite log-gamma"):
+            PriorMatrix(np.full((2, 2), weight), (TopicKind.SYMMETRIC,) * 2)
+
+    def test_load_prior_rejects_rows_too_heavy(self, tmp_path):
+        path = tmp_path / "prior.json"
+        path.write_text(json.dumps({"version": 1, "kinds": ["symmetric"] * 2,
+                                    "weights": [[1e306, 1e306], [1.0, 1.0]]}))
+        with pytest.raises(ValueError, match="too large for a finite log-gamma"):
+            load_prior(path)
+
     def test_kind_count_must_match(self):
         with pytest.raises(ValueError):
             PriorMatrix(np.ones((2, 3)), (TopicKind.SYMMETRIC,))

@@ -4,6 +4,7 @@ import json
 import logging
 import math
 import shutil
+import subprocess
 from unittest import mock
 
 import numpy as np
@@ -13,8 +14,8 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from priorlda import _kernels
-from priorlda.corpus import Vocabulary, build_corpus
-from priorlda.priors import PriorMatrix, TopicKind, symmetric_prior
+from priorlda.corpus import Vocabulary, build_corpus, compute_stats
+from priorlda.priors import PriorConfig, PriorMatrix, TopicKind, assemble, symmetric_prior
 from priorlda.sampler import (DimensionMismatch, FittedModel, ModelConfig, ModelState,
                               _doc_generators, estimate, fit, heldout_perplexity,
                               hyperparameter_search, init, load_model,
@@ -119,13 +120,14 @@ class TestSweep:
 
 
 def _sweep_args(tokens, doc_lengths, n_topics, vocab_size, z, eta):
-    """Kernel arguments for a state given by its assignments."""
+    """Kernel arguments for a state given by its assignments and (K, V) eta
+    rows: n_wk and eta_wk come word-major, as the kernel takes them."""
     tokens = np.asarray(tokens, dtype=np.int32)
     doc_ix = np.repeat(np.arange(len(doc_lengths), dtype=np.int32), doc_lengths)
     z = np.asarray(z, dtype=np.int32)
     n_dk, n_kw, n_k = tabulate(tokens, doc_ix, z, len(doc_lengths), n_topics, vocab_size)
     eta = np.asarray(eta, dtype=np.float64)
-    return [tokens, doc_ix, z, n_dk, n_kw, n_k, eta, eta.sum(axis=1)]
+    return [tokens, doc_ix, z, n_dk, n_kw.T, n_k, np.ascontiguousarray(eta.T), eta.sum(axis=1)]
 
 
 def _copy(args):
@@ -183,10 +185,10 @@ class TestKernelsAgree:
         rng = np.random.default_rng(0)
         for _ in range(5):
             uniforms = rng.random(s1.tokens.shape[0])
-            _kernels.sweep_tokens(s1.tokens, s1.doc_ix, s1.z, s1.n_dk, s1.n_kw,
-                                  s1.n_k, prior.weights, prior.row_sums, 0.4, uniforms)
-            _kernels._sweep_py(s2.tokens, s2.doc_ix, s2.z, s2.n_dk, s2.n_kw,
-                               s2.n_k, prior.weights, prior.row_sums, 0.4, uniforms)
+            _kernels.sweep_tokens(s1.tokens, s1.doc_ix, s1.z, s1.n_dk, s1.n_kw.T,
+                                  s1.n_k, prior.weights_by_word, prior.row_sums, 0.4, uniforms)
+            _kernels._sweep_py(s2.tokens, s2.doc_ix, s2.z, s2.n_dk, s2.n_kw.T,
+                               s2.n_k, prior.weights_by_word, prior.row_sums, 0.4, uniforms)
         assert (s1.z == s2.z).all()
         assert (s1.n_dk == s2.n_dk).all()
         assert (s1.n_kw == s2.n_kw).all()
@@ -202,12 +204,12 @@ class TestKernelsAgree:
             _kernels._sweep_py(*py_args, alpha, uniforms)
         for got, want in zip(c_args, py_args):
             assert (got == want).all()
-        tokens, doc_ix, z, n_dk, n_kw, n_k = c_args[:6]
-        n_add = np.zeros_like(n_dk), np.zeros_like(n_kw), np.zeros_like(n_k)
+        tokens, doc_ix, z, n_dk, n_wk, n_k = c_args[:6]
+        n_add = np.zeros_like(n_dk), np.zeros_like(n_wk), np.zeros_like(n_k)
         np.add.at(n_add[0], (doc_ix, z), 1)
-        np.add.at(n_add[1], (z, tokens), 1)
+        np.add.at(n_add[1], (tokens, z), 1)
         np.add.at(n_add[2], z, 1)
-        for got, want in zip((n_dk, n_kw, n_k), n_add):
+        for got, want in zip((n_dk, n_wk, n_k), n_add):
             assert got.dtype == np.int32 and (got == want).all()
 
     @settings(max_examples=40, deadline=None)
@@ -216,21 +218,21 @@ class TestKernelsAgree:
         # a decision flips only when u falls near a boundary, so compare the
         # kernel's running totals themselves, one token at a time: a
         # reordered product or sum shows here even when z does not change
-        (tokens, doc_ix, z, n_dk, n_kw, n_k, eta, eta_sums), alpha, sweeps = case
+        (tokens, doc_ix, z, n_dk, n_wk, n_k, eta_wk, eta_sums), alpha, sweeps = case
         uniforms = sweeps[0]
         cum = np.empty(len(n_k))
         for t in range(len(tokens)):
             w, d, k_old = tokens[t], doc_ix[t], z[t]
-            dk, kw, k = n_dk[d].copy(), n_kw[:, w].copy(), n_k.copy()
+            dk, wk, k = n_dk[d].copy(), n_wk[w].copy(), n_k.copy()
             dk[k_old] -= 1
-            kw[k_old] -= 1
+            wk[k_old] -= 1
             k[k_old] -= 1
-            want = np.cumsum((dk + alpha) * (kw + eta[:, w]) / (k + eta_sums))
+            want = np.cumsum((dk + alpha) * (wk + eta_wk[w]) / (k + eta_sums))
             assert _kernels._sweep_c(
                 tokens[t:].ctypes.data, doc_ix[t:].ctypes.data, z[t:].ctypes.data, 1,
-                n_dk.ctypes.data, n_kw.ctypes.data, n_k.ctypes.data, eta.ctypes.data,
+                n_dk.ctypes.data, n_wk.ctypes.data, n_k.ctypes.data, eta_wk.ctypes.data,
                 eta_sums.ctypes.data, alpha, uniforms[t:].ctypes.data, cum.ctypes.data,
-                *n_dk.shape, n_kw.shape[1]) == -1
+                *n_dk.shape, n_wk.shape[0]) == -1
             assert cum.tobytes() == want.tobytes()
 
     def test_exact_tie_takes_the_later_topic(self):
@@ -261,6 +263,17 @@ def test_c_kernel_loads_where_a_compiler_is_present():
     if shutil.which("cc") is None:
         pytest.skip("no C compiler on PATH")
     assert _kernels.BACKEND == "c"
+
+
+def test_c_kernel_source_compiles_without_warnings(tmp_path):
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH")
+    src = tmp_path / "sweep.c"
+    src.write_text(_kernels._C_SOURCE, encoding="utf-8")
+    done = subprocess.run(["cc", *_kernels._CFLAGS, "-Wall", "-Wextra", "-Werror",
+                           "-o", str(tmp_path / "sweep.so"), str(src)],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 class TestKernelInputValidation:
@@ -299,6 +312,27 @@ class TestKernelInputValidation:
         args = self._args()
         args[9] = args[9][:3]
         self._assert_rejected(args)
+
+    @pytest.mark.parametrize("moved", [(4,), (4, 6)], ids=["n_wk", "n_wk_and_eta_wk"])
+    def test_topic_major_counts_rejected(self, backend, moved):
+        # K=2 topics over V=3 words, with the counts (and the prior) passed
+        # (K, V) as the kernel once took them
+        args = _sweep_args([0, 1, 2, 1], [2, 2], 2, 3, [0, 1, 1, 0],
+                           np.full((2, 3), 0.5)) + [0.4, np.full(4, 0.3)]
+        for position in moved:
+            args[position] = np.ascontiguousarray(args[position].T)
+        self._assert_rejected(args)
+
+    def test_single_topic_counts_match_recount(self, backend):
+        corpus = random_corpus(seed=6, n_docs=15, vocab_size=12)
+        prior = symmetric_prior(1, corpus.vocabulary.size, 0.3)
+        state = init(corpus, prior, ModelConfig(topics=1, iterations=10, seed=1))
+        rng = np.random.default_rng(2)
+        for _ in range(3):
+            _kernels.sweep_tokens(state.tokens, state.doc_ix, state.z, state.n_dk,
+                                  state.n_kw.T, state.n_k, prior.weights_by_word,
+                                  prior.row_sums, 0.5, rng.random(corpus.n_tokens))
+            assert counts_match_assignments(state)
 
     @pytest.mark.parametrize("position,value", [(0, 3), (0, -1), (1, 2), (2, 3)])
     def test_out_of_range_index(self, backend, position, value):
@@ -430,6 +464,35 @@ def _log_likelihood_reference(state, prior, alpha):
     return doc_part + topic_part
 
 
+@st.composite
+def loglik_cases(draw):
+    """A corpus (V may be 1, documents may be empty), a prior of one of
+    three sorts, alpha, a seed and a number of sweeps."""
+    n_topics = draw(st.integers(1, 8))
+    vocab_size = draw(st.integers(1, 12))
+    docs = draw(st.lists(st.lists(st.integers(0, vocab_size - 1), max_size=12),
+                         min_size=1, max_size=6).filter(lambda ds: any(ds)))
+    corpus = build_corpus([" ".join(f"w{w}" for w in doc) for doc in docs])
+    v = corpus.vocabulary.size
+    sort = draw(st.sampled_from(["random", "symmetric", "assembled"]))
+    if sort == "random":
+        # log-uniform over nine decades: nearly every weight is distinct
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        prior = PriorMatrix(np.exp(rng.uniform(np.log(1e-6), np.log(1e3), (n_topics, v))),
+                            (TopicKind.TFIDF,) * n_topics)
+    elif sort == "symmetric":
+        prior = symmetric_prior(n_topics, v, draw(st.floats(1e-4, 100.0)))
+    else:
+        kinds = draw(st.lists(st.integers(0, 3), max_size=n_topics))
+        config = PriorConfig(topics=n_topics, stopword_topics=kinds.count(0),
+                             wordfreq_topics=kinds.count(1), tfidf_topics=kinds.count(2),
+                             keyword_topics=kinds.count(3))
+        keywords = draw(st.lists(st.sampled_from(corpus.vocabulary.id_to_word), max_size=3))
+        prior = assemble(config, compute_stats(corpus), keywords)
+    return (corpus, prior, draw(st.floats(1e-3, 10.0)), draw(st.integers(0, 2**16)),
+            draw(st.integers(0, 3)))
+
+
 class TestLogLikelihoodCache:
     def test_bit_identical_to_uncached_terms(self):
         rng = np.random.default_rng(11)
@@ -442,8 +505,21 @@ class TestLogLikelihoodCache:
                 sweep(state, prior, alpha)
                 got = log_likelihood(state, prior, alpha)
                 assert got.hex() == _log_likelihood_reference(state, prior, alpha).hex()
-            assert np.array_equal(prior.gammaln_weights, gammaln(prior.weights))
-            assert np.array_equal(prior.gammaln_row_sums, gammaln(prior.row_sums))
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=loglik_cases())
+    # V=1, an empty document, and more topics than tokens
+    @example(case=(build_corpus(["a", "", "a a a"]), symmetric_prior(8, 1, 0.5), 0.3, 1, 2))
+    def test_bit_identical_to_dense_formula(self, case):
+        # gammaln runs on the occupied cells only; an empty cell must still
+        # add exactly what the dense formula adds there
+        corpus, prior, alpha, seed, sweeps = case
+        k = prior.n_topics
+        state = init(corpus, prior, ModelConfig(topics=k, iterations=10, seed=seed))
+        for _ in range(sweeps):
+            sweep(state, prior, alpha)
+        got = log_likelihood(state, prior, alpha)
+        assert got.hex() == _log_likelihood_reference(state, prior, alpha).hex()
 
 
 class TestSaveModel:
@@ -750,12 +826,12 @@ class TestDocStreamSweeps:
         docs, z_docs, eta, alpha, seed = case
         eta = np.array(eta)
         n_topics, vocab_size = eta.shape
-        tokens, doc_ix, z, n_dk, n_kw, n_k, _, _ = _sweep_args(
+        tokens, doc_ix, z, n_dk, n_wk, n_k, _, _ = _sweep_args(
             [w for doc in docs for w in doc], [len(doc) for doc in docs],
             n_topics, vocab_size, [k for zs in z_docs for k in zs], eta)
         lengths = np.array([len(doc) for doc in docs], dtype=np.int64)
         state = ModelState(tokens=tokens, doc_ix=doc_ix, doc_lengths=lengths, z=z,
-                           n_dk=n_dk, n_kw=n_kw, n_k=n_k, rng=np.random.default_rng(0),
+                           n_dk=n_dk, n_kw=n_wk.T, n_k=n_k, rng=np.random.default_rng(0),
                            doc_rngs=[np.random.default_rng([seed, d]) for d in range(len(docs))],
                            doc_starts=np.concatenate([[0], np.cumsum(lengths)]))
         prior = PriorMatrix(eta, (TopicKind.TFIDF,) * n_topics)
