@@ -81,10 +81,12 @@ class Corpus:
         if self.doc_ids is not None:
             if len(self.doc_ids) != len(self.documents):
                 raise ValueError("doc_ids length does not match document count")
-            # per-document sampler streams are keyed by id, so a repeat would
-            # give two documents the same stream
+            # per-document sampler streams are keyed by each id's UTF-8 bytes: only
+            # a str has them, and a repeat would give two documents one stream
             seen: set[str] = set()
             for doc_id in self.doc_ids:
+                if not isinstance(doc_id, str):
+                    raise ValueError(f"document ids must be strings, not {doc_id!r}")
                 if doc_id in seen:
                     raise ValueError(f"duplicate document id: {doc_id!r}")
                 seen.add(doc_id)
@@ -278,8 +280,7 @@ def _rebuild(corpus: Corpus, keep: np.ndarray) -> Corpus:
 def delete_stopwords(corpus: Corpus, stoplist: Iterable[str]) -> Corpus:
     """Remove every stoplist word and rebuild dense ids."""
     stop = set(stoplist)
-    keep = np.array([w not in stop for w in corpus.vocabulary.id_to_word])
-    return _rebuild(corpus, keep)
+    return _rebuild(corpus, np.array([w not in stop for w in corpus.vocabulary.id_to_word]))
 
 
 def delete_low_tfidf(corpus: Corpus, percentile: float = 0.05) -> Corpus:
@@ -290,9 +291,7 @@ def delete_low_tfidf(corpus: Corpus, percentile: float = 0.05) -> Corpus:
     if not 0.0 < percentile < 1.0:
         raise ValueError("percentile must be in (0, 1)")
     stats = compute_stats(corpus)
-    cutoff = np.quantile(stats.avg_tfidf, percentile)
-    keep = stats.avg_tfidf >= cutoff
-    return _rebuild(corpus, keep)
+    return _rebuild(corpus, stats.avg_tfidf >= np.quantile(stats.avg_tfidf, percentile))
 
 
 # --- file I/O -------------------------------------------------------------

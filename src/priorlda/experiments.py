@@ -28,7 +28,7 @@ from .corpus import (Corpus, CorpusStats, build_corpus, compute_stats,
                      default_stoplist, delete_low_tfidf, delete_stopwords,
                      load_corpus, load_raw_documents, load_word_list)
 from .metrics import METRIC_COLUMNS, MetricConfig, ModelReport, _rows_csv, report
-from .priors import PriorConfig, PriorMatrix, TopicKind, assemble, symmetric_prior
+from .priors import PriorConfig, PriorMatrix, TopicKind, assemble
 from .sampler import (DEFAULT_HYPER_GRID, FittedModel, ModelConfig, fit,
                       hyperparameter_search)
 
@@ -53,9 +53,7 @@ class Variant(str, Enum):
     KEYWORD_SEEDING_PRIOR = "keyword_seeding_prior"
 
 
-# Model builders that fit without an assembled prior.
-SYMMETRIC = "symmetric"  # one fit under a flat prior of weight 1
-SEARCH = "search"        # symmetric fits over the plan's hyper grid, best kept
+SEARCH = "search"  # symmetric fits over the plan's hyper grid, best kept
 
 
 @dataclass(frozen=True)
@@ -64,8 +62,8 @@ class VariantSpec:
 
     ``preprocessing`` names the corpus the variant fits: "none" (as loaded),
     "stoplist" (the scored stoplist deleted) or "tfidf" (the lowest average
-    TF-IDF words deleted). ``model`` is SYMMETRIC, SEARCH, or a function from
-    RunSettings to the PriorConfig to assemble. ``extra_dims`` are the plan's
+    TF-IDF words deleted). ``model`` is SEARCH or a function from RunSettings
+    to the PriorConfig to assemble. ``extra_dims`` are the plan's
     searchable dimensions that apply beyond topics and iterations.
     """
 
@@ -86,16 +84,19 @@ class VariantSpec:
 
     def prior(self, settings: RunSettings, stats: CorpusStats,
               keywords: Iterable[str] = ()) -> PriorMatrix:
-        """The prior one fit of a SYMMETRIC or assembled-prior variant uses."""
-        if self.model == SYMMETRIC:
-            return symmetric_prior(settings.topics, stats.vocabulary.size, 1.0)
+        """The prior one fit of an assembled-prior variant uses."""
         return assemble(self.model(settings), stats, keywords)
 
 
+def _symmetric(s: RunSettings) -> PriorConfig:
+    """A flat prior of weight 1: every row is symmetric padding."""
+    return PriorConfig(topics=s.topics, stopword_topics=0)
+
+
 VARIANTS: dict[Variant, VariantSpec] = {
-    Variant.NO_DELETION: VariantSpec("none", SYMMETRIC),
-    Variant.STOPWORD_DELETION: VariantSpec("stoplist", SYMMETRIC),
-    Variant.TFIDF_DELETION: VariantSpec("tfidf", SYMMETRIC),
+    Variant.NO_DELETION: VariantSpec("none", _symmetric),
+    Variant.STOPWORD_DELETION: VariantSpec("stoplist", _symmetric),
+    Variant.TFIDF_DELETION: VariantSpec("tfidf", _symmetric),
     Variant.KEYWORD_TOPICS_BASELINE: VariantSpec(
         "none", lambda s: PriorConfig(topics=s.topics, stopword_topics=0,
                                       keyword_topics=s.topics, c2=s.c2,
@@ -422,20 +423,15 @@ def comparison_table(records: list[RunRecord]) -> list[dict]:
     rows = []
     for rec in records:
         row = {"variant": rec.variant.value, "seed": rec.seed}
-        for name in _SETTING_COLUMNS:
-            row[name] = getattr(rec.settings, name)
+        row.update((name, getattr(rec.settings, name)) for name in _SETTING_COLUMNS)
         # the alpha the fit ran with: a hyperparameter search picks its own
         row["alpha"] = rec.model.config.alpha
-        for name in METRIC_COLUMNS:
-            row[name] = rec.report.model_means[name]
+        row.update((name, rec.report.model_means[name]) for name in METRIC_COLUMNS)
         has_stopword_topics = (rec.report.domain_means is not None
                                and any(s.kind is TopicKind.STOPWORD
                                        for s in rec.report.per_topic))
         for name in _DOMAIN_COLUMNS:
-            if has_stopword_topics:
-                row[f"domain_{name}"] = rec.report.domain_means[name]
-            else:
-                row[f"domain_{name}"] = None
+            row[f"domain_{name}"] = rec.report.domain_means[name] if has_stopword_topics else None
         row["vocabulary_altered"] = rec.vocabulary_altered
         rows.append(row)
     return rows

@@ -7,8 +7,10 @@ which is exactly what the lift score is here to counterbalance.
 The counts come from one sparse product (``corpus.co_doc_counts``), which
 ``report`` makes once over every topic's top words; it passes each topic's
 block to one ``coherence`` call per window and one ``pmi_score`` call, which
-compute their pairs' log arguments with numpy over the pairs i<j, then take
-libm's ``math.log`` of each in that order (``np.log`` may differ in the last bit).
+compute their pairs' log arguments with numpy over the pairs i<j. Coherence
+takes libm's ``math.log`` of each in that order (``np.log`` may differ in the
+last bit); PMI takes one, of the lower-median argument, since a monotone log
+keeps the arguments' order.
 """
 
 from __future__ import annotations
@@ -99,11 +101,6 @@ def coherence(top: Sequence[str], stats: CorpusStats, *,
     return functools.reduce(operator.add, map(math.log, args.tolist()), 0.0)
 
 
-def _median_low(values: Iterable[float]) -> float:
-    ordered = sorted(values)
-    return ordered[(len(ordered) - 1) // 2] if ordered else float("nan")
-
-
 def pmi_score(top: Sequence[str], stats: CorpusStats,
               config: MetricConfig = MetricConfig(), *,
               counts: np.ndarray | None = None) -> float:
@@ -113,7 +110,8 @@ def pmi_score(top: Sequence[str], stats: CorpusStats,
     the joint gets an add-one count; with smoothing off, never-co-occurring
     pairs are dropped from the median, and the result is NaN when no pair
     remains. Even pair counts use the lower median. ``counts`` is as for
-    ``coherence``.
+    ``coherence``. The one log taken is of the lower-median argument: the log
+    is monotone, so that is the lower median of the pairs' logs, bit for bit.
     """
     ids = _word_ids(top, stats)
     if len(ids) < 2:
@@ -127,7 +125,8 @@ def pmi_score(top: Sequence[str], stats: CorpusStats,
     n = stats.n_docs
     p = stats.doc_freq[ids] / n
     args = (joint / n) / (p[rows] * p[cols])
-    return _median_low(map(math.log, args.tolist()))
+    k = (args.size - 1) // 2
+    return math.log(np.partition(args, k)[k]) if args.size else float("nan")
 
 
 def lift_of_words(words: Sequence[str], beta_row: np.ndarray, stats: CorpusStats) -> float:

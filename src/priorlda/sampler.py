@@ -82,11 +82,20 @@ class ModelState:
     doc_lengths: np.ndarray
     z: np.ndarray             # topic per token
     n_dk: np.ndarray          # (D, K)
-    n_kw: np.ndarray          # (K, V), the transpose of a word-major (V, K) buffer
+    n_wk: np.ndarray          # (V, K), C-contiguous int32, as the sweep kernel takes it
     n_k: np.ndarray           # (K,)
     rng: np.random.Generator
     doc_rngs: list[np.random.Generator] | None = None
     doc_starts: np.ndarray = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.n_wk.ndim != 2 or self.n_wk.shape[1] != self.n_k.shape[0]:
+            raise ValueError(f"n_wk is {self.n_wk.shape}, not (V, K) for n_k of {self.n_k.shape}")
+
+    @property
+    def n_kw(self) -> np.ndarray:
+        """The word-topic counts as a (K, V) view of n_wk; not assignable."""
+        return self.n_wk.T
 
     @property
     def n_topics(self) -> int:
@@ -116,11 +125,8 @@ def _doc_generators(corpus: Corpus, seed: int) -> list[np.random.Generator]:
 
 def tabulate(tokens: np.ndarray, doc_ix: np.ndarray, z: np.ndarray,
              n_docs: int, n_topics: int, vocab_size: int):
-    """Recount n_dk, n_kw, n_k directly from the assignments.
-
-    n_kw is the (K, V) transpose of a C-contiguous word-major (V, K) count
-    buffer, the layout the sweep kernel takes.
-    """
+    """Recount n_dk, n_wk, n_k directly from the assignments; n_wk is the
+    C-contiguous word-major (V, K) table the sweep kernel takes."""
     # one bincount per table over flat cell indices, taken in int64 so that
     # D*K and V*K cannot overflow
     z = z.astype(np.int64)
@@ -129,7 +135,7 @@ def tabulate(tokens: np.ndarray, doc_ix: np.ndarray, z: np.ndarray,
         return np.bincount(cells, minlength=int(np.prod(shape))).astype(np.int32).reshape(shape)
 
     return (count(doc_ix.astype(np.int64) * n_topics + z, (n_docs, n_topics)),
-            count(tokens.astype(np.int64) * n_topics + z, (vocab_size, n_topics)).T,
+            count(tokens.astype(np.int64) * n_topics + z, (vocab_size, n_topics)),
             count(z, (n_topics,)))
 
 
@@ -151,10 +157,10 @@ def init(corpus: Corpus, prior: PriorMatrix, config: ModelConfig) -> ModelState:
                             for gen, length in zip(doc_rngs, lengths)]).astype(np.int32)
     else:
         z = rng.integers(0, config.topics, corpus.n_tokens).astype(np.int32)
-    n_dk, n_kw, n_k = tabulate(corpus.tokens, corpus.doc_ix, z, corpus.n_docs,
+    n_dk, n_wk, n_k = tabulate(corpus.tokens, corpus.doc_ix, z, corpus.n_docs,
                                config.topics, corpus.vocabulary.size)
     return ModelState(tokens=corpus.tokens, doc_ix=corpus.doc_ix, doc_lengths=lengths, z=z,
-                      n_dk=n_dk, n_kw=n_kw, n_k=n_k, rng=rng,
+                      n_dk=n_dk, n_wk=n_wk, n_k=n_k, rng=rng,
                       doc_rngs=doc_rngs, doc_starts=corpus.offsets)
 
 
@@ -162,7 +168,7 @@ def sweep(state: ModelState, prior: PriorMatrix, alpha: float) -> ModelState:
     """Resample every token once, in document order, updating counts in place."""
     uniforms = state.rng.random(state.tokens.shape[0])
     _kernels.sweep_tokens(state.tokens, state.doc_ix, state.z,
-                          state.n_dk, state.n_kw.T, state.n_k,
+                          state.n_dk, state.n_wk, state.n_k,
                           prior.weights_by_word, prior.row_sums, alpha, uniforms)
     return state
 
@@ -178,19 +184,16 @@ def sweep_snapshot(state: ModelState, prior: PriorMatrix, alpha: float) -> Model
     """
     if state.doc_rngs is None:
         raise ValueError("snapshot sweeps need doc_streams=True at init")
-    n_wk = state.n_kw.T
-    wk_snap = n_wk.copy()
+    wk_snap = state.n_wk.copy()
     k_snap = state.n_k.copy()
     for d in np.flatnonzero(state.doc_lengths).tolist():
         lo, hi = state.doc_starts[d], state.doc_starts[d + 1]
         uniforms = state.doc_rngs[d].random(int(hi - lo))
         _kernels.sweep_doc_snapshot(state.tokens[lo:hi], state.z[lo:hi], state.n_dk[d],
-                                    n_wk, state.n_k, wk_snap, k_snap,
+                                    state.n_wk, state.n_k, wk_snap, k_snap,
                                     prior.weights_by_word, prior.row_sums, alpha, uniforms)
-    n_dk, n_kw, n_k = tabulate(state.tokens, state.doc_ix, state.z,
-                               len(state.doc_lengths), state.n_topics,
-                               state.n_kw.shape[1])
-    state.n_dk, state.n_kw, state.n_k = n_dk, n_kw, n_k
+    state.n_dk, state.n_wk, state.n_k = tabulate(
+        state.tokens, state.doc_ix, state.z, len(state.doc_lengths), state.n_topics, len(wk_snap))
     return state
 
 

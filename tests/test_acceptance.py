@@ -76,9 +76,9 @@ def test_criterion_2_count_conservation():
         sweep(state, prior, 0.8)
         ok_docs = (state.n_dk.sum(axis=1) == lengths).all()
         ok_topics = (state.n_kw.sum(axis=1) == state.n_k).all()
-        n_dk, n_kw, n_k = tabulate(state.tokens, state.doc_ix, state.z,
+        n_dk, n_wk, n_k = tabulate(state.tokens, state.doc_ix, state.z,
                                    corpus.n_docs, 10, corpus.vocabulary.size)
-        ok_recount = ((state.n_dk == n_dk).all() and (state.n_kw == n_kw).all()
+        ok_recount = ((state.n_dk == n_dk).all() and (state.n_wk == n_wk).all()
                       and (state.n_k == n_k).all())
         if not (ok_docs and ok_topics and ok_recount):
             violations += 1

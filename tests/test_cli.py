@@ -128,6 +128,17 @@ class TestFit:
             "error: value-error: each document must be a sequence of integer token ids")
         assert not out.exists()
 
+    def test_non_string_doc_id_is_an_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"version": 1, "vocabulary": ["a"], "documents": [[0], [0]], '
+                       '"doc_ids": [1, 2]}')
+        out = tmp_path / "model.json"
+        code = main(["fit", "--corpus", str(bad), "--topics", "2", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: value-error: document ids must be strings, not 1")
+        assert not out.exists()
+
     def test_missing_corpus_flag(self, tmp_path, capsys):
         code = main(["fit", "--out", str(tmp_path / "m.json")])
         assert code == 2

@@ -139,6 +139,22 @@ class TestDuplicateDocIds:
         assert build_corpus(["a", "a"]).doc_ids is None
 
 
+class TestDocIdTypes:
+    """Ids key the sampler streams by their UTF-8 bytes, so only strings are
+    ids: an int would fail at fit time, and 1 and "1" would pass as distinct."""
+
+    @pytest.mark.parametrize("ids", [[1, 2], [1, "1"], ["a", None]],
+                             ids=["ints", "int-and-str", "none"])
+    def test_constructor_rejects(self, ids):
+        with pytest.raises(ValueError, match="document ids must be strings"):
+            Corpus([[0], [0]], Vocabulary(["a"]), ids)
+
+    def test_from_json_rejects(self):
+        data = {"version": 1, "vocabulary": ["a"], "documents": [[0], [0]], "doc_ids": [1, 2]}
+        with pytest.raises(ValueError, match="document ids must be strings, not 1"):
+            Corpus.from_json(data)
+
+
 class TestVocabulary:
     def test_inverse_maps(self):
         vocab = Vocabulary(["a", "b", "c"])

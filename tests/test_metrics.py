@@ -368,6 +368,17 @@ class TestExactScores:
             assert _same(pmi_score(window, stats, cfg), want)
             assert _same(pmi_score(window, stats, cfg, counts=block), want)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.integers(-8, 8).map(lambda j: 1.0 + j * 2.0 ** -53),
+                              st.floats(1e-300, 1e300)), min_size=1, max_size=8)
+           .flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=500)))
+    def test_log_of_lower_median_argument(self, values):
+        # pmi_score logs only the lower-median argument; that is exact because
+        # libm's log keeps the arguments' order, ties and near-ties at 1 included
+        k = (len(values) - 1) // 2
+        want = sorted(map(math.log, values))[k]
+        assert math.log(np.partition(np.array(values), k)[k]).hex() == want.hex()
+
 
 class TestReportCallContract:
     """report scores each topic through one call of the public ``coherence``

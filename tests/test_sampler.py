@@ -28,10 +28,10 @@ from .oracles import (enumerate_posterior, greedy_align_cosine, snapshot_sweeps,
 
 
 def counts_match_assignments(state):
-    n_dk, n_kw, n_k = tabulate(state.tokens, state.doc_ix, state.z,
+    n_dk, n_wk, n_k = tabulate(state.tokens, state.doc_ix, state.z,
                                state.n_dk.shape[0], state.n_topics,
-                               state.n_kw.shape[1])
-    return ((state.n_dk == n_dk).all() and (state.n_kw == n_kw).all()
+                               state.n_wk.shape[0])
+    return ((state.n_dk == n_dk).all() and (state.n_wk == n_wk).all()
             and (state.n_k == n_k).all())
 
 
@@ -87,6 +87,43 @@ class TestInit:
             init(corpus, symmetric_prior(3, 2, 1.0), ModelConfig(topics=2, iterations=10))
 
 
+class TestModelState:
+    """The word-topic counts are stored word-major (V, K), the layout the
+    sweep kernel takes; ``n_kw`` is only their (K, V) view."""
+
+    def test_hand_built_state_sweeps_like_init(self):
+        corpus = random_corpus(seed=3, n_docs=12, vocab_size=9)
+        prior = symmetric_prior(4, corpus.vocabulary.size, 0.5)
+        cfg = ModelConfig(topics=4, iterations=10, seed=5)
+        made = init(corpus, prior, cfg)
+        base = init(corpus, prior, cfg)
+        n_wk = np.array(base.n_wk.tolist(), dtype=np.int32)  # a fresh V x K buffer
+        hand = ModelState(tokens=base.tokens, doc_ix=base.doc_ix,
+                          doc_lengths=base.doc_lengths, z=base.z.copy(),
+                          n_dk=base.n_dk.copy(), n_wk=n_wk, n_k=base.n_k.copy(),
+                          rng=base.rng, doc_starts=base.doc_starts)
+        for _ in range(3):
+            sweep(made, prior, 0.3)
+            sweep(hand, prior, 0.3)
+        assert (hand.z == made.z).all() and (hand.n_wk == made.n_wk).all()
+        assert counts_match_assignments(hand)
+        assert hand.n_kw.shape == (4, corpus.vocabulary.size)
+        assert hand.n_kw.base is n_wk and (hand.n_kw == n_wk.T).all()
+
+    def test_topic_major_counts_rejected(self):
+        with pytest.raises(ValueError, match=r"n_wk is \(2, 3\), not \(V, K\) for n_k of \(2,\)"):
+            ModelState(tokens=np.zeros(0, np.int32), doc_ix=np.zeros(0, np.int32),
+                       doc_lengths=np.zeros(0, np.int64), z=np.zeros(0, np.int32),
+                       n_dk=np.zeros((0, 2), np.int32), n_wk=np.zeros((2, 3), np.int32),
+                       n_k=np.zeros(2, np.int32), rng=np.random.default_rng(0))
+
+    def test_n_kw_is_read_only(self):
+        corpus = build_corpus(["a b", "b c"])
+        state = init(corpus, symmetric_prior(2, 3, 1.0), ModelConfig(topics=2, iterations=10))
+        with pytest.raises(AttributeError):
+            state.n_kw = state.n_kw.copy()
+
+
 class TestSweep:
     def test_single_topic_is_fixed_point(self):
         corpus = build_corpus(["a b c", "a a"])
@@ -125,9 +162,9 @@ def _sweep_args(tokens, doc_lengths, n_topics, vocab_size, z, eta):
     tokens = np.asarray(tokens, dtype=np.int32)
     doc_ix = np.repeat(np.arange(len(doc_lengths), dtype=np.int32), doc_lengths)
     z = np.asarray(z, dtype=np.int32)
-    n_dk, n_kw, n_k = tabulate(tokens, doc_ix, z, len(doc_lengths), n_topics, vocab_size)
+    n_dk, n_wk, n_k = tabulate(tokens, doc_ix, z, len(doc_lengths), n_topics, vocab_size)
     eta = np.asarray(eta, dtype=np.float64)
-    return [tokens, doc_ix, z, n_dk, n_kw.T, n_k, np.ascontiguousarray(eta.T), eta.sum(axis=1)]
+    return [tokens, doc_ix, z, n_dk, n_wk, n_k, np.ascontiguousarray(eta.T), eta.sum(axis=1)]
 
 
 def _copy(args):
@@ -185,9 +222,9 @@ class TestKernelsAgree:
         rng = np.random.default_rng(0)
         for _ in range(5):
             uniforms = rng.random(s1.tokens.shape[0])
-            _kernels.sweep_tokens(s1.tokens, s1.doc_ix, s1.z, s1.n_dk, s1.n_kw.T,
+            _kernels.sweep_tokens(s1.tokens, s1.doc_ix, s1.z, s1.n_dk, s1.n_wk,
                                   s1.n_k, prior.weights_by_word, prior.row_sums, 0.4, uniforms)
-            _kernels._sweep_py(s2.tokens, s2.doc_ix, s2.z, s2.n_dk, s2.n_kw.T,
+            _kernels._sweep_py(s2.tokens, s2.doc_ix, s2.z, s2.n_dk, s2.n_wk,
                                s2.n_k, prior.weights_by_word, prior.row_sums, 0.4, uniforms)
         assert (s1.z == s2.z).all()
         assert (s1.n_dk == s2.n_dk).all()
@@ -330,7 +367,7 @@ class TestKernelInputValidation:
         rng = np.random.default_rng(2)
         for _ in range(3):
             _kernels.sweep_tokens(state.tokens, state.doc_ix, state.z, state.n_dk,
-                                  state.n_kw.T, state.n_k, prior.weights_by_word,
+                                  state.n_wk, state.n_k, prior.weights_by_word,
                                   prior.row_sums, 0.5, rng.random(corpus.n_tokens))
             assert counts_match_assignments(state)
 
@@ -386,7 +423,7 @@ class TestEstimate:
         prior = symmetric_prior(2, 3, 1.0)
         state = init(corpus, prior, ModelConfig(topics=2, iterations=10, seed=0))
         state.z[:] = [0, 0, 1, 1, 1, 1]
-        state.n_dk, state.n_kw, state.n_k = tabulate(
+        state.n_dk, state.n_wk, state.n_k = tabulate(
             state.tokens, state.doc_ix, state.z, 2, 2, 3)
         model = estimate(state, prior, 0.5)
         a = corpus.vocabulary.word_to_id["a"]
@@ -417,7 +454,7 @@ class TestLogLikelihood:
         state = init(corpus, prior, ModelConfig(topics=3, iterations=10, seed=3))
         base = log_likelihood(state, prior, 0.9)
         state.z[:] = (state.z + 1) % 3
-        state.n_dk, state.n_kw, state.n_k = tabulate(
+        state.n_dk, state.n_wk, state.n_k = tabulate(
             state.tokens, state.doc_ix, state.z, 2, 3, 4)
         assert log_likelihood(state, prior, 0.9) == pytest.approx(base, abs=1e-9)
 
@@ -445,7 +482,7 @@ class TestLogLikelihood:
         for z0 in range(2):
             for z1 in range(2):
                 state.z[:] = [z0, z1]
-                state.n_dk, state.n_kw, state.n_k = tabulate(
+                state.n_dk, state.n_wk, state.n_k = tabulate(
                     state.tokens, state.doc_ix, state.z, 1, 2, 2)
                 total_pkg += math.exp(log_likelihood(state, prior, 0.8))
                 total_ref += math.exp(urn_log_joint([state.tokens.tolist()],
@@ -831,7 +868,7 @@ class TestDocStreamSweeps:
             n_topics, vocab_size, [k for zs in z_docs for k in zs], eta)
         lengths = np.array([len(doc) for doc in docs], dtype=np.int64)
         state = ModelState(tokens=tokens, doc_ix=doc_ix, doc_lengths=lengths, z=z,
-                           n_dk=n_dk, n_kw=n_wk.T, n_k=n_k, rng=np.random.default_rng(0),
+                           n_dk=n_dk, n_wk=n_wk, n_k=n_k, rng=np.random.default_rng(0),
                            doc_rngs=[np.random.default_rng([seed, d]) for d in range(len(docs))],
                            doc_starts=np.concatenate([[0], np.cumsum(lengths)]))
         prior = PriorMatrix(eta, (TopicKind.TFIDF,) * n_topics)
