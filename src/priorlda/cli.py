@@ -214,7 +214,7 @@ def _cmd_experiment(args) -> int:
         payload = {
             "variant": rec.variant.value,
             "seed": rec.seed,
-            "settings": rec.settings.to_json(),
+            "settings": rec.fit_settings(),
             "vocabulary_altered": rec.vocabulary_altered,
             "duration": rec.duration,
             "row": row,

@@ -364,6 +364,5 @@ def load_word_list(path: str | Path) -> list[str]:
 
 def default_stoplist() -> list[str]:
     """The bundled 127-word English stoplist. Replaceable data, not canon."""
-    text = resources.files("priorlda.data").joinpath("stopwords.txt").read_text(encoding="utf-8")
-    return [w for w in (line.strip() for line in text.splitlines())
-            if w and not w.startswith("#")]
+    with resources.as_file(resources.files("priorlda.data") / "stopwords.txt") as path:
+        return load_word_list(path)

@@ -12,7 +12,6 @@ import json
 import logging
 import time
 import traceback
-import warnings
 from collections.abc import Callable, Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -21,7 +20,6 @@ from itertools import product
 from pathlib import Path
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from . import _kernels
 from .corpus import (Corpus, CorpusStats, build_corpus, compute_stats,
@@ -29,8 +27,8 @@ from .corpus import (Corpus, CorpusStats, build_corpus, compute_stats,
                      load_corpus, load_raw_documents, load_word_list)
 from .metrics import METRIC_COLUMNS, MetricConfig, ModelReport, _rows_csv, report
 from .priors import PriorConfig, PriorMatrix, TopicKind, assemble
-from .sampler import (DEFAULT_HYPER_GRID, FittedModel, ModelConfig, fit,
-                      hyperparameter_search)
+from .sampler import (DEFAULT_HYPER_GRID, FittedModel, ModelConfig, SearchPoint,
+                      fit, hyperparameter_search)
 
 log = logging.getLogger(__name__)
 
@@ -246,6 +244,12 @@ class RunRecord:
     model: FittedModel
     report: ModelReport
     duration: float  # fit plus score; the shared preprocessing is not included
+    search: SearchPoint | None = None  # the grid point a hyperparameter search chose
+
+    def fit_settings(self) -> dict:
+        """``settings`` with the alpha the fit used and a search's chosen eta."""
+        eta = {} if self.search is None else {"eta": self.search.eta}
+        return {**self.settings.to_json(), "alpha": self.model.config.alpha, **eta}
 
     @property
     def vocabulary_altered(self) -> bool:
@@ -321,7 +325,8 @@ def _preprocess(key: str, corpus: Corpus, stoplist: list[str],
 
 def _build_model(variant: Variant, working: Corpus, stats: CorpusStats,
                  settings: RunSettings, seed: int,
-                 whitelist: list[str] | None, plan: ExperimentPlan) -> FittedModel:
+                 whitelist: list[str] | None,
+                 plan: ExperimentPlan) -> tuple[FittedModel, SearchPoint | None]:
     spec = VARIANTS[variant]
     if spec.needs_whitelist and not whitelist:
         raise MissingResource(f"variant {variant.value} needs a whitelist (keyword list)")
@@ -329,20 +334,22 @@ def _build_model(variant: Variant, working: Corpus, stats: CorpusStats,
                          iterations=settings.iterations, seed=seed)
     if spec.model == SEARCH:
         grid = [(a, e) for a in plan.hyper_alphas for e in plan.hyper_etas]
-        return hyperparameter_search(working, grid, config).model
-    return fit(working, spec.prior(settings, stats, whitelist or ()), config)
+        result = hyperparameter_search(working, grid, config)
+        return result.model, result.chosen
+    return fit(working, spec.prior(settings, stats, whitelist or ()), config), None
 
 
 def _run(plan: ExperimentPlan, spec: RunSpec, working: Corpus, stats: CorpusStats,
          resources: PlanResources, metric_config: MetricConfig) -> RunRecord:
     """Fit and score one run on its already preprocessed corpus."""
     t0 = time.perf_counter()
-    model = _build_model(spec.variant, working, stats, spec.settings, spec.seed,
-                         resources.whitelist, plan)
+    model, search = _build_model(spec.variant, working, stats, spec.settings,
+                                 spec.seed, resources.whitelist, plan)
     rep = report(model, stats, resources.stoplist, resources.whitelist or (),
                  metric_config)
     return RunRecord(variant=spec.variant, settings=spec.settings, seed=spec.seed,
-                     model=model, report=rep, duration=time.perf_counter() - t0)
+                     model=model, report=rep, duration=time.perf_counter() - t0,
+                     search=search)
 
 
 def run_variant(plan: ExperimentPlan, variant: Variant, settings: RunSettings,
@@ -365,8 +372,11 @@ class GridResult:
 def run_grid(plan: ExperimentPlan, jobs: int | None = None,
              corpus: Corpus | None = None,
              metric_config: MetricConfig | None = None) -> GridResult:
-    """Run every spec the plan enumerates. Individual failures are recorded
-    and excluded; output order is plan order regardless of scheduling."""
+    """Run every spec the plan enumerates on ``jobs`` threads (None means 1).
+    Individual failures are recorded and excluded; output order is plan order
+    regardless of scheduling."""
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     resources = load_resources(plan, corpus)
     metric_config = metric_config or plan.metric_config()
     specs = enumerate_runs(plan)
@@ -423,9 +433,8 @@ def comparison_table(records: list[RunRecord]) -> list[dict]:
     rows = []
     for rec in records:
         row = {"variant": rec.variant.value, "seed": rec.seed}
-        row.update((name, getattr(rec.settings, name)) for name in _SETTING_COLUMNS)
-        # the alpha the fit ran with: a hyperparameter search picks its own
-        row["alpha"] = rec.model.config.alpha
+        settings = rec.fit_settings()
+        row.update((name, settings[name]) for name in _SETTING_COLUMNS)
         row.update((name, rec.report.model_means[name]) for name in METRIC_COLUMNS)
         has_stopword_topics = (rec.report.domain_means is not None
                                and any(s.kind is TopicKind.STOPWORD
@@ -483,12 +492,18 @@ class CorrelationData:
 
 
 def _spearman(x: list[float], y: list[float]) -> float | None:
-    if len(x) < 3:
+    """Spearman's rho as ``scipy.stats.spearmanr(x, y)`` gives it, bit for bit,
+    or None where that is undefined: fewer than 3 points, a NaN or a constant
+    series. Ranks are whole or half numbers, so every sum ``np.corrcoef`` forms
+    is exact and only its square roots and divisions round."""
+    xy = np.array([x, y], dtype=np.float64)
+    if xy.shape[1] < 3 or np.isnan(xy).any() or (xy[:, :1] == xy).all(axis=1).any():
         return None
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rho = scipy_stats.spearmanr(x, y).statistic
-    return None if np.isnan(rho) else float(rho)
+    ranks = []
+    for values in xy:  # average ranks from 1: tied values share their mean position
+        _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+        ranks.append((np.cumsum(counts) - (counts - 1) / 2)[inverse])
+    return float(np.corrcoef(ranks)[1, 0])
 
 
 def correlation_data(records: list[RunRecord]) -> CorrelationData:

@@ -182,30 +182,19 @@ def assemble(config: PriorConfig, stats: CorpusStats,
     rows. Every entry is clamped at ``config.floor``.
     """
     v = stats.vocabulary.size
-    rows, kinds = [], []
-    for _ in range(config.stopword_topics):
-        rows.append(stopword_prior(v))
-        kinds.append(TopicKind.STOPWORD)
-    if config.wordfreq_topics:
-        wf = wordfreq_prior(stats)
-        for _ in range(config.wordfreq_topics):
-            rows.append(wf)
-            kinds.append(TopicKind.WORD_FREQUENCY)
-    if config.tfidf_topics:
-        ti = tfidf_prior(stats, config.c1, config.floor)
-        for _ in range(config.tfidf_topics):
-            rows.append(ti)
-            kinds.append(TopicKind.TFIDF)
-    if config.keyword_topics:
-        kw = keyword_prior(stats.vocabulary, keywords, config.c2, config.keyword_boost)
-        for _ in range(config.keyword_topics):
-            rows.append(kw)
-            kinds.append(TopicKind.KEYWORD)
-    while len(rows) < config.topics:
-        rows.append(np.full(v, config.symmetric_weight))
-        kinds.append(TopicKind.SYMMETRIC)
-    weights = np.maximum(np.stack(rows), config.floor)
-    return PriorMatrix(weights, tuple(kinds))
+    # (topics, kind, the row they all take); a row is built only for a kind with topics
+    layout = [
+        (config.stopword_topics, TopicKind.STOPWORD, lambda: stopword_prior(v)),
+        (config.wordfreq_topics, TopicKind.WORD_FREQUENCY, lambda: wordfreq_prior(stats)),
+        (config.tfidf_topics, TopicKind.TFIDF,
+         lambda: tfidf_prior(stats, config.c1, config.floor)),
+        (config.keyword_topics, TopicKind.KEYWORD,
+         lambda: keyword_prior(stats.vocabulary, keywords, config.c2, config.keyword_boost))]
+    layout.append((config.topics - sum(n for n, _, _ in layout), TopicKind.SYMMETRIC,
+                   lambda: np.full(v, float(config.symmetric_weight))))
+    blocks = [np.tile(row(), (n, 1)) for n, _, row in layout if n]
+    kinds = tuple(kind for n, kind, _ in layout for _ in range(n))
+    return PriorMatrix(np.maximum(np.concatenate(blocks), config.floor), kinds)
 
 
 def validate(prior: PriorMatrix) -> list[str]:

@@ -305,20 +305,16 @@ def fit(corpus: Corpus, prior: PriorMatrix, config: ModelConfig) -> FittedModel:
     state = init(corpus, prior, config)
     sweep_fn = sweep_snapshot if config.doc_streams else sweep
     trace = np.empty(config.iterations)
-    beta_acc = theta_acc = None
-    n_averaged = 0
+    beta_acc = theta_acc = 0.0
     for i in range(config.iterations):
         sweep_fn(state, prior, config.alpha)
         trace[i] = log_likelihood(state, prior, config.alpha)
         if config.average_estimates and i >= config.burn_in:
             beta, theta = _point_estimates(state, prior, config.alpha)
-            if beta_acc is None:
-                beta_acc, theta_acc = beta, theta
-            else:
-                beta_acc += beta
-                theta_acc += theta
-            n_averaged += 1
+            beta_acc += beta  # the first sum, 0.0 + beta, is beta bit for bit
+            theta_acc += theta
     if config.average_estimates:
+        n_averaged = config.iterations - config.burn_in
         beta, theta = beta_acc / n_averaged, theta_acc / n_averaged
     else:
         beta, theta = _point_estimates(state, prior, config.alpha)
@@ -349,6 +345,7 @@ class SearchPoint:
 class SearchResult:
     model: FittedModel
     table: list[SearchPoint]
+    chosen: SearchPoint  # the grid point ``model`` was fitted at
 
 
 def hyperparameter_search(corpus: Corpus, grid, config: ModelConfig) -> SearchResult:
@@ -358,7 +355,7 @@ def hyperparameter_search(corpus: Corpus, grid, config: ModelConfig) -> SearchRe
     points = list(grid)
     if not points:
         raise ValueError("hyperparameter grid is empty")
-    best_model = None
+    best_model = chosen = None
     best_ll = -np.inf
     table = []
     for a, e in points:
@@ -367,8 +364,8 @@ def hyperparameter_search(corpus: Corpus, grid, config: ModelConfig) -> SearchRe
         ll = float(model.loglik_trace[-1])
         table.append(SearchPoint(alpha=a, eta=e, log_likelihood=ll))
         if ll > best_ll:
-            best_model, best_ll = model, ll
-    return SearchResult(model=best_model, table=table)
+            best_model, best_ll, chosen = model, ll, table[-1]
+    return SearchResult(model=best_model, table=table, chosen=chosen)
 
 
 def heldout_perplexity(model: FittedModel, corpus: Corpus,

@@ -1,10 +1,15 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import priorlda
 from priorlda.cli import build_parser, main
 from priorlda.corpus import compute_stats, load_corpus
 from priorlda.priors import PriorConfig, assemble, save_prior
@@ -222,6 +227,31 @@ class TestExperimentAndReport:
     def test_jobs_defaults_to_one(self):
         args = build_parser().parse_args(["experiment", "--plan", "p", "--out-dir", "o"])
         assert args.jobs == 1
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_an_error(self, tmp_path, plan_path, capsys, jobs):
+        out_dir = tmp_path / "out"
+        code = main(["experiment", "--plan", str(plan_path), f"--jobs={jobs}",
+                     "--out-dir", str(out_dir)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: value-error: jobs must be at least 1, got {jobs}")
+        assert not (out_dir / "comparison.csv").exists()
+
+    def test_run_files_record_the_alpha_and_eta_the_fit_used(self, tmp_path, plan_path):
+        plan = {**json.loads(plan_path.read_text()),
+                "variants": ["no_deletion", "hyperparam_opt"], "iterations": [10],
+                "hyper_alphas": [0.1, 0.5], "hyper_etas": [0.05, 0.5]}
+        plan_path.write_text(json.dumps(plan))
+        out_dir = tmp_path / "out"
+        assert main(["experiment", "--plan", str(plan_path), "--out-dir", str(out_dir)]) == 0
+        runs = [json.loads(p.read_text()) for p in sorted((out_dir / "runs").glob("*.json"))]
+        fixed, search = sorted(runs, key=lambda r: r["variant"] == "hyperparam_opt")
+        assert fixed["settings"]["alpha"] == fixed["row"]["alpha"] == 0.2
+        assert "eta" not in fixed["settings"]
+        # the plan's alpha, 0.2, is on no point of the search grid
+        assert search["settings"]["alpha"] == search["row"]["alpha"] in (0.1, 0.5)
+        assert search["settings"]["eta"] in (0.05, 0.5)
 
     def test_experiment_outputs_and_direction(self, tmp_path, plan_path, capsys):
         out_dir = tmp_path / "out"
@@ -473,6 +503,17 @@ class TestByteContract:
         save_prior(prior, out)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "83687054462b6bcb08ba6ee60d531ed3a4310968bdb7e1dd71028d54342fd87e")
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats would cost every priorlda process, --help included, about
+    # a second and 45 MB of memory
+    code = ("import sys, priorlda, priorlda.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))")
+    path = [str(Path(priorlda.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(path)}, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 class TestDispatch:

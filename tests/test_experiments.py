@@ -1,8 +1,12 @@
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import stats as scipy_stats
 
 from priorlda import _kernels
 from priorlda.experiments import (FULL_SEARCH_GRID, PLAN_LIST_FIELDS, ExperimentPlan,
@@ -10,9 +14,10 @@ from priorlda.experiments import (FULL_SEARCH_GRID, PLAN_LIST_FIELDS, Experiment
                                   comparison_csv, comparison_table,
                                   correlation_data, corpus_hash, enumerate_runs,
                                   load_resources, run_grid, run_variant,
-                                  run_manifest)
+                                  run_manifest, _spearman)
 from priorlda.metrics import MetricConfig, ModelReport
-from priorlda.priors import TopicKind
+from priorlda.priors import TopicKind, symmetric_prior
+from priorlda.sampler import ModelConfig, fit
 from priorlda.synthetic import planted_stopword_corpus
 
 
@@ -188,6 +193,12 @@ class TestRunGrid:
         result = run_grid(plan, metric_config=FAST_METRICS)
         assert len(result.records) + len(result.failures) == len(enumerate_runs(plan))
 
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, planted_on_disk, jobs):
+        planted, plan = planted_on_disk
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            run_grid(plan, jobs=jobs, metric_config=FAST_METRICS)
+
     def test_parallel_equals_serial(self, planted_on_disk):
         planted, plan = planted_on_disk
         serial = run_grid(plan, jobs=1, metric_config=FAST_METRICS)
@@ -213,6 +224,26 @@ class TestComparisonTable:
                           RunSettings(topics=4, iterations=20, alpha=0.2), seed=1,
                           resources=load_resources(plan), metric_config=FAST_METRICS)
         assert comparison_table([rec])[0]["alpha"] == rec.model.config.alpha == 0.05
+
+    def test_records_carry_the_alpha_and_eta_the_fit_used(self, planted_on_disk):
+        planted, plan = planted_on_disk
+        plan = replace(plan, hyper_alphas=[0.05, 0.5], hyper_etas=[0.1, 1.0])
+        resources = load_resources(plan)
+        settings = RunSettings(topics=4, iterations=20, alpha=0.2)
+        rec = run_variant(plan, Variant.HYPERPARAM_OPT, settings, seed=1,
+                          resources=resources, metric_config=FAST_METRICS)
+        chosen = rec.search
+        assert rec.fit_settings() == {**settings.to_json(), "alpha": chosen.alpha,
+                                      "eta": chosen.eta}
+        # the chosen pair refits to the very model the search kept
+        refit = fit(resources.corpus,
+                    symmetric_prior(4, resources.corpus.vocabulary.size, chosen.eta),
+                    ModelConfig(topics=4, alpha=chosen.alpha, iterations=20, seed=1))
+        assert np.array_equal(refit.beta_hat, rec.model.beta_hat)
+        fixed = run_variant(plan, Variant.NO_DELETION, settings, seed=1,
+                            resources=resources, metric_config=FAST_METRICS)
+        assert fixed.search is None
+        assert fixed.fit_settings() == settings.to_json()
 
     def test_deletion_rows_flagged_non_comparable(self, planted_on_disk):
         planted, plan = planted_on_disk
@@ -291,6 +322,55 @@ class TestCorrelationData:
         row = [c for c in data.correlations
                if c["metric"] == "log_lift" and c["axis"] == "stopword_rate"][0]
         assert row["n"] == 3  # the deletion record is dropped on this axis
+
+
+def _scipy_spearman(x, y):
+    """The scipy.stats path that ``_spearman`` replaced."""
+    if len(x) < 3:
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rho = scipy_stats.spearmanr(x, y).statistic
+    return None if np.isnan(rho) else float(rho)
+
+
+_VALUES = st.floats(allow_nan=False) | st.just(float("nan"))
+
+
+@st.composite
+def _series_pairs(draw):
+    """Two series of one length, 0 to 60. Each is drawn from a pool of at
+    most 6 values (ties; a one-value pool gives a constant series) or from
+    all floats; NaN and the infinities can appear."""
+    n = draw(st.integers(0, 60))
+
+    def series():
+        if draw(st.booleans()):
+            pool = draw(st.lists(_VALUES, min_size=1, max_size=6))
+            return draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+        return draw(st.lists(_VALUES, min_size=n, max_size=n))
+
+    return series(), series()
+
+
+class TestSpearman:
+    @settings(max_examples=200, deadline=None)
+    @given(_series_pairs())
+    @example(([1.0, 2.0, 2.0, 3.0], [0.5, 0.5, 0.25, 0.25]))
+    @example(([1.0, 2.0], [2.0, 1.0]))
+    @example(([1.0, 2.0, 3.0], [4.0, 4.0, 4.0]))
+    @example(([1.0, float("nan"), 3.0], [1.0, 2.0, 3.0]))
+    @example(([-0.0, 0.0, 1.0, 2.0], [3.0, 1.0, 2.0, 2.0]))
+    def test_same_bits_as_scipy(self, pair):
+        x, y = pair
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _spearman(x, y)
+        want = _scipy_spearman(x, y)
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None and got.hex() == want.hex()
 
 
 class TestReproducibility:

@@ -160,6 +160,15 @@ class TestAssemble:
         assert (a.weights == b.weights).all()
         assert a.kinds == b.kinds
 
+    @pytest.mark.parametrize("topics", [1, 3, 20])
+    def test_all_symmetric_equals_symmetric_prior(self, alice_stats, topics):
+        prior = assemble(PriorConfig(topics=topics, stopword_topics=0), alice_stats)
+        flat = symmetric_prior(topics, alice_stats.vocabulary.size, 1.0)
+        assert prior.weights.tobytes() == flat.weights.tobytes()
+        assert prior.kinds == flat.kinds
+        # row sums are taken along memory, so their bits need the C layout too
+        assert prior.weights.flags.c_contiguous
+
     def test_floor_enforced_everywhere(self, alice_stats):
         cfg = PriorConfig(topics=4, stopword_topics=1, tfidf_topics=3, floor=1e-6)
         prior = assemble(cfg, alice_stats)

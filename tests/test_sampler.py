@@ -755,6 +755,7 @@ class TestHyperparameterSearch:
         winner = max(result.table, key=lambda p: p.log_likelihood)
         assert winner.alpha == 1.0
         assert result.model.config.alpha == 1.0
+        assert result.chosen == winner
 
     def test_deterministic(self):
         corpus = random_corpus(seed=12, n_docs=15)
