@@ -1,12 +1,12 @@
-"""Hot loops for the collapsed Gibbs sweeps.
+"""Hot loops: the collapsed Gibbs sweep and coherence's log fold.
 
-The sequential sweep runs as a small C kernel, compiled on first import into
-a cache directory and called through ctypes (which releases the GIL during
-the call). Without a C compiler the pure-numpy twin ``_sweep_py`` runs
-instead. Both consume pre-drawn uniforms and perform the same arithmetic in
-the same order, so a fixed seed yields bit-identical chains either way. The
-snapshot sweep's per-document step runs ``sweep_tokens`` too, on either
-backend.
+Both are small C functions, compiled on first import into a cache directory
+and called through ctypes (the sweep without holding the GIL). Without a
+C compiler their twins ``_sweep_py`` and ``_log_sum_py`` run instead. Each
+pair does the same arithmetic in the same order, the sweep on pre-drawn
+uniforms and the fold with libm's ``log`` (what ``math.log`` calls), so a
+fixed seed gives the same bits either way. The snapshot sweep's
+per-document step runs ``sweep_tokens`` too, on either backend.
 
 The word-topic counts and the prior weights are word-major (V x K), so the
 K weights a token's conditional reads lie next to each other in memory.
@@ -15,8 +15,11 @@ K weights a token's conditional reads lie next to each other in memory.
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import logging
+import math
+import operator
 import os
 import subprocess
 import tempfile
@@ -32,7 +35,9 @@ HAVE_NUMBA = False
 # The tie rule is searchsorted(side="right"): the first k with cum[k] > u,
 # capped at K-1. Running totals are summed in order, as np.cumsum does, and
 # -ffp-contract=off keeps the compiler from fusing a multiply and an add.
+# log_sum returns the index of its first entry <= 0, where math.log raises.
 _C_SOURCE = r"""
+#include <math.h>
 #include <stdint.h>
 
 int64_t sweep(const int32_t *tokens, const int32_t *doc_ix, int32_t *z, int64_t n,
@@ -63,51 +68,86 @@ int64_t sweep(const int32_t *tokens, const int32_t *doc_ix, int32_t *z, int64_t 
     }
     return -1;
 }
+
+int64_t log_sum(const double *x, int64_t n, double *total)
+{
+    for (int64_t i = 0; i < n; i++) {
+        if (x[i] <= 0)
+            return i;
+        *total += log(x[i]);
+    }
+    return -1;
+}
 """
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 
 def _build() -> Path:
-    """Compile the C source into the cache, unless it is there already.
+    """Compile the C source into the cache, unless it is there already; libm
+    is linked after the source.
 
-    The library is named by a hash of the source and the flags, and written
+    The library is named by a hash of the source and the command, and written
     under a temporary name first, so processes building at once do not
     break each other.
     """
-    key = hashlib.sha256(" ".join((_C_SOURCE,) + _CFLAGS).encode()).hexdigest()[:16]
+    command = ["cc", *_CFLAGS, "-o", "kernels.so", "kernels.c", "-lm"]
+    key = hashlib.sha256(" ".join([_C_SOURCE, *command]).encode()).hexdigest()[:16]
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "priorlda"
-    lib = cache / f"sweep-{key}.so"
+    lib = cache / f"kernels-{key}.so"
     if lib.exists():
         return lib
     cache.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(dir=cache) as tmp:
-        src, out = Path(tmp) / "sweep.c", Path(tmp) / "sweep.so"
-        src.write_text(_C_SOURCE, encoding="utf-8")
-        subprocess.run(["cc", *_CFLAGS, "-o", str(out), str(src)],
-                       check=True, capture_output=True, text=True)
-        os.replace(out, lib)
+        (Path(tmp) / "kernels.c").write_text(_C_SOURCE, encoding="utf-8")
+        subprocess.run(command, cwd=tmp, check=True, capture_output=True, text=True)
+        os.replace(Path(tmp) / "kernels.so", lib)
     return lib
 
 
 def _load():
-    """The compiled sweep function, or None after one warning."""
+    """The compiled sweep and log fold, or two Nones after one warning."""
     try:
-        fn = ctypes.CDLL(str(_build())).sweep
-    except subprocess.CalledProcessError as exc:
-        log.warning("C sweep kernel failed to build, using the numpy twin: %s",
-                    exc.stderr.strip())
-        return None
-    except OSError as exc:
-        log.warning("C sweep kernel unavailable, using the numpy twin: %s", exc)
-        return None
+        path = str(_build())
+        # the sweep releases the GIL; the fold keeps it, as a handover to
+        # another thread would cost more than its few microseconds
+        sweep, fold = ctypes.CDLL(path).sweep, ctypes.PyDLL(path).log_sum
+    except (subprocess.CalledProcessError, OSError) as exc:  # no compiler, or it failed
+        log.warning("C kernels unavailable, using the Python twins: %s",
+                    getattr(exc, "stderr", None) or exc)
+        return None, None
     ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-    fn.argtypes = [ptr, ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr, f64, ptr, ptr, i64, i64, i64]
-    fn.restype = i64
-    return fn
+    sweep.argtypes = [ptr] * 3 + [i64] + [ptr] * 5 + [f64, ptr, ptr, i64, i64, i64]
+    fold.argtypes = [ptr, i64, ptr]
+    sweep.restype = fold.restype = i64
+    return sweep, fold
 
 
-_sweep_c = _load()
+_sweep_c, _log_sum_c = _load()
 BACKEND = "numpy" if _sweep_c is None else "c"
+
+
+def _check_array(name, arr, dtype, ndim):
+    if not (isinstance(arr, np.ndarray) and arr.dtype == dtype and arr.ndim == ndim
+            and arr.flags.c_contiguous):
+        raise ValueError(f"{name} must be a {ndim}-D C-contiguous {np.dtype(dtype)} array")
+
+
+def log_sum(x: np.ndarray) -> float:
+    """0.0 + log(x[0]) + log(x[1]) + ... for a 1-D C-contiguous float64 x, added left
+    to right with ``math.log``'s bits: NaN and +inf pass through, entries <= 0 raise."""
+    _check_array("x", x, np.float64, 1)
+    if _log_sum_c is None:
+        return _log_sum_py(x)
+    total = ctypes.c_double(0.0)
+    bad = _log_sum_c(x.ctypes.data, len(x), ctypes.byref(total))
+    if bad >= 0:
+        raise ValueError(f"x[{bad}] = {float(x[bad])!r} is outside the domain of log")
+    return total.value
+
+
+def _log_sum_py(x):
+    # a strict left fold: sum() compensates from Python 3.12, np.sum is pairwise
+    return functools.reduce(operator.add, map(math.log, x.tolist()), 0.0)
 
 
 def _check_sweep_args(tokens, doc_ix, z, n_dk, n_wk, n_k, eta_wk, eta_sums, uniforms):
@@ -116,13 +156,8 @@ def _check_sweep_args(tokens, doc_ix, z, n_dk, n_wk, n_k, eta_wk, eta_sums, unif
     arrays = {"tokens": tokens, "doc_ix": doc_ix, "z": z, "n_dk": n_dk, "n_wk": n_wk,
               "n_k": n_k, "eta_wk": eta_wk, "eta_sums": eta_sums, "uniforms": uniforms}
     for name, arr in arrays.items():
-        want = np.float64 if name in ("eta_wk", "eta_sums", "uniforms") else np.int32
-        if not isinstance(arr, np.ndarray) or arr.dtype != want:
-            raise ValueError(f"{name} must be a {np.dtype(want)} array")
-        if arr.ndim != (2 if name in ("n_dk", "n_wk", "eta_wk") else 1):
-            raise ValueError(f"{name} has {arr.ndim} dimensions")
-        if not arr.flags.c_contiguous:
-            raise ValueError(f"{name} must be C-contiguous")
+        _check_array(name, arr, np.float64 if name in ("eta_wk", "eta_sums", "uniforms")
+                     else np.int32, 2 if name in ("n_dk", "n_wk", "eta_wk") else 1)
     if not n_dk.shape[1] == n_wk.shape[1] == len(n_k) == len(eta_sums):
         raise ValueError("n_dk, n_wk, n_k and eta_sums disagree about the topic count")
     if eta_wk.shape != n_wk.shape:

@@ -18,10 +18,9 @@ from .corpus import (build_corpus, compute_stats, default_stoplist,
                      delete_low_tfidf, delete_stopwords, load_corpus,
                      load_raw_documents, load_word_list, save_corpus, write_json)
 from .experiments import (PLAN_LIST_FIELDS, VARIANTS, ExperimentPlan, RunSettings,
-                          Variant, _csv_cell, comparison_csv, comparison_table,
-                          correlation_data, load_resources, run_grid, run_manifest,
-                          run_stem)
-from .metrics import MetricConfig, _rows_csv, report as score_report
+                          Variant, comparison_table, correlation_data, load_resources,
+                          run_grid, run_manifest, run_stem, table_csv)
+from .metrics import MetricConfig, report as score_report
 from .priors import validate
 from .sampler import ModelConfig, fit as fit_model, load_model, save_model
 
@@ -206,9 +205,9 @@ def _cmd_experiment(args) -> int:
     plan = _plan_with_overrides(args)
     out_dir = Path(args.out_dir)
     runs_dir = out_dir / "runs"
-    runs_dir.mkdir(parents=True, exist_ok=True)
     resources = load_resources(plan)
     result = run_grid(plan, jobs=args.jobs, corpus=resources.corpus)
+    runs_dir.mkdir(parents=True, exist_ok=True)
     rows = comparison_table(result.records)
     for i, (rec, row) in enumerate(zip(result.records, rows)):
         payload = {
@@ -221,7 +220,7 @@ def _cmd_experiment(args) -> int:
             "report": rec.report.to_json(),
         }
         write_json(runs_dir / f"{run_stem(i, rec)}.report.json", payload, {})
-    (out_dir / "comparison.csv").write_text(comparison_csv(result.records), encoding="utf-8")
+    (out_dir / "comparison.csv").write_text(table_csv(rows), encoding="utf-8")
     scatter = correlation_data(result.records)
     (out_dir / "scatter.csv").write_text(scatter.points_csv(), encoding="utf-8")
     (out_dir / "correlations.csv").write_text(scatter.correlations_csv(), encoding="utf-8")
@@ -244,10 +243,7 @@ def _cmd_report(args) -> int:
         Path(args.out).write_text(json.dumps(rows, separators=(",", ":")) + "\n",
                                   encoding="utf-8")
     else:
-        header = list(rows[0].keys())
-        Path(args.out).write_text(
-            _rows_csv(header, ([_csv_cell(row[h]) for h in header] for row in rows)),
-            encoding="utf-8")
+        Path(args.out).write_text(table_csv(rows, list(rows[0])), encoding="utf-8")
     print(f"aggregated {len(rows)} runs -> {args.out}")
     return 0
 

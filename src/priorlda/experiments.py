@@ -12,7 +12,7 @@ import json
 import logging
 import time
 import traceback
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from enum import Enum
@@ -456,11 +456,16 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def comparison_csv(records: list[RunRecord]) -> str:
-    rows = comparison_table(records)
-    header = (["variant", "seed"] + list(_SETTING_COLUMNS) + list(METRIC_COLUMNS)
-              + [f"domain_{c}" for c in _DOMAIN_COLUMNS] + ["vocabulary_altered"])
+COMPARISON_COLUMNS = ("variant", "seed", *_SETTING_COLUMNS, *METRIC_COLUMNS,
+                      *(f"domain_{c}" for c in _DOMAIN_COLUMNS), "vocabulary_altered")
+
+
+def table_csv(rows: list[dict], header: Sequence[str] = COMPARISON_COLUMNS) -> str:
     return _rows_csv(header, ([_csv_cell(row[h]) for h in header] for row in rows))
+
+
+def comparison_csv(records: list[RunRecord]) -> str:
+    return table_csv(comparison_table(records))
 
 
 # --- scatter + correlations -------------------------------------------------
@@ -571,6 +576,8 @@ def run_manifest(plan: ExperimentPlan, result: GridResult, corpus: Corpus) -> di
         "failures": [f.to_json() for f in result.failures],
         "durations": {run_stem(i, r): r.duration
                       for i, r in enumerate(result.records)},
+        "settings": {run_stem(i, r): r.fit_settings()
+                     for i, r in enumerate(result.records)},
         "versions": {"priorlda": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__, "kernel_backend": _kernels.BACKEND},
     }

@@ -8,9 +8,10 @@ The counts come from one sparse product (``corpus.co_doc_counts``), which
 ``report`` makes once over every topic's top words; it passes each topic's
 block to one ``coherence`` call per window and one ``pmi_score`` call, which
 compute their pairs' log arguments with numpy over the pairs i<j. Coherence
-takes libm's ``math.log`` of each in that order (``np.log`` may differ in the
-last bit); PMI takes one, of the lower-median argument, since a monotone log
-keeps the arguments' order.
+adds libm's log of each in that order (``_kernels.log_sum``, ``math.log``'s
+bits; ``np.log`` may differ in the last bit); PMI takes one ``math.log``, of
+the lower-median argument, since a monotone log keeps the arguments' order.
+The other scores are array passes over all topics' windows at once.
 """
 
 from __future__ import annotations
@@ -20,13 +21,13 @@ import functools
 import io
 import json
 import math
-import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import _kernels
 from .corpus import Corpus, CorpusStats, co_doc_counts, compute_stats, write_json
 from .priors import TopicKind
 from .sampler import FittedModel, top_words
@@ -96,9 +97,7 @@ def coherence(top: Sequence[str], stats: CorpusStats, *,
     if len(ids) < 2:
         raise ValueError("coherence needs at least 2 words")
     joint, rows, _ = _pair_counts(ids, stats, counts)
-    args = (joint + 1) / stats.doc_freq[ids][rows]
-    # a strict left fold: sum() compensates from Python 3.12, np.sum is pairwise
-    return functools.reduce(operator.add, map(math.log, args.tolist()), 0.0)
+    return _kernels.log_sum((joint + 1) / stats.doc_freq[ids][rows])
 
 
 def pmi_score(top: Sequence[str], stats: CorpusStats,
@@ -131,10 +130,7 @@ def pmi_score(top: Sequence[str], stats: CorpusStats,
 
 def lift_of_words(words: Sequence[str], beta_row: np.ndarray, stats: CorpusStats) -> float:
     """Mean ln(beta_w / b_w) over the given words."""
-    return _lift(_word_ids(words, stats), beta_row, stats)
-
-
-def _lift(ids: Sequence[int] | np.ndarray, beta_row: np.ndarray, stats: CorpusStats) -> float:
+    ids = _word_ids(words, stats)
     return float(np.mean(np.log(beta_row[ids] / stats.word_freq[ids])))
 
 
@@ -157,20 +153,12 @@ def expert_word_rate(top: Sequence[str], whitelist: Iterable[str]) -> float:
     return sum(1 for w in top if w in white) / len(top)
 
 
-def _touches_whitelist(ids: Sequence[int], white_ids: Sequence[int],
-                       stats: CorpusStats) -> dict[int, bool]:
-    """For each word id, whether it shares a document with a whitelist word."""
+def _touches_whitelist(ids: list[int], white_ids: list[int], stats: CorpusStats) -> np.ndarray:
+    """Whether each word id shares a document with a whitelist word, as bools."""
     white_docs = np.zeros(stats.n_docs, dtype=bool)
     for w in white_ids:
         white_docs[stats.doc_index[w]] = True
-    return {w: bool(white_docs[stats.doc_index[w]].any()) for w in ids}
-
-
-def _codoc_core(top_ids: Sequence[int], touches: dict[int, bool]) -> float:
-    """Share of ``top_ids`` flagged in ``touches`` (from ``_touches_whitelist``)."""
-    if not top_ids:
-        return 0.0
-    return sum(1 for w in top_ids if touches[w]) / len(top_ids)
+    return np.array([white_docs[stats.doc_index[w]].any() for w in ids], dtype=bool)
 
 
 def codocument_appearance(top: Sequence[str], whitelist: Iterable[str],
@@ -178,13 +166,10 @@ def codocument_appearance(top: Sequence[str], whitelist: Iterable[str],
     """Share of top words that share at least one document with some
     whitelist word. One of several defensible aggregations; this per-top-word
     any-document-overlap form is the one the report uses."""
-    vocab = corpus.vocabulary
-    top_ids = [vocab.word_to_id[w] for w in top if w in vocab]
-    if len(top_ids) != len(top):
-        missing = [w for w in top if w not in vocab][0]
-        raise ValueError(f"word {missing!r} is not in the corpus vocabulary")
-    touches = _touches_whitelist(top_ids, vocab.ids(set(whitelist)), compute_stats(corpus))
-    return _codoc_core(top_ids, touches)
+    stats = compute_stats(corpus)
+    touches = _touches_whitelist(_word_ids(top, stats), stats.vocabulary.ids(set(whitelist)),
+                                 stats)
+    return float(touches.mean()) if touches.size else 0.0
 
 
 def _rows_csv(header: Sequence, rows: Iterable[Sequence]) -> str:
@@ -270,10 +255,9 @@ def report(model: FittedModel, stats: CorpusStats, stoplist: Iterable[str],
 
     Top words follow ``top_words``: one stable argsort of every topic row;
     each of them is looked up once. Every co-document count comes from one
-    product over the union of the topics' coherence and PMI windows.
+    product over the union of the topics' coherence and PMI windows, and
+    each score but coherence and PMI is one array pass over all topics.
     """
-    stoplist = set(stoplist)
-    whitelist = set(whitelist)
     if model.vocabulary is None:
         raise ValueError("model has no vocabulary attached")
     words = model.vocabulary.id_to_word
@@ -286,23 +270,24 @@ def report(model: FittedModel, stats: CorpusStats, stoplist: Iterable[str],
                         dtype=np.int64)[inverse.reshape(head.shape)]
     pair_words = [[words[i] for i in row] for row in head[:, :n_pair].tolist()]
     blocks = _count_blocks(head_ids[:, :n_pair], stats)
-    rate_ids = head_ids[:, :config.m_large].tolist()
-    touches = _touches_whitelist({w for ids in rate_ids for w in ids},
-                                 stats.vocabulary.ids(whitelist), stats)
+    lift_ids, rate_ids = head_ids[:, :config.n_lift], head_ids[:, :config.m_large]
+    lift = np.log(np.take_along_axis(model.beta_hat, lift_ids, axis=1)
+                  / stats.word_freq[lift_ids]).mean(axis=1).tolist()
+    white_ids = stats.vocabulary.ids(set(whitelist))
+    union, inverse = np.unique(rate_ids, return_inverse=True)
+    hits = (np.isin(rate_ids, stats.vocabulary.ids(set(stoplist))), np.isin(rate_ids, white_ids),
+            _touches_whitelist(union.tolist(), white_ids, stats)[inverse.reshape(rate_ids.shape)])
+    stop_rate, expert_rate, codoc = ((h.sum(axis=1) / rate_ids.shape[1]).tolist() for h in hits)
     scores = []
     for t, top in enumerate(pair_words):
         small, rate_window = top[:config.m_small], top[:config.m_large]
-        n_small, n_large = len(small), len(rate_window)
-        large_counts = blocks[t][:n_large, :n_large]
+        large_counts = blocks[t][:len(rate_window), :len(rate_window)]
         scores.append(TopicScore(
-            coherence_10=coherence(small, stats, counts=blocks[t][:n_small, :n_small]),
+            coherence_10=coherence(small, stats, counts=blocks[t][:len(small), :len(small)]),
             coherence_30=coherence(rate_window, stats, counts=large_counts),
             pmi=pmi_score(rate_window, stats, config, counts=large_counts),
-            log_lift=_lift(head_ids[t, :config.n_lift], model.beta_hat[t], stats),
-            stopword_rate=stopword_rate(rate_window, stoplist),
-            expert_rate=expert_word_rate(rate_window, whitelist),
-            codoc=_codoc_core(rate_ids[t], touches),
-            kind=model.kinds[t],
+            log_lift=lift[t], stopword_rate=stop_rate[t], expert_rate=expert_rate[t],
+            codoc=codoc[t], kind=model.kinds[t],
         ))
     domain = [s for s in scores if s.kind is not TopicKind.STOPWORD]
     return ModelReport(per_topic=scores, model_means=_means(scores),

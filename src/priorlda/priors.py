@@ -122,6 +122,8 @@ class PriorMatrix:
     def __post_init__(self):
         if self.weights.ndim != 2:
             raise ValueError("weights must be a K x V matrix")
+        # row_sums, and so the chain, depend on the layout in the last bit
+        object.__setattr__(self, "weights", np.ascontiguousarray(self.weights))
         if len(self.kinds) != self.weights.shape[0]:
             raise ValueError("one kind label required per topic row")
         if not ((self.weights > 0) & (self.weights < np.inf)).all():

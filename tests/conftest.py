@@ -1,4 +1,8 @@
+from unittest import mock
+
 import pytest
+
+from priorlda import _kernels
 
 # The eight-line wonderland passage used as a tiny real-text fixture.
 ALICE_TEXTS = [
@@ -32,3 +36,21 @@ def alice_stats(alice_corpus):
     from priorlda.corpus import compute_stats
 
     return compute_stats(alice_corpus)
+
+
+def python_twins():
+    """Switch both C entry points off, so the sweep and the log fold run on
+    their Python twins, as they do where no compiler is present."""
+    return mock.patch.multiple(_kernels, _sweep_c=None, _log_sum_c=None)
+
+
+@pytest.fixture(params=["c", "numpy"])
+def backend(request):
+    """Run the test against each kernel backend."""
+    if request.param == "numpy":
+        with python_twins():
+            yield request.param
+        return
+    if _kernels.BACKEND != "c":
+        pytest.skip("C kernel not built: no compiler")
+    yield request.param

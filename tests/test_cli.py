@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import nullcontext
 from importlib import resources
 from pathlib import Path
 
@@ -13,6 +14,8 @@ import priorlda
 from priorlda.cli import build_parser, main
 from priorlda.corpus import compute_stats, load_corpus
 from priorlda.priors import PriorConfig, assemble, save_prior
+
+from .conftest import python_twins
 
 
 @pytest.fixture
@@ -236,7 +239,7 @@ class TestExperimentAndReport:
         assert code == 1
         assert capsys.readouterr().err.startswith(
             f"error: value-error: jobs must be at least 1, got {jobs}")
-        assert not (out_dir / "comparison.csv").exists()
+        assert not out_dir.exists()
 
     def test_run_files_record_the_alpha_and_eta_the_fit_used(self, tmp_path, plan_path):
         plan = {**json.loads(plan_path.read_text()),
@@ -252,6 +255,20 @@ class TestExperimentAndReport:
         # the plan's alpha, 0.2, is on no point of the search grid
         assert search["settings"]["alpha"] == search["row"]["alpha"] in (0.1, 0.5)
         assert search["settings"]["eta"] in (0.05, 0.5)
+
+    def test_manifest_lists_the_settings_each_run_file_records(self, tmp_path, plan_path):
+        plan = {**json.loads(plan_path.read_text()),
+                "variants": ["no_deletion", "hyperparam_opt"], "iterations": [10],
+                "hyper_alphas": [0.1, 0.5], "hyper_etas": [0.05, 0.5]}
+        plan_path.write_text(json.dumps(plan))
+        out_dir = tmp_path / "out"
+        assert main(["experiment", "--plan", str(plan_path), "--out-dir", str(out_dir)]) == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        runs = {p.name.removesuffix(".report.json"): json.loads(p.read_text())["settings"]
+                for p in (out_dir / "runs").glob("*.report.json")}
+        assert manifest["settings"] == runs
+        (search,) = [s for stem, s in runs.items() if "hyperparam_opt" in stem]
+        assert search["eta"] in (0.05, 0.5) and search["alpha"] in (0.1, 0.5)
 
     def test_experiment_outputs_and_direction(self, tmp_path, plan_path, capsys):
         out_dir = tmp_path / "out"
@@ -376,6 +393,15 @@ ALL_VARIANTS_DIGESTS = {
 class TestByteContract:
     @pytest.mark.parametrize("top,jobs", [(30, 1), (60, 2)])
     def test_demo_plan_digests(self, tmp_path, demo_corpus_path, demo_lists, top, jobs):
+        # the same bytes from the C kernels and from their Python twins
+        for twins in (nullcontext, python_twins):
+            with twins():
+                self._check_demo_plan_digests(tmp_path / twins.__name__, demo_corpus_path,
+                                              demo_lists, top, jobs)
+
+    @staticmethod
+    def _check_demo_plan_digests(tmp_path, demo_corpus_path, demo_lists, top, jobs):
+        tmp_path.mkdir()
         stop_path, white_path = demo_lists
         plan = {
             "corpus": str(demo_corpus_path),

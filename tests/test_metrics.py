@@ -1,4 +1,5 @@
 import math
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -8,14 +9,14 @@ from hypothesis import strategies as st
 from priorlda import metrics
 from priorlda.corpus import (AllDocumentsEmpty, build_corpus, co_doc_counts,
                              co_doc_freq, compute_stats, delete_stopwords)
-from priorlda.metrics import (MetricConfig, _codoc_core, _count_blocks,
-                              _touches_whitelist, codocument_appearance,
+from priorlda.metrics import (MetricConfig, _count_blocks, codocument_appearance,
                               coherence, expert_word_rate, lift_of_words,
                               log_lift, pmi_score, report, stopword_rate)
 from priorlda.priors import TopicKind, symmetric_prior
 from priorlda.sampler import ModelConfig, fit, top_words
 from priorlda.synthetic import pathology_corpus, planted_stopword_corpus
 
+from .conftest import python_twins
 from .oracles import (naive_codoc, naive_coherence, naive_log_lift, naive_pmi)
 
 
@@ -292,9 +293,34 @@ def _same(a, b):
     return a == b or (math.isnan(a) and math.isnan(b))
 
 
+def zipf_corpus(seed, n_docs=300, doc_len=60, max_rank=2000):
+    """Documents of words drawn by a Zipf law with exponent 1 over ranks
+    1..max_rank, word ``w<rank>``."""
+    rng = np.random.default_rng(seed)
+    p = 1.0 / np.arange(1, max_rank + 1)
+    ranks = rng.choice(max_rank, size=(n_docs, doc_len), p=p / p.sum()) + 1
+    return build_corpus([" ".join(f"w{r}" for r in doc) for doc in ranks.tolist()])
+
+
 class TestBatchedReport:
-    """report's one-product counts give exactly what the per-topic functions
-    give when each makes its own counts."""
+    """report's one-product counts and all-topic array passes give exactly
+    what the public per-topic functions give when each makes its own counts."""
+
+    @staticmethod
+    def _assert_equal_to_per_topic_calls(corpus, model, stoplist, whitelist, cfg):
+        stats = compute_stats(corpus)
+        rep = report(model, stats, stoplist, whitelist, cfg)
+        for t, score in enumerate(rep.per_topic):
+            small = top_words(model, t, cfg.m_small)
+            large = top_words(model, t, cfg.m_large)
+            assert score.coherence_10 == coherence(small, stats)
+            assert score.coherence_30 == coherence(large, stats)
+            assert _same(score.pmi, pmi_score(large, stats, cfg))
+            assert score.log_lift == log_lift(model, t, stats, cfg.n_lift)
+            assert score.stopword_rate == stopword_rate(large, stoplist)
+            assert score.expert_rate == expert_word_rate(large, whitelist)
+            assert score.codoc == codocument_appearance(large, whitelist, corpus)
+            assert all(type(v) is float for v in score.metric_values().values())
 
     @pytest.mark.parametrize("cfg", [
         MetricConfig(m_small=5, m_large=10, n_lift=10),
@@ -306,24 +332,26 @@ class TestBatchedReport:
         planted = planted_stopword_corpus(seed=1)
         corpus = (delete_stopwords(planted.corpus, planted.stopwords) if delete
                   else planted.corpus)
-        stats = compute_stats(corpus)
         model = fit(corpus, symmetric_prior(4, corpus.vocabulary.size, 1.0),
                     ModelConfig(topics=4, iterations=20, seed=2))
-        stoplist = set(planted.stopwords)
         whitelist = set(planted.clusters[0]) | {"not-a-word"}
-        rep = report(model, stats, stoplist, whitelist, cfg)
-        white_ids = stats.vocabulary.ids(whitelist)
-        for t, score in enumerate(rep.per_topic):
-            small = top_words(model, t, cfg.m_small)
-            large = top_words(model, t, cfg.m_large)
-            ids = [stats.vocabulary.word_to_id[w] for w in large]
-            assert score.coherence_10 == coherence(small, stats)
-            assert score.coherence_30 == coherence(large, stats)
-            assert _same(score.pmi, pmi_score(large, stats, cfg))
-            assert score.log_lift == log_lift(model, t, stats, cfg.n_lift)
-            assert score.stopword_rate == stopword_rate(large, stoplist)
-            assert score.expert_rate == expert_word_rate(large, whitelist)
-            assert score.codoc == _codoc_core(ids, _touches_whitelist(ids, white_ids, stats))
+        self._assert_equal_to_per_topic_calls(corpus, model, set(planted.stopwords),
+                                              whitelist, cfg)
+
+    @pytest.mark.parametrize("cfg", [MetricConfig(), MetricConfig(m_small=45, m_large=60,
+                                                                  n_lift=60)],
+                             ids=["30-30", "45-60"])
+    def test_zipf_scale(self, cfg):
+        # K=50 over a Zipf vocabulary of ~1.7k words, so windows overlap across
+        # topics. A whitelist from the body spreads the expert rate; one of
+        # rare words, which few documents hold, spreads the co-document share.
+        corpus = zipf_corpus(seed=3)
+        model = fit(corpus, symmetric_prior(50, corpus.vocabulary.size, 0.1),
+                    ModelConfig(topics=50, alpha=0.2, iterations=3, seed=3))
+        stoplist = {f"w{r}" for r in range(1, 31)}
+        for ranks in (range(100, 200), range(1990, 2001)):
+            whitelist = {f"w{r}" for r in ranks} | {"not-a-word"}
+            self._assert_equal_to_per_topic_calls(corpus, model, stoplist, whitelist, cfg)
 
 
 @st.composite
@@ -348,7 +376,8 @@ def scored_windows(draw):
 class TestExactScores:
     """coherence and pmi_score give bit for bit what the per-pair oracles
     give: ln of each pair's quotient in i<j order, summed left to right or
-    taken at the lower median, with and without a ``counts`` block."""
+    taken at the lower median, with and without a ``counts`` block, on the
+    C log fold and on its Python twin."""
 
     @settings(max_examples=200, deadline=None)
     @given(scored_windows())
@@ -360,8 +389,10 @@ class TestExactScores:
         # the window's block cut from a larger one, as report cuts it
         block = co_doc_counts(stats, stats.vocabulary.ids(order))[:m, :m]
         want = naive_coherence(window, token_docs)
-        assert coherence(window, stats) == want
-        assert coherence(window, stats, counts=block) == want
+        for twins in (nullcontext, python_twins):
+            with twins():
+                assert coherence(window, stats) == want
+                assert coherence(window, stats, counts=block) == want
         for smoothing in (True, False):
             cfg = MetricConfig(pmi_smoothing=smoothing)
             want = naive_pmi(window, token_docs, smoothing=smoothing)

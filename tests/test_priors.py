@@ -10,6 +10,9 @@ from priorlda.priors import (ConfigMismatch, PriorConfig, PriorMatrix, TopicKind
                              stopword_prior, symmetric_prior, tfidf_prior,
                              validate, wordfreq_prior)
 
+from priorlda.sampler import ModelConfig, fit, save_model
+from priorlda.synthetic import random_corpus
+
 from .conftest import ALICE_KEYWORDS
 from .oracles import reference_prior_data, reference_prior_rows
 
@@ -230,6 +233,22 @@ class TestPriorMatrix:
     def test_kind_count_must_match(self):
         with pytest.raises(ValueError):
             PriorMatrix(np.ones((2, 3)), (TopicKind.SYMMETRIC,))
+
+    def test_fortran_ordered_weights_fit_the_same_chain(self, tmp_path):
+        # a row sum over an F-ordered matrix adds in another order than over
+        # a C-ordered one; the prior must not carry that into the fit
+        corpus = random_corpus(seed=2, n_docs=40, vocab_size=300)
+        weights = np.random.default_rng(5).uniform(0.01, 2.0, (6, corpus.vocabulary.size))
+        fortran = np.asfortranarray(weights)
+        assert (fortran.sum(axis=1) != weights.sum(axis=1)).any()
+        saved = []
+        for w in (weights, fortran):
+            prior = PriorMatrix(w, (TopicKind.TFIDF,) * 6)
+            assert prior.weights.flags.c_contiguous
+            path = tmp_path / f"model{len(saved)}.json"
+            save_model(fit(corpus, prior, ModelConfig(topics=6, iterations=5, seed=1)), path)
+            saved.append(path.read_bytes())
+        assert saved[0] == saved[1]
 
     def test_round_trip(self, alice_stats, tmp_path):
         cfg = PriorConfig(topics=3, stopword_topics=1, tfidf_topics=2)

@@ -1,3 +1,4 @@
+import ctypes
 import hashlib
 import importlib
 import json
@@ -191,16 +192,6 @@ def kernel_cases(draw):
     return args, alpha, [np.array(u) for u in uniforms]
 
 
-@pytest.fixture(params=["c", "numpy"])
-def backend(request, monkeypatch):
-    """Run the test against each kernel backend."""
-    if request.param == "numpy":
-        monkeypatch.setattr(_kernels, "_sweep_c", None)
-    elif _kernels.BACKEND != "c":
-        pytest.skip("C kernel not built: no compiler")
-    return request.param
-
-
 @pytest.fixture
 def no_compiler(monkeypatch, tmp_path):
     """An empty kernel cache and no compiler on PATH; the module is
@@ -282,6 +273,19 @@ class TestKernelsAgree:
         _kernels._sweep_py(*py_args, 0.3, np.array([0.5]))
         assert c_args[2][0] == py_args[2][0] == 1
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.just(1.0), st.integers(-8, 8).map(lambda j: 1.0 + j * 2.0 ** -52),
+                              st.floats(5e-324, 2.2250738585072014e-308),  # subnormals
+                              st.floats(5e-324, 1.7976931348623157e308),
+                              st.floats(1e300, 1.7976931348623157e308),
+                              st.sampled_from([math.nan, math.inf])), min_size=1, max_size=10)
+           .flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=500)))
+    @example(values=[])
+    def test_log_sum_same_bits_as_the_python_fold(self, values):
+        # ties come from drawing a long list out of a small pool
+        x = np.array(values, dtype=np.float64)
+        assert _kernels.log_sum(x).hex() == _kernels._log_sum_py(x).hex()
+
     def test_fallback_without_compiler_gives_same_bytes(self, no_compiler, caplog):
         corpus = random_corpus(seed=3, n_docs=20, vocab_size=15)
         prior = symmetric_prior(3, corpus.vocabulary.size, 0.5)
@@ -300,17 +304,41 @@ def test_c_kernel_loads_where_a_compiler_is_present():
     if shutil.which("cc") is None:
         pytest.skip("no C compiler on PATH")
     assert _kernels.BACKEND == "c"
+    assert _kernels._sweep_c is not None and _kernels._log_sum_c is not None
 
 
-def test_c_kernel_source_compiles_without_warnings(tmp_path):
+def test_c_kernel_source_compiles_without_warnings(tmp_path, monkeypatch):
+    # the same compile and link command that _build runs, libm included
     if shutil.which("cc") is None:
         pytest.skip("no C compiler on PATH")
-    src = tmp_path / "sweep.c"
-    src.write_text(_kernels._C_SOURCE, encoding="utf-8")
-    done = subprocess.run(["cc", *_kernels._CFLAGS, "-Wall", "-Wextra", "-Werror",
-                           "-o", str(tmp_path / "sweep.so"), str(src)],
-                          capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(_kernels, "_CFLAGS", _kernels._CFLAGS + ("-Wall", "-Wextra", "-Werror"))
+    try:
+        lib = _kernels._build()
+    except subprocess.CalledProcessError as exc:
+        pytest.fail(exc.stderr)
+    assert lib.parent == tmp_path / "priorlda"
+    loaded = ctypes.CDLL(str(lib))
+    assert loaded.sweep and loaded.log_sum
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0, -1e-300, -math.inf])
+@pytest.mark.parametrize("position", [0, 3])
+def test_log_sum_outside_the_domain_raises(backend, value, position):
+    # math.log raises on entries <= 0, so the fold raises on both backends,
+    # even after a NaN
+    x = np.array([2.0, math.nan, 0.5, 7.0])
+    x[position] = value
+    with pytest.raises(ValueError):
+        _kernels.log_sum(x)
+
+
+@pytest.mark.parametrize("x", [np.array([1.0, 2.0], dtype=np.float32), [1.0, 2.0],
+                               np.ones((2, 2)), np.ones(6)[::2]],
+                         ids=["float32", "list", "2-d", "strided"])
+def test_log_sum_rejects_malformed_input(backend, x):
+    with pytest.raises(ValueError, match="^x "):
+        _kernels.log_sum(x)
 
 
 class TestKernelInputValidation:
