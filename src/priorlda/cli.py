@@ -176,7 +176,7 @@ def _cmd_score(args) -> int:
     model = load_model(args.model, vocabulary=corpus.vocabulary)
     stoplist = load_word_list(args.stoplist) if args.stoplist else default_stoplist()
     whitelist = load_word_list(args.whitelist) if args.whitelist else []
-    config = MetricConfig(m_small=min(10, args.top), m_large=args.top, n_lift=args.top)
+    config = MetricConfig(m_small=min(10, args.top), m_large=args.top)
     rep = score_report(model, stats, stoplist, whitelist, config)
     rep.save(args.out)
     print(f"scored {model.n_topics} topics on top-{args.top} words -> {args.out}")

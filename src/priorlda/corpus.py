@@ -143,16 +143,11 @@ def _id_array(doc) -> np.ndarray:
     return arr
 
 
-def build_corpus(raw_docs: Sequence[str], remove_set: Iterable[str] = (),
-                 lowercase: bool = True, doc_ids: Sequence[str] | None = None) -> Corpus:
+def build_corpus(raw_docs: Sequence[str], lowercase: bool = True,
+                 doc_ids: Sequence[str] | None = None) -> Corpus:
     """Tokenize raw documents and index them into a dense-vocabulary corpus.
-
-    Words in ``remove_set`` never enter the vocabulary. Raises
-    AllDocumentsEmpty when nothing survives tokenization and removal.
-    """
-    remove = set(remove_set)
-    token_docs = [[w for w in tokenize(doc, lowercase) if w not in remove] for doc in raw_docs]
-    return _index_token_docs(token_docs, doc_ids)
+    Raises AllDocumentsEmpty when no document has a token."""
+    return _index_token_docs([tokenize(doc, lowercase) for doc in raw_docs], doc_ids)
 
 
 def _index_token_docs(token_docs: list[list[str]], doc_ids: Sequence[str] | None) -> Corpus:

@@ -190,7 +190,7 @@ class ExperimentPlan:
 
     def metric_config(self) -> MetricConfig:
         n = self.metric_top_words
-        return MetricConfig(m_small=min(10, n), m_large=n, n_lift=n)
+        return MetricConfig(m_small=min(10, n), m_large=n)
 
     def __post_init__(self):
         self.variants = [Variant(v) for v in self.variants]

@@ -41,19 +41,18 @@ METRIC_COLUMNS = ("coherence_10", "coherence_30", "pmi", "log_lift",
 @dataclass(frozen=True)
 class MetricConfig:
     """Evaluation windows: m_small/m_large top words for coherence (the 10-
-    and 30-word columns), m_large for PMI and the rate metrics, n_lift for
-    lift. Add-one smoothing on joint document counts is on by default."""
+    and 30-word columns), m_large for PMI, log lift and the rate metrics.
+    ``report`` cuts them all from one head of max(m_small, m_large) words per
+    topic and looks the heads' union up once; lift reads ``beta_hat`` at model
+    ids, ``word_freq`` at statistics ids. Joint counts are add-one smoothed by default."""
 
     m_small: int = 10
     m_large: int = 30
-    n_lift: int = 30
     pmi_smoothing: bool = True
 
     def __post_init__(self):
         if self.m_small < 2 or self.m_large < 2:
             raise ValueError("coherence/PMI windows need at least 2 words")
-        if self.n_lift < 1:
-            raise ValueError("n_lift must be >= 1")
 
 
 def _word_ids(top: Sequence[str], stats: CorpusStats) -> list[int]:
@@ -129,16 +128,19 @@ def pmi_score(top: Sequence[str], stats: CorpusStats,
 
 
 def lift_of_words(words: Sequence[str], beta_row: np.ndarray, stats: CorpusStats) -> float:
-    """Mean ln(beta_w / b_w) over the given words."""
+    """Mean ln(beta_w / b_w) over the given words; ``beta_row`` is indexed by
+    the statistics vocabulary's ids."""
     ids = _word_ids(words, stats)
     return float(np.mean(np.log(beta_row[ids] / stats.word_freq[ids])))
 
 
 def log_lift(model: FittedModel, topic: int, stats: CorpusStats,
              n_lift: int = 30) -> float:
-    """Mean log lift of the topic's top n_lift words."""
+    """Mean log lift of the topic's top n_lift words: ``beta_hat`` read at the
+    model's ids of those words, ``word_freq`` at the statistics' ids."""
     top = top_words(model, topic, n_lift)
-    return lift_of_words(top, model.beta_hat[topic], stats)
+    beta = model.beta_hat[topic][model.vocabulary.ids(top)]
+    return float(np.mean(np.log(beta / stats.word_freq[_word_ids(top, stats)])))
 
 
 def stopword_rate(top: Sequence[str], stoplist: Iterable[str]) -> float:
@@ -239,53 +241,42 @@ def _means(scores: list[TopicScore]) -> dict:
             for name in METRIC_COLUMNS}
 
 
-def _count_blocks(windows: np.ndarray, stats: CorpusStats) -> list[np.ndarray]:
-    """Co-document count block of each row of word ids in ``windows`` (one
-    row per topic), all cut from one ``co_doc_counts`` product over the
-    union of the rows."""
-    union, inverse = np.unique(windows.ravel(), return_inverse=True)
-    counts = co_doc_counts(stats, union.tolist())
-    return [counts[pos[:, None], pos] for pos in inverse.reshape(windows.shape)]
-
-
 def report(model: FittedModel, stats: CorpusStats, stoplist: Iterable[str],
            whitelist: Iterable[str], config: MetricConfig = MetricConfig()) -> ModelReport:
     """Score every topic and aggregate. Stoplist and whitelist words are
     matched by string against the statistics vocabulary.
 
-    Top words follow ``top_words``: one stable argsort of every topic row;
-    each of them is looked up once. Every co-document count comes from one
-    product over the union of the topics' coherence and PMI windows, and
-    each score but coherence and PMI is one array pass over all topics.
+    Top words follow ``top_words``: one stable argsort of every topic row.
+    Every co-document count comes from one product over the union of the
+    topics' heads (see ``MetricConfig``), and each score but coherence and
+    PMI is one array pass over all topics.
     """
     if model.vocabulary is None:
         raise ValueError("model has no vocabulary attached")
-    words = model.vocabulary.id_to_word
-    order = np.argsort(-model.beta_hat, axis=1, kind="stable")
-    # every window is a prefix of the topic's head, the PMI/coherence ones of its pair window
-    n_pair = max(config.m_small, config.m_large)
-    head = order[:, :max(n_pair, config.n_lift)]
+    small, large = slice(config.m_small), slice(config.m_large)
+    n_head = max(config.m_small, config.m_large)
+    head = np.argsort(-model.beta_hat, axis=1, kind="stable")[:, :n_head]
     union, inverse = np.unique(head, return_inverse=True)
-    head_ids = np.array(_word_ids([words[i] for i in union.tolist()], stats),
-                        dtype=np.int64)[inverse.reshape(head.shape)]
-    pair_words = [[words[i] for i in row] for row in head[:, :n_pair].tolist()]
-    blocks = _count_blocks(head_ids[:, :n_pair], stats)
-    lift_ids, rate_ids = head_ids[:, :config.n_lift], head_ids[:, :config.m_large]
-    lift = np.log(np.take_along_axis(model.beta_hat, lift_ids, axis=1)
-                  / stats.word_freq[lift_ids]).mean(axis=1).tolist()
+    inverse = inverse.reshape(head.shape)
+    union_words = [model.vocabulary.id_to_word[i] for i in union.tolist()]
+    union_ids = _word_ids(union_words, stats)
+    counts = co_doc_counts(stats, union_ids)
+    window = inverse[:, large]
+    lift = np.log(np.take_along_axis(model.beta_hat, head[:, large], axis=1)
+                  / stats.word_freq[union_ids][window]).mean(axis=1).tolist()
     white_ids = stats.vocabulary.ids(set(whitelist))
-    union, inverse = np.unique(rate_ids, return_inverse=True)
-    hits = (np.isin(rate_ids, stats.vocabulary.ids(set(stoplist))), np.isin(rate_ids, white_ids),
-            _touches_whitelist(union.tolist(), white_ids, stats)[inverse.reshape(rate_ids.shape)])
-    stop_rate, expert_rate, codoc = ((h.sum(axis=1) / rate_ids.shape[1]).tolist() for h in hits)
+    flags = (np.isin(union_ids, stats.vocabulary.ids(set(stoplist))),
+             np.isin(union_ids, white_ids), _touches_whitelist(union_ids, white_ids, stats))
+    stop_rate, expert_rate, codoc = ((f[window].sum(axis=1) / window.shape[1]).tolist()
+                                     for f in flags)
     scores = []
-    for t, top in enumerate(pair_words):
-        small, rate_window = top[:config.m_small], top[:config.m_large]
-        large_counts = blocks[t][:len(rate_window), :len(rate_window)]
+    for t, pos in enumerate(inverse):
+        top = [union_words[i] for i in pos.tolist()]
+        block = counts[pos[:, None], pos]
         scores.append(TopicScore(
-            coherence_10=coherence(small, stats, counts=blocks[t][:len(small), :len(small)]),
-            coherence_30=coherence(rate_window, stats, counts=large_counts),
-            pmi=pmi_score(rate_window, stats, config, counts=large_counts),
+            coherence_10=coherence(top[small], stats, counts=block[small, small]),
+            coherence_30=coherence(top[large], stats, counts=block[large, large]),
+            pmi=pmi_score(top[large], stats, config, counts=block[large, large]),
             log_lift=lift[t], stopword_rate=stop_rate[t], expert_rate=expert_rate[t],
             codoc=codoc[t], kind=model.kinds[t],
         ))

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import gammaln
 
-from .corpus import CorpusStats, Vocabulary, write_json
+from .corpus import CorpusStats, Vocabulary, _frozen, write_json
 
 log = logging.getLogger(__name__)
 
@@ -43,7 +43,7 @@ class PriorConfig:
     """Topic layout and scaling constants for an assembled prior matrix.
 
     Rows are laid out stopword, word-frequency, TF-IDF, keyword, then
-    symmetric padding up to ``topics``.
+    symmetric padding (weight 1.0) up to ``topics``.
     """
 
     topics: int = 20
@@ -54,8 +54,6 @@ class PriorConfig:
     c1: float = 1.0              # TF-IDF row scale
     c2: float = 1.0              # keyword row scale
     keyword_boost: float = 100.0  # weight multiplier on keyword entries
-    floor: float = DEFAULT_FLOOR
-    symmetric_weight: float = 1.0
 
     def __post_init__(self):
         counts = (self.stopword_topics, self.wordfreq_topics,
@@ -65,7 +63,7 @@ class PriorConfig:
         if sum(counts) > self.topics:
             raise ConfigMismatch(
                 f"kind counts sum to {sum(counts)} but only {self.topics} topics requested")
-        for name in ("c1", "c2", "keyword_boost", "floor", "symmetric_weight"):
+        for name in ("c1", "c2", "keyword_boost"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ConfigMismatch(f"{name} must be positive and finite")
 
@@ -122,8 +120,9 @@ class PriorMatrix:
     def __post_init__(self):
         if self.weights.ndim != 2:
             raise ValueError("weights must be a K x V matrix")
-        # row_sums, and so the chain, depend on the layout in the last bit
-        object.__setattr__(self, "weights", np.ascontiguousarray(self.weights))
+        # a read-only copy, so the cached row sums cannot go stale; C-ordered,
+        # since row_sums, and so the chain, depend on the layout in the last bit
+        object.__setattr__(self, "weights", _frozen(np.array(self.weights, order="C")))
         if len(self.kinds) != self.weights.shape[0]:
             raise ValueError("one kind label required per topic row")
         if not ((self.weights > 0) & (self.weights < np.inf)).all():
@@ -144,12 +143,12 @@ class PriorMatrix:
 
     @cached_property
     def row_sums(self) -> np.ndarray:
-        return self.weights.sum(axis=1)
+        return _frozen(self.weights.sum(axis=1))
 
     # the weights word-major (V x K), as the sweep kernel reads them
     @cached_property
     def weights_by_word(self) -> np.ndarray:
-        return np.ascontiguousarray(self.weights.T)
+        return _frozen(np.ascontiguousarray(self.weights.T))
 
     def _parts(self) -> tuple[dict, dict[str, np.ndarray]]:
         """The JSON fields in file order: plain values, then float arrays."""
@@ -181,7 +180,7 @@ def assemble(config: PriorConfig, stats: CorpusStats,
     """Build the full K x V prior matrix for ``config``.
 
     Unclaimed rows beyond the explicit kind counts are padded with symmetric
-    rows. Every entry is clamped at ``config.floor``.
+    rows. Every entry is clamped at ``DEFAULT_FLOOR``.
     """
     v = stats.vocabulary.size
     # (topics, kind, the row they all take); a row is built only for a kind with topics
@@ -189,14 +188,14 @@ def assemble(config: PriorConfig, stats: CorpusStats,
         (config.stopword_topics, TopicKind.STOPWORD, lambda: stopword_prior(v)),
         (config.wordfreq_topics, TopicKind.WORD_FREQUENCY, lambda: wordfreq_prior(stats)),
         (config.tfidf_topics, TopicKind.TFIDF,
-         lambda: tfidf_prior(stats, config.c1, config.floor)),
+         lambda: tfidf_prior(stats, config.c1)),
         (config.keyword_topics, TopicKind.KEYWORD,
          lambda: keyword_prior(stats.vocabulary, keywords, config.c2, config.keyword_boost))]
     layout.append((config.topics - sum(n for n, _, _ in layout), TopicKind.SYMMETRIC,
-                   lambda: np.full(v, float(config.symmetric_weight))))
+                   lambda: np.ones(v)))
     blocks = [np.tile(row(), (n, 1)) for n, _, row in layout if n]
     kinds = tuple(kind for n, kind, _ in layout for _ in range(n))
-    return PriorMatrix(np.maximum(np.concatenate(blocks), config.floor), kinds)
+    return PriorMatrix(np.maximum(np.concatenate(blocks), DEFAULT_FLOOR), kinds)
 
 
 def validate(prior: PriorMatrix) -> list[str]:
@@ -208,8 +207,6 @@ def validate(prior: PriorMatrix) -> list[str]:
     each kind), since each topic's own pseudo-count mass is what shrinks it.
     """
     warnings = []
-    if not (prior.weights > 0).all():
-        warnings.append("error: prior contains non-positive weights")
     stop_rows = [i for i, k in enumerate(prior.kinds) if k is TopicKind.STOPWORD]
     tfidf_rows = [i for i, k in enumerate(prior.kinds) if k is TopicKind.TFIDF]
     if tfidf_rows:

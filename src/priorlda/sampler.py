@@ -374,16 +374,18 @@ def heldout_perplexity(model: FittedModel, corpus: Corpus,
 
     Held-out words are matched by string against the model vocabulary;
     out-of-vocabulary tokens are dropped. Document mixtures are folded in by
-    Gibbs passes that hold beta_hat fixed, then perplexity is
-    exp(-mean log p(w | theta_d, beta)).
+    Gibbs passes that hold beta_hat fixed, at the alpha of the model's
+    config, then perplexity is exp(-mean log p(w | theta_d, beta)).
     """
     if model.vocabulary is None:
         raise ValueError("model has no vocabulary attached")
+    if model.config is None:
+        raise ValueError("model has no config attached, so its alpha is unknown")
     beta = model.beta_hat
     k_total = beta.shape[0]
     word_to_id = model.vocabulary.word_to_id
     heldout_words = corpus.vocabulary.id_to_word
-    alpha = model.config.alpha if model.config else 1.0
+    alpha = model.config.alpha
     rng = np.random.Generator(np.random.PCG64(seed))
     log_total = 0.0
     n_tokens = 0

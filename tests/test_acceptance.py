@@ -165,7 +165,7 @@ def test_criterion_5_directional_stopword_drop():
     >= 8 of 10 seeds. Defaults K=20, c1=c2=1, one stopword topic."""
     planted, resources = _planted_resources()
     plan = ExperimentPlan(corpus="unused")
-    metric_cfg = MetricConfig(m_small=5, m_large=10, n_lift=10)
+    metric_cfg = MetricConfig(m_small=5, m_large=10)
     settings = RunSettings(topics=20, iterations=500, alpha=0.2,
                            c1=1.0, c2=1.0, stopword_topics=1)
     ok_ratio = 0
@@ -222,7 +222,7 @@ def test_criterion_6_correlation_directions(tmp_path):
         stoplist=str(stop_path), whitelist=str(white_path),
         hyper_alphas=[0.2, 1.0], hyper_etas=[0.1, 1.0],
     )
-    metric_cfg = MetricConfig(m_small=5, m_large=10, n_lift=10)
+    metric_cfg = MetricConfig(m_small=5, m_large=10)
     result = run_grid(plan, metric_config=metric_cfg)
     records = result.records
     assert not result.failures, [f.error for f in result.failures]

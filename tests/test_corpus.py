@@ -37,11 +37,6 @@ class TestBuildCorpus:
         assert corpus.vocabulary.size == 3
         assert [doc.size for doc in corpus.documents] == [2, 2]
 
-    def test_remove_set(self):
-        corpus = build_corpus(["a b", "b c"], remove_set={"b"})
-        assert corpus.vocabulary.size == 2
-        assert [doc.size for doc in corpus.documents] == [1, 1]
-
     def test_alice_vocabulary_size(self, alice_corpus):
         # frozen from the reference vocabulary builder on the same text
         assert alice_corpus.vocabulary.size == 44
@@ -53,8 +48,6 @@ class TestBuildCorpus:
         assert corpus.vocabulary.id_to_word == ["b", "a", "c"]
 
     def test_all_documents_empty(self):
-        with pytest.raises(AllDocumentsEmpty):
-            build_corpus(["a a", "a"], remove_set={"a"})
         with pytest.raises(AllDocumentsEmpty):
             build_corpus(["", "   "])
 
@@ -290,6 +283,15 @@ class TestDeleteStopwords:
         out = delete_stopwords(build_corpus(["the cat", "the dog"]), {"the"})
         assert out.vocabulary.size == 2
         assert [out.doc_words(d) for d in range(2)] == [["cat"], ["dog"]]
+
+    def test_remove_set(self):
+        corpus = delete_stopwords(build_corpus(["a b", "b c"]), {"b"})
+        assert corpus.vocabulary.size == 2
+        assert [doc.size for doc in corpus.documents] == [1, 1]
+
+    def test_all_documents_empty(self):
+        with pytest.raises(AllDocumentsEmpty):
+            delete_stopwords(build_corpus(["a a", "a"]), {"a"})
 
     def test_default_list_on_alice(self, alice_corpus):
         out = delete_stopwords(alice_corpus, default_stoplist())

@@ -45,7 +45,7 @@ def planted_on_disk(tmp_path_factory):
     return planted, plan
 
 
-FAST_METRICS = MetricConfig(m_small=5, m_large=10, n_lift=10)
+FAST_METRICS = MetricConfig(m_small=5, m_large=10)
 
 
 class TestEnumerateRuns:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from priorlda import metrics
 from priorlda.corpus import (AllDocumentsEmpty, build_corpus, co_doc_counts,
                              co_doc_freq, compute_stats, delete_stopwords)
-from priorlda.metrics import (MetricConfig, _count_blocks, codocument_appearance,
+from priorlda.metrics import (MetricConfig, codocument_appearance,
                               coherence, expert_word_rate, lift_of_words,
                               log_lift, pmi_score, report, stopword_rate)
 from priorlda.priors import TopicKind, symmetric_prior
@@ -119,6 +119,22 @@ class TestLogLift:
         want = (math.log(0.5 / 0.2) + math.log(0.3 / 0.3) + math.log(0.2 / 0.5)) / 3
         assert lift_of_words(["x", "y", "z"], beta_row, stats) == pytest.approx(want)
 
+    def test_statistics_vocabulary_in_another_order(self):
+        # the same documents in reverse order number the same words differently,
+        # so lift must read beta_hat at the model's ids, word_freq at the stats'
+        planted = planted_stopword_corpus(seed=1)
+        docs = [" ".join(planted.corpus.doc_words(d)) for d in range(planted.corpus.n_docs)]
+        own = compute_stats(planted.corpus)
+        reversed_stats = compute_stats(build_corpus(docs[::-1]))
+        assert reversed_stats.vocabulary != own.vocabulary
+        model = fit(planted.corpus, symmetric_prior(4, own.vocabulary.size, 1.0),
+                    ModelConfig(topics=4, iterations=20, seed=0))
+        lists = (set(planted.stopwords), set(planted.clusters[0]))
+        assert (report(model, reversed_stats, *lists).per_topic
+                == report(model, own, *lists).per_topic)
+        for t in range(4):
+            assert log_lift(model, t, reversed_stats) == log_lift(model, t, own)
+
     def test_model_route_matches_word_route(self):
         planted = planted_stopword_corpus(seed=2)
         stats = compute_stats(planted.corpus)
@@ -178,7 +194,7 @@ class TestReport:
         stats = compute_stats(corpus)
         prior = symmetric_prior(1, corpus.vocabulary.size, 1.0)
         model = fit(corpus, prior, ModelConfig(topics=1, iterations=5, seed=0))
-        rep = report(model, stats, {"a"}, {"b"}, MetricConfig(m_small=3, m_large=5, n_lift=5))
+        rep = report(model, stats, {"a"}, {"b"}, MetricConfig(m_small=3, m_large=5))
         assert len(rep.per_topic) == 1
         for name, value in rep.model_means.items():
             assert value == pytest.approx(getattr(rep.per_topic[0], name))
@@ -189,13 +205,13 @@ class TestReport:
         model = fit(corpus, symmetric_prior(2, corpus.vocabulary.size, 1.0),
                     ModelConfig(topics=2, iterations=5, seed=0))
         model.kinds = (TopicKind.STOPWORD, TopicKind.STOPWORD)
-        rep = report(model, stats, set(), set(), MetricConfig(m_small=2, m_large=3, n_lift=3))
+        rep = report(model, stats, set(), set(), MetricConfig(m_small=2, m_large=3))
         assert rep.domain_means is None
 
     def test_means_are_arithmetic_means(self):
         planted, stats, model = self._small_model()
         rep = report(model, stats, set(planted.stopwords), set(planted.clusters[0]),
-                     MetricConfig(m_small=5, m_large=10, n_lift=10))
+                     MetricConfig(m_small=5, m_large=10))
         for name in rep.model_means:
             values = [getattr(t, name) for t in rep.per_topic]
             assert rep.model_means[name] == pytest.approx(float(np.mean(values)))
@@ -204,7 +220,7 @@ class TestReport:
         planted, stats, model = self._small_model(seed=3)
         stoplist = set(planted.stopwords)
         whitelist = set(planted.clusters[0]) | set(planted.clusters[1])
-        cfg = MetricConfig(m_small=5, m_large=10, n_lift=10)
+        cfg = MetricConfig(m_small=5, m_large=10)
         rep = report(model, stats, stoplist, whitelist, cfg)
         token_docs = token_docs_of(planted.corpus)
         for t, score in enumerate(rep.per_topic):
@@ -225,7 +241,7 @@ class TestReport:
     def test_csv_and_json_round_trip(self, tmp_path):
         planted, stats, model = self._small_model()
         rep = report(model, stats, set(planted.stopwords), set(),
-                     MetricConfig(m_small=3, m_large=5, n_lift=5))
+                     MetricConfig(m_small=3, m_large=5))
         csv_text = rep.to_csv()
         header = csv_text.splitlines()[0]
         assert header == ("topic,coherence_10,coherence_30,pmi,log_lift,"
@@ -240,9 +256,8 @@ class TestReport:
 
 @st.composite
 def count_cases(draw):
-    """A random corpus, sometimes after stopword deletion, and one top-word
-    window per topic as report makes them: distinct ids within a row, shared
-    across rows, and the whole vocabulary when the window is at least V."""
+    """A random corpus, sometimes after stopword deletion, and a list of its
+    word ids with repeats."""
     n_words = draw(st.integers(2, 12))
     docs = draw(st.lists(st.lists(st.integers(0, n_words - 1), max_size=8),
                          min_size=1, max_size=15))
@@ -256,24 +271,15 @@ def count_cases(draw):
         except AllDocumentsEmpty:
             assume(False)
     v = corpus.vocabulary.size
-    m = min(draw(st.integers(1, v + 3)), v)
-    windows = [draw(st.permutations(range(v)))[:m] for _ in range(draw(st.integers(1, 5)))]
     ids = draw(st.lists(st.integers(0, v - 1), max_size=2 * v + 2))
-    return compute_stats(corpus), np.array(windows, dtype=np.int64), ids
+    return compute_stats(corpus), ids
 
 
 class TestBatchedCounts:
     @settings(max_examples=150, deadline=None)
     @given(count_cases())
     def test_blocks_equal_pairwise_intersections(self, case):
-        stats, windows, ids = case
-        blocks = _count_blocks(windows, stats)
-        assert len(blocks) == len(windows)
-        for row, block in zip(windows.tolist(), blocks):
-            assert block.shape == (len(row), len(row))
-            for i, a in enumerate(row):
-                for j, b in enumerate(row):
-                    assert block[i, j] == co_doc_freq(stats, a, b)
+        stats, ids = case
         # repeated ids within one list get repeated rows and columns
         counts = co_doc_counts(stats, ids)
         assert counts.shape == (len(ids), len(ids))
@@ -316,16 +322,16 @@ class TestBatchedReport:
             assert score.coherence_10 == coherence(small, stats)
             assert score.coherence_30 == coherence(large, stats)
             assert _same(score.pmi, pmi_score(large, stats, cfg))
-            assert score.log_lift == log_lift(model, t, stats, cfg.n_lift)
+            assert score.log_lift == log_lift(model, t, stats, cfg.m_large)
             assert score.stopword_rate == stopword_rate(large, stoplist)
             assert score.expert_rate == expert_word_rate(large, whitelist)
             assert score.codoc == codocument_appearance(large, whitelist, corpus)
             assert all(type(v) is float for v in score.metric_values().values())
 
     @pytest.mark.parametrize("cfg", [
-        MetricConfig(m_small=5, m_large=10, n_lift=10),
-        MetricConfig(m_small=12, m_large=6, n_lift=3, pmi_smoothing=False),
-        MetricConfig(m_small=10, m_large=80, n_lift=80),
+        MetricConfig(m_small=5, m_large=10),
+        MetricConfig(m_small=12, m_large=6, pmi_smoothing=False),
+        MetricConfig(m_small=10, m_large=80),
     ], ids=["default-order", "small-window-larger", "window-beyond-vocabulary"])
     @pytest.mark.parametrize("delete", [False, True], ids=["full", "stopwords-deleted"])
     def test_report_equals_per_topic_calls(self, cfg, delete):
@@ -338,8 +344,7 @@ class TestBatchedReport:
         self._assert_equal_to_per_topic_calls(corpus, model, set(planted.stopwords),
                                               whitelist, cfg)
 
-    @pytest.mark.parametrize("cfg", [MetricConfig(), MetricConfig(m_small=45, m_large=60,
-                                                                  n_lift=60)],
+    @pytest.mark.parametrize("cfg", [MetricConfig(), MetricConfig(m_small=45, m_large=60)],
                              ids=["30-30", "45-60"])
     def test_zipf_scale(self, cfg):
         # K=50 over a Zipf vocabulary of ~1.7k words, so windows overlap across
@@ -423,7 +428,7 @@ class TestReportCallContract:
         stats = compute_stats(planted.corpus)
         model = fit(planted.corpus, symmetric_prior(4, planted.corpus.vocabulary.size, 1.0),
                     ModelConfig(topics=4, iterations=20, seed=2))
-        cfg = MetricConfig(m_small=5, m_large=10, n_lift=10)
+        cfg = MetricConfig(m_small=5, m_large=10)
         args = (model, stats, set(planted.stopwords), set(planted.clusters[0]), cfg)
         plain = report(*args)
         calls = {"coherence": [], "pmi_score": []}

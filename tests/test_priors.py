@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from priorlda.corpus import build_corpus, compute_stats
-from priorlda.priors import (ConfigMismatch, PriorConfig, PriorMatrix, TopicKind,
-                             assemble, keyword_prior, load_prior, save_prior,
+from priorlda.priors import (DEFAULT_FLOOR, ConfigMismatch, PriorConfig, PriorMatrix,
+                             TopicKind, assemble, keyword_prior, load_prior, save_prior,
                              stopword_prior, symmetric_prior, tfidf_prior,
                              validate, wordfreq_prior)
 
@@ -145,8 +145,7 @@ class TestAssemble:
         kinds = [k.value for k in prior.kinds]
         assert kinds == ["stopword"] + ["word_frequency"] * 3 + ["symmetric"] * 2
 
-    @pytest.mark.parametrize("name", ["c1", "c2", "keyword_boost", "floor",
-                                      "symmetric_weight"])
+    @pytest.mark.parametrize("name", ["c1", "c2", "keyword_boost"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_constants_rejected(self, name, value):
         with pytest.raises(ConfigMismatch, match=f"{name} must be positive and finite"):
@@ -173,9 +172,9 @@ class TestAssemble:
         assert prior.weights.flags.c_contiguous
 
     def test_floor_enforced_everywhere(self, alice_stats):
-        cfg = PriorConfig(topics=4, stopword_topics=1, tfidf_topics=3, floor=1e-6)
+        cfg = PriorConfig(topics=4, stopword_topics=1, tfidf_topics=3)
         prior = assemble(cfg, alice_stats)
-        assert (prior.weights >= 1e-6).all()
+        assert (prior.weights >= DEFAULT_FLOOR).all()
 
 
 class TestValidate:
@@ -190,13 +189,6 @@ class TestValidate:
         prior = assemble(cfg, alice_stats)
         warnings = validate(prior)
         assert len(warnings) == 1 and warnings[0].startswith("warning:")
-
-    def test_error_entry_for_nonpositive_weight(self, alice_stats):
-        prior = assemble(PriorConfig(topics=2, stopword_topics=1, tfidf_topics=1),
-                         alice_stats)
-        prior.weights.flags.writeable = True
-        prior.weights[0, 0] = 0.0
-        assert any(w.startswith("error:") for w in validate(prior))
 
     def test_stopword_topic_alone_never_warns(self, alice_stats):
         prior = assemble(PriorConfig(topics=2, stopword_topics=2), alice_stats)
@@ -229,6 +221,20 @@ class TestPriorMatrix:
                                     "weights": [[1e306, 1e306], [1.0, 1.0]]}))
         with pytest.raises(ValueError, match="too large for a finite log-gamma"):
             load_prior(path)
+
+    def test_weights_are_a_read_only_copy(self, alice_stats):
+        # a write after row_sums is cached would leave the cache stale
+        prior = assemble(PriorConfig(topics=3, stopword_topics=1, tfidf_topics=2),
+                         alice_stats)
+        row_sums = prior.row_sums.copy()
+        for arr in (prior.weights, prior.row_sums, prior.weights_by_word):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[1:] *= 3
+        weights = np.ones((2, 3))
+        flat = PriorMatrix(weights, (TopicKind.SYMMETRIC,) * 2)
+        weights[1:] *= 3
+        assert (flat.weights == 1.0).all()
+        assert (prior.row_sums == row_sums).all()
 
     def test_kind_count_must_match(self):
         with pytest.raises(ValueError):

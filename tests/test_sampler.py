@@ -941,3 +941,12 @@ class TestHeldoutPerplexity:
         p_good = heldout_perplexity(good, heldout, sweeps=20, seed=1)
         p_bad = heldout_perplexity(bad, heldout, sweeps=20, seed=1)
         assert 1.0 < p_good < p_bad
+
+    def test_model_without_config_rejected(self):
+        # estimate records no config, so the alpha to fold in at is unknown
+        corpus, _ = two_topic_corpus(seed=6, docs_per_topic=10)
+        prior = symmetric_prior(2, corpus.vocabulary.size, 1.0)
+        state = init(corpus, prior, ModelConfig(topics=2, iterations=1, seed=0))
+        model = estimate(state, prior, 0.05, vocabulary=corpus.vocabulary)
+        with pytest.raises(ValueError, match="no config"):
+            heldout_perplexity(model, corpus, sweeps=2)
