@@ -1,12 +1,15 @@
-"""Hot loops: the collapsed Gibbs sweep and coherence's log fold.
+"""Hot loops: the collapsed Gibbs sweep, coherence's log fold and the JSON
+text of float arrays.
 
-Both are small C functions, compiled on first import into a cache directory
-and called through ctypes (the sweep without holding the GIL). Without a
-C compiler their twins ``_sweep_py`` and ``_log_sum_py`` run instead. Each
-pair does the same arithmetic in the same order, the sweep on pre-drawn
-uniforms and the fold with libm's ``log`` (what ``math.log`` calls), so a
-fixed seed gives the same bits either way. The snapshot sweep's
-per-document step runs ``sweep_tokens`` too, on either backend.
+All three are small C functions, compiled on first import into a cache
+directory and called through ctypes (the sweep and the JSON writer without
+holding the GIL). Without a C compiler their twins run instead:
+``_sweep_py``, ``_log_sum_py`` and ``json.dumps(a.tolist())``. Each pair
+gives the same bits: the sweep does the same arithmetic in the same order on
+pre-drawn uniforms, the fold adds libm's ``log`` (what ``math.log`` calls)
+left to right, and every float's text comes from ``json.dumps``. The
+snapshot sweep's per-document step runs ``sweep_tokens`` too, on either
+backend.
 
 The word-topic counts and the prior weights are word-major (V x K), so the
 K weights a token's conditional reads lie next to each other in memory.
@@ -17,6 +20,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
+import json
 import logging
 import math
 import operator
@@ -36,9 +40,16 @@ HAVE_NUMBA = False
 # capped at K-1. Running totals are summed in order, as np.cumsum does, and
 # -ffp-contract=off keeps the compiler from fusing a multiply and an add.
 # log_sum returns the index of its first entry <= 0, where math.log raises.
+# dedup numbers the distinct 64-bit patterns of x in first-seen order, so that
+# x[i] == distinct[inverse[i]], probing from the high bits of a multiplicative
+# hash in a table of 1 << bits >= 2n slots. splice takes text, json.dumps of
+# those m values, and writes entry i as the text of value inverse[i]: one
+# list, or rows lists of cols if nested. With out NULL it returns the length
+# of the result, which the call with out then writes.
 _C_SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 int64_t sweep(const int32_t *tokens, const int32_t *doc_ix, int32_t *z, int64_t n,
               int32_t *n_dk, int32_t *n_wk, int32_t *n_k,
@@ -78,6 +89,62 @@ int64_t log_sum(const double *x, int64_t n, double *total)
     }
     return -1;
 }
+
+int64_t dedup(const uint64_t *x, int64_t n, int64_t *inverse, uint64_t *distinct,
+              int64_t *table, int64_t bits)
+{
+    uint64_t mask = ((uint64_t)1 << bits) - 1;
+    int64_t m = 0;
+    for (uint64_t s = 0; s <= mask; s++)
+        table[s] = -1;
+    for (int64_t i = 0; i < n; i++) {
+        uint64_t s = (x[i] * UINT64_C(0x9E3779B97F4A7C15)) >> (64 - bits);
+        while (table[s] >= 0 && distinct[table[s]] != x[i])
+            s = (s + 1) & mask;
+        if (table[s] < 0) {
+            table[s] = m;
+            distinct[m++] = x[i];
+        }
+        inverse[i] = table[s];
+    }
+    return m;
+}
+
+static int64_t put(char *out, int64_t at, const char *s, int64_t len)
+{
+    if (out)
+        memcpy(out + at, s, len);
+    return at + len;
+}
+
+int64_t splice(const char *text, int64_t m, int64_t *starts, const int64_t *inverse,
+               int64_t rows, int64_t cols, int64_t nested, char *out)
+{
+    if (!out) {
+        int64_t p = 1;
+        for (int64_t j = 0; j < m; j++) {
+            starts[j] = p;
+            while (text[p] != ',' && text[p] != ']')
+                p++;
+            p++;
+        }
+        starts[m] = p;
+    }
+    int64_t at = put(out, 0, "[", 1);
+    for (int64_t r = 0; r < rows; r++) {
+        if (nested)
+            at = r ? put(out, at, ",[", 2) : put(out, at, "[", 1);
+        for (int64_t c = 0; c < cols; c++) {
+            int64_t j = inverse[r * cols + c];
+            if (c)
+                at = put(out, at, ",", 1);
+            at = put(out, at, text + starts[j], starts[j + 1] - starts[j] - 1);
+        }
+        if (nested)
+            at = put(out, at, "]", 1);
+    }
+    return put(out, at, "]", 1);
+}
 """
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
@@ -105,24 +172,27 @@ def _build() -> Path:
 
 
 def _load():
-    """The compiled sweep and log fold, or two Nones after one warning."""
+    """The compiled sweep, log fold, dedup and splice, or Nones after one warning."""
     try:
         path = str(_build())
-        # the sweep releases the GIL; the fold keeps it, as a handover to
-        # another thread would cost more than its few microseconds
-        sweep, fold = ctypes.CDLL(path).sweep, ctypes.PyDLL(path).log_sum
+        # the fold keeps the GIL, as a handover to another thread would cost
+        # more than its few microseconds
+        lib, fold = ctypes.CDLL(path), ctypes.PyDLL(path).log_sum
     except (subprocess.CalledProcessError, OSError) as exc:  # no compiler, or it failed
         log.warning("C kernels unavailable, using the Python twins: %s",
                     getattr(exc, "stderr", None) or exc)
-        return None, None
+        return (None,) * 4
     ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+    sweep, dedup, splice = lib.sweep, lib.dedup, lib.splice
     sweep.argtypes = [ptr] * 3 + [i64] + [ptr] * 5 + [f64, ptr, ptr, i64, i64, i64]
     fold.argtypes = [ptr, i64, ptr]
-    sweep.restype = fold.restype = i64
-    return sweep, fold
+    dedup.argtypes = [ptr, i64, ptr, ptr, ptr, i64]
+    splice.argtypes = [ctypes.c_char_p, i64, ptr, ptr, i64, i64, i64, ptr]
+    sweep.restype = fold.restype = dedup.restype = splice.restype = i64
+    return sweep, fold, dedup, splice
 
 
-_sweep_c, _log_sum_c = _load()
+_sweep_c, _log_sum_c, _dedup_c, _splice_c = _load()
 BACKEND = "numpy" if _sweep_c is None else "c"
 
 
@@ -148,6 +218,32 @@ def log_sum(x: np.ndarray) -> float:
 def _log_sum_py(x):
     # a strict left fold: sum() compensates from Python 3.12, np.sum is pairwise
     return functools.reduce(operator.add, map(math.log, x.tolist()), 0.0)
+
+
+def json_floats(a: np.ndarray) -> bytes | bytearray:
+    """``json.dumps(a.tolist(), separators=(",", ":"))`` as ASCII bytes, for a
+    1-D or 2-D float64 array; the kernel formats each distinct bit pattern
+    once, so -0.0 and every NaN keep their own text."""
+    if a.dtype != np.float64:
+        raise TypeError(f"expected a float64 array, got {a.dtype}")
+    if a.ndim not in (1, 2):
+        raise ValueError(f"expected a 1-D or 2-D array, got {a.ndim}-D")
+    if _dedup_c is None:  # the twin
+        return json.dumps(a.tolist(), separators=(",", ":")).encode()
+    bits = np.ascontiguousarray(a).view(np.uint64)
+    n, table_bits = bits.size, max(1, (2 * bits.size - 1).bit_length())
+    inverse, distinct = np.empty(n, np.int64), np.empty(n, np.uint64)
+    table = np.empty(1 << table_bits, np.int64)
+    m = _dedup_c(bits.ctypes.data, n, inverse.ctypes.data, distinct.ctypes.data,
+                 table.ctypes.data, table_bits)
+    del table  # freed before the texts and the output buffer are made
+    text = json.dumps(distinct[:m].view(np.float64).tolist(), separators=(",", ":")).encode()
+    starts = np.empty(m + 1, np.int64)
+    args = (text, m, starts.ctypes.data, inverse.ctypes.data,
+            *(a.shape if a.ndim == 2 else (1, n)), a.ndim == 2)
+    out = bytearray(_splice_c(*args, None))
+    _splice_c(*args, ctypes.addressof(ctypes.c_char.from_buffer(out)))
+    return out
 
 
 def _check_sweep_args(tokens, doc_ix, z, n_dk, n_wk, n_k, eta_wk, eta_sums, uniforms):

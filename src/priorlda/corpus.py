@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
+from . import _kernels
+
 CORPUS_FORMAT_VERSION = 1
 
 
@@ -293,35 +295,30 @@ def delete_low_tfidf(corpus: Corpus, percentile: float = 0.05) -> Corpus:
 
 def json_float_array(a: np.ndarray) -> str:
     """The text ``json.dumps(a.tolist(), separators=(",", ":"))`` gives for a
-    1-D or 2-D float64 array, formatting each distinct value once.
-
-    Values are told apart by bit pattern, so -0.0 keeps its sign and no NaN
-    is merged with a number; each distinct value gets json's own
-    shortest-repr text (``NaN`` and ``Infinity`` included). Fitted estimates
-    take few distinct values, which is what makes this fast.
-    """
-    if a.dtype != np.float64:
-        raise TypeError(f"expected a float64 array, got {a.dtype}")
-    if a.ndim not in (1, 2):
-        raise ValueError(f"expected a 1-D or 2-D array, got {a.ndim}-D")
-    bits, inverse = np.unique(np.ascontiguousarray(a).view(np.int64), return_inverse=True)
-    strs = json.dumps(bits.view(np.float64).tolist(), separators=(",", ":"))[1:-1].split(",")
-    texts = np.array(strs, dtype=object)[inverse.reshape(a.shape)].tolist()
-    if a.ndim == 1:
-        return "[" + ",".join(texts) + "]"
-    return "[" + ",".join("[" + ",".join(row) + "]" for row in texts) + "]"
+    1-D or 2-D float64 array, as ``write_json`` writes it
+    (``_kernels.json_floats``)."""
+    return _kernels.json_floats(a).decode("ascii")
 
 
 def write_json(path: str | Path, fields: dict, arrays: dict[str, np.ndarray]) -> None:
     """Write ``json.dumps({**fields, **lists}, separators=(",", ":")) + "\\n"``
     byte for byte, where ``lists`` maps each name in ``arrays`` to its array's
-    ``tolist()``; the arrays are written by ``json_float_array``."""
-    with Path(path).open("w", encoding="utf-8") as f:
-        f.write(json.dumps(fields, separators=(",", ":"))[:-1])
+    ``tolist()``; the arrays are written by ``_kernels.json_floats``.
+
+    Raises ValueError, writing nothing, if an array name is not a str or is
+    also a field name: the file would hold an invalid or a repeated key.
+    """
+    for name in arrays:
+        if not isinstance(name, str):
+            raise ValueError(f"array name {name!r} is not a str")
+        if name in fields:
+            raise ValueError(f"array name {name!r} is also a field name")
+    with Path(path).open("wb") as f:
+        f.write(json.dumps(fields, separators=(",", ":"))[:-1].encode())
         for i, (name, a) in enumerate(arrays.items()):
-            f.write(("," if fields or i else "") + json.dumps(name) + ":")
-            f.write(json_float_array(a))
-        f.write("}\n")
+            f.write((("," if fields or i else "") + json.dumps(name) + ":").encode())
+            f.write(_kernels.json_floats(a))
+        f.write(b"}\n")
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:

@@ -414,7 +414,7 @@ def heldout_perplexity(model: FittedModel, corpus: Corpus,
 def save_model(model: FittedModel, path: str | Path) -> None:
     """Write ``json.dumps(model.to_json(), separators=(",", ":")) + "\\n"``,
     byte for byte: compact separators, shortest-repr floats, with each distinct
-    value of an array formatted once (``corpus.json_float_array``)."""
+    value of an array formatted once (``_kernels.json_floats``)."""
     write_json(path, *model._parts())
 
 

@@ -39,9 +39,11 @@ def alice_stats(alice_corpus):
 
 
 def python_twins():
-    """Switch both C entry points off, so the sweep and the log fold run on
-    their Python twins, as they do where no compiler is present."""
-    return mock.patch.multiple(_kernels, _sweep_c=None, _log_sum_c=None)
+    """Switch every C entry point off, so the sweep, the log fold and the JSON
+    float writer run on their Python twins, as they do where no compiler is
+    present."""
+    return mock.patch.multiple(_kernels, _sweep_c=None, _log_sum_c=None,
+                               _dedup_c=None, _splice_c=None)
 
 
 @pytest.fixture(params=["c", "numpy"])

@@ -440,11 +440,14 @@ class TestByteContract:
          "b064cd4041bab60ad5907e3855d669b186d7aeca950700e1644fb1126bd5a618"),
     ])
     def test_fit_model_digest(self, tmp_path, ingested, extra, digest):
-        out = tmp_path / "model.json"
-        assert main(["fit", "--corpus", str(ingested), "--prior", "tfidf", "--topics", "8",
-                     "--alpha", "0.2", "--iters", "30", "--seed", "7", *extra,
-                     "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        # the same bytes from the C kernels and from their Python twins
+        for twins in (nullcontext, python_twins):
+            with twins():
+                out = tmp_path / f"{twins.__name__}.json"
+                assert main(["fit", "--corpus", str(ingested), "--prior", "tfidf",
+                             "--topics", "8", "--alpha", "0.2", "--iters", "30", "--seed", "7",
+                             *extra, "--out", str(out)]) == 0
+                assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     # every variant with each of its extra grid dimensions at two values
     # where the plan gives two, so the per-variant settings and the plan order
@@ -488,11 +491,13 @@ class TestByteContract:
     def test_fit_prior_digest(self, tmp_path, ingested, demo_lists, prior, digest):
         _, white_path = demo_lists
         prior = [arg.format(whitelist=white_path) for arg in prior]
-        out = tmp_path / "model.json"
-        assert main(["fit", "--corpus", str(ingested), *prior,
-                     "--topics", "8", "--alpha", "0.2", "--iters", "30", "--seed", "7",
-                     "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        for twins in (nullcontext, python_twins):
+            with twins():
+                out = tmp_path / f"{twins.__name__}.json"
+                assert main(["fit", "--corpus", str(ingested), *prior,
+                             "--topics", "8", "--alpha", "0.2", "--iters", "30", "--seed", "7",
+                             "--out", str(out)]) == 0
+                assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     # `priorlda ingest` corpus files and a `priorlda stats` file from the
     # demo corpus, recorded while Corpus kept one array per document and
@@ -525,10 +530,12 @@ class TestByteContract:
     def test_save_prior_digest(self, tmp_path, ingested):
         stats = compute_stats(load_corpus(ingested))
         prior = assemble(PriorConfig(topics=8, stopword_topics=1, tfidf_topics=7), stats)
-        out = tmp_path / "prior.json"
-        save_prior(prior, out)
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "83687054462b6bcb08ba6ee60d531ed3a4310968bdb7e1dd71028d54342fd87e")
+        for twins in (nullcontext, python_twins):
+            with twins():
+                out = tmp_path / f"{twins.__name__}.json"
+                save_prior(prior, out)
+                assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+                    "83687054462b6bcb08ba6ee60d531ed3a4310968bdb7e1dd71028d54342fd87e")
 
 
 def test_import_leaves_scipy_stats_unloaded():

@@ -1,5 +1,6 @@
 import json
 import math
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from priorlda.corpus import (AllDocumentsEmpty, Corpus, Vocabulary, build_corpus
                              load_corpus, load_raw_documents, load_word_list,
                              save_corpus, tokenize, write_json)
 
+from .conftest import python_twins
 from .oracles import per_document_stats, reference_prior_data
 
 
@@ -421,36 +423,80 @@ def float_arrays(draw):
     return np.array([pool[i] for i in picks], dtype=np.float64).reshape(shape)
 
 
+def _home_slots(bits: np.ndarray, n: int) -> np.ndarray:
+    """The slot the C dedup first tries for each 64-bit pattern, in its table
+    for an array of n entries: the high bits of a multiplicative hash, in
+    the smallest power-of-two table of at least 2n (and 2) slots."""
+    table_bits = max(1, (2 * n - 1).bit_length())
+    return (bits * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(64 - table_bits)
+
+
+def _on_both_backends(a: np.ndarray) -> list[str]:
+    """json_float_array(a) from the C kernel and from its json.dumps twin."""
+    texts = []
+    for twins in (nullcontext, python_twins):
+        with twins():
+            texts.append(json_float_array(a))
+    return texts
+
+
 class TestJsonFloatArray:
     @settings(max_examples=300, deadline=None)
     @given(float_arrays())
     def test_matches_json_dumps(self, a):
-        assert json_float_array(a) == _dumps(a.tolist())
+        assert _on_both_backends(a) == [_dumps(a.tolist())] * 2
 
     @pytest.mark.parametrize("shape", [(0,), (0, 0), (0, 5), (4, 0)])
     def test_empty_shapes(self, shape):
         a = np.empty(shape)
-        assert json_float_array(a) == _dumps(a.tolist())
+        assert _on_both_backends(a) == [_dumps(a.tolist())] * 2
 
     def test_all_distinct_and_non_contiguous(self):
         a = np.random.default_rng(0).random((6, 40))
+        for view in (a, a[:, ::3], a.T):
+            assert _on_both_backends(view) == [_dumps(view.tolist())] * 2
+
+    def test_all_distinct_at_the_highest_table_load(self, backend):
+        # 1,024 distinct entries fill half of a 2,048-slot table
+        a = np.random.default_rng(1).random((32, 32))
+        assert len(set(a.ravel().tolist())) == a.size
         assert json_float_array(a) == _dumps(a.tolist())
-        assert json_float_array(a[:, ::3]) == _dumps(a[:, ::3].tolist())
-        assert json_float_array(a.T) == _dumps(a.T.tolist())
+
+    def test_patterns_sharing_a_home_slot(self, backend):
+        # eight patterns whose home is the table's last slot, each twice, so
+        # that probes run long, wrap around to slot 0 and find repeats
+        n = 16
+        candidates = np.random.default_rng(2).integers(0, 2**64, 4000, dtype=np.uint64)
+        colliding = candidates[_home_slots(candidates, n) == 2 * n - 1][:8]
+        assert len(colliding) == 8
+        a = np.concatenate([colliding, colliding[::-1]]).view(np.float64)
+        assert json_float_array(a) == _dumps(a.tolist())
+        assert json_float_array(a.reshape(4, 4)) == _dumps(a.reshape(4, 4).tolist())
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_zeros_and_nan_payloads_mixed(self, backend, seed):
+        # both zeros and NaNs of several payloads and signs, among numbers
+        pool = np.array([0, -2**63, 0x7FF8000000000000, -0x0008000000000000,
+                         0x7FF8000000000001, 0x7FF0000000000001, -0x000FFFFFFFFFFFFF,
+                         0x3FF0000000000000], dtype=np.int64).view(np.float64)
+        a = np.random.default_rng(seed).choice(pool, size=(9, 7))
+        assert json_float_array(a) == _dumps(a.tolist())
 
     def test_signed_zeros_and_nan_payloads_keep_their_text(self):
         nans = np.array([0x7FF8000000000001, -0x0008000000000000, 0x7FF0000000000001],
                         dtype=np.int64).view(np.float64)
         a = np.concatenate([[0.0, -0.0, 1.0, -0.0], nans, [math.nan, 0.0]])
-        assert json_float_array(a) == "[0.0,-0.0,1.0,-0.0,NaN,NaN,NaN,NaN,0.0]"
+        assert _on_both_backends(a) == ["[0.0,-0.0,1.0,-0.0,NaN,NaN,NaN,NaN,0.0]"] * 2
 
     def test_rejects_other_dtypes_and_ranks(self):
-        with pytest.raises(TypeError):
-            json_float_array(np.arange(3))
-        with pytest.raises(TypeError):
-            json_float_array(np.ones(3, dtype=np.float32))
-        with pytest.raises(ValueError):
-            json_float_array(np.ones((2, 2, 2)))
+        for twins in (nullcontext, python_twins):
+            with twins():
+                with pytest.raises(TypeError):
+                    json_float_array(np.arange(3))
+                with pytest.raises(TypeError):
+                    json_float_array(np.ones(3, dtype=np.float32))
+                with pytest.raises(ValueError):
+                    json_float_array(np.ones((2, 2, 2)))
 
     @pytest.mark.parametrize("fields,arrays", [
         ({}, {}),
@@ -460,7 +506,22 @@ class TestJsonFloatArray:
          {"w": np.eye(2), "t": np.empty(0)}),
     ])
     def test_write_json_matches_dumps(self, tmp_path, fields, arrays):
-        path = tmp_path / "out.json"
-        write_json(path, fields, arrays)
         want = _dumps({**fields, **{name: a.tolist() for name, a in arrays.items()}}) + "\n"
-        assert path.read_bytes() == want.encode("utf-8")
+        for twins in (nullcontext, python_twins):
+            with twins():
+                path = tmp_path / f"{twins.__name__}.json"
+                write_json(path, fields, arrays)
+                assert path.read_bytes() == want.encode("utf-8")
+
+    @pytest.mark.parametrize("fields,arrays,message", [
+        ({"a": 1, "b": 2}, {"a": np.ones(2)}, "'a' is also a field name"),
+        ({"a": 1}, {1: np.ones(2)}, "1 is not a str"),
+    ])
+    def test_write_json_rejects_keys_it_cannot_write_once(self, tmp_path, fields, arrays,
+                                                           message):
+        # a repeated key or an unquoted one is not what json.dumps of the
+        # merged dict gives
+        path = tmp_path / "out.json"
+        with pytest.raises(ValueError, match=message):
+            write_json(path, fields, arrays)
+        assert not path.exists()

@@ -6,6 +6,7 @@ import logging
 import math
 import shutil
 import subprocess
+from contextlib import nullcontext
 from unittest import mock
 
 import numpy as np
@@ -24,6 +25,7 @@ from priorlda.sampler import (DimensionMismatch, FittedModel, ModelConfig, Model
                               tabulate, top_words)
 from priorlda.synthetic import random_corpus, two_topic_corpus
 
+from .conftest import python_twins
 from .oracles import (enumerate_posterior, greedy_align_cosine, snapshot_sweeps,
                       urn_log_joint)
 
@@ -286,16 +288,18 @@ class TestKernelsAgree:
         x = np.array(values, dtype=np.float64)
         assert _kernels.log_sum(x).hex() == _kernels._log_sum_py(x).hex()
 
-    def test_fallback_without_compiler_gives_same_bytes(self, no_compiler, caplog):
+    def test_fallback_without_compiler_gives_same_bytes(self, no_compiler, caplog, tmp_path):
         corpus = random_corpus(seed=3, n_docs=20, vocab_size=15)
         prior = symmetric_prior(3, corpus.vocabulary.size, 0.5)
         cfg = ModelConfig(topics=3, iterations=6, seed=8)
-        c_bytes = json.dumps(fit(corpus, prior, cfg).to_json())
+        save_model(fit(corpus, prior, cfg), tmp_path / "c.json")
         with caplog.at_level(logging.WARNING, logger=_kernels.__name__):
             importlib.reload(_kernels)
         assert _kernels.BACKEND == "numpy"
+        assert _kernels._dedup_c is None and _kernels._splice_c is None
         assert [r.levelno for r in caplog.records] == [logging.WARNING]
-        assert json.dumps(fit(corpus, prior, cfg).to_json()) == c_bytes
+        save_model(fit(corpus, prior, cfg), tmp_path / "numpy.json")
+        assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "c.json").read_bytes()
 
 
 def test_c_kernel_loads_where_a_compiler_is_present():
@@ -304,7 +308,8 @@ def test_c_kernel_loads_where_a_compiler_is_present():
     if shutil.which("cc") is None:
         pytest.skip("no C compiler on PATH")
     assert _kernels.BACKEND == "c"
-    assert _kernels._sweep_c is not None and _kernels._log_sum_c is not None
+    for entry in (_kernels._sweep_c, _kernels._log_sum_c, _kernels._dedup_c, _kernels._splice_c):
+        assert entry is not None
 
 
 def test_c_kernel_source_compiles_without_warnings(tmp_path, monkeypatch):
@@ -319,7 +324,7 @@ def test_c_kernel_source_compiles_without_warnings(tmp_path, monkeypatch):
         pytest.fail(exc.stderr)
     assert lib.parent == tmp_path / "priorlda"
     loaded = ctypes.CDLL(str(lib))
-    assert loaded.sweep and loaded.log_sum
+    assert loaded.sweep and loaded.log_sum and loaded.dedup and loaded.splice
 
 
 @pytest.mark.parametrize("value", [0.0, -0.0, -1e-300, -math.inf])
@@ -588,7 +593,8 @@ class TestLogLikelihoodCache:
 
 
 class TestSaveModel:
-    """save_model writes exactly json.dumps(to_json(), compact) + newline."""
+    """save_model writes exactly json.dumps(to_json(), compact) + newline,
+    from the C writer and from its json.dumps twin."""
 
     @staticmethod
     def _reference(model) -> bytes:
@@ -596,14 +602,16 @@ class TestSaveModel:
 
     def _check(self, model, tmp_path):
         path = tmp_path / "model.json"
-        save_model(model, path)
-        first = path.read_bytes()
-        assert first == self._reference(model)
-        loaded = load_model(path)
-        for name in ("beta_hat", "theta_hat", "loglik_trace"):
-            assert getattr(loaded, name).tobytes() == getattr(model, name).tobytes()
-        save_model(loaded, path)
-        assert path.read_bytes() == first
+        for twins in (nullcontext, python_twins):
+            with twins():
+                save_model(model, path)
+                first = path.read_bytes()
+                assert first == self._reference(model)
+                loaded = load_model(path)
+                for name in ("beta_hat", "theta_hat", "loglik_trace"):
+                    assert getattr(loaded, name).tobytes() == getattr(model, name).tobytes()
+                save_model(loaded, path)
+                assert path.read_bytes() == first
         return first
 
     @staticmethod
