@@ -293,13 +293,6 @@ def delete_low_tfidf(corpus: Corpus, percentile: float = 0.05) -> Corpus:
 
 # --- file I/O -------------------------------------------------------------
 
-def json_float_array(a: np.ndarray) -> str:
-    """The text ``json.dumps(a.tolist(), separators=(",", ":"))`` gives for a
-    1-D or 2-D float64 array, as ``write_json`` writes it
-    (``_kernels.json_floats``)."""
-    return _kernels.json_floats(a).decode("ascii")
-
-
 def write_json(path: str | Path, fields: dict, arrays: dict[str, np.ndarray]) -> None:
     """Write ``json.dumps({**fields, **lists}, separators=(",", ":")) + "\\n"``
     byte for byte, where ``lists`` maps each name in ``arrays`` to its array's

@@ -101,9 +101,6 @@ class ModelState:
     def n_topics(self) -> int:
         return self.n_k.shape[0]
 
-    def z_by_doc(self) -> list[np.ndarray]:
-        return [self.z[lo:hi] for lo, hi in zip(self.doc_starts, self.doc_starts[1:])]
-
 
 def _doc_generators(corpus: Corpus, seed: int) -> list[np.random.Generator]:
     """One independent, reproducible stream per document.
@@ -413,8 +410,13 @@ def heldout_perplexity(model: FittedModel, corpus: Corpus,
 
 def save_model(model: FittedModel, path: str | Path) -> None:
     """Write ``json.dumps(model.to_json(), separators=(",", ":")) + "\\n"``,
-    byte for byte: compact separators, shortest-repr floats, with each distinct
-    value of an array formatted once (``_kernels.json_floats``)."""
+    byte for byte: compact separators, shortest-repr floats.
+
+    ``_kernels.json_floats`` writes each array: the C ``reprs`` formats each
+    distinct value once, exactly for 2^-45 <= |x| < 2^54 (and zeros and
+    non-finite values), and an array with a finite value outside that range
+    is written whole by ``json.dumps``.
+    """
     write_json(path, *model._parts())
 
 

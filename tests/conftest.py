@@ -43,7 +43,7 @@ def python_twins():
     float writer run on their Python twins, as they do where no compiler is
     present."""
     return mock.patch.multiple(_kernels, _sweep_c=None, _log_sum_c=None,
-                               _dedup_c=None, _splice_c=None)
+                               _dedup_c=None, _reprs_c=None, _splice_c=None)
 
 
 @pytest.fixture(params=["c", "numpy"])

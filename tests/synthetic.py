@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, build_corpus
+from priorlda.corpus import Corpus, build_corpus
 
 
 @dataclass(frozen=True)

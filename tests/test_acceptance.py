@@ -21,13 +21,13 @@ from priorlda.priors import (PriorMatrix, TopicKind, keyword_prior,
                              wordfreq_prior)
 from priorlda.sampler import (FittedModel, ModelConfig, estimate, fit, init,
                               sweep, tabulate, top_words)
-from priorlda.synthetic import (pathology_corpus, planted_stopword_corpus,
-                                random_corpus, two_topic_corpus)
 
 from .conftest import ALICE_KEYWORDS, ALICE_TEXTS
 from .oracles import (enumerate_posterior, greedy_align_cosine, naive_coherence,
                       naive_log_lift, naive_pmi, reference_prior_data,
                       reference_prior_rows)
+from .synthetic import (pathology_corpus, planted_stopword_corpus,
+                        random_corpus, two_topic_corpus)
 
 # fitted models collected by the criteria below; criterion 9 audits them all
 FITTED_MODELS: list[FittedModel] = []

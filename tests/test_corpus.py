@@ -1,15 +1,17 @@
 import json
 import math
 from contextlib import nullcontext
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from priorlda import _kernels
 from priorlda.corpus import (AllDocumentsEmpty, Corpus, Vocabulary, build_corpus,
                              co_doc_freq, compute_stats, default_stoplist,
-                             delete_low_tfidf, delete_stopwords, json_float_array,
+                             delete_low_tfidf, delete_stopwords,
                              load_corpus, load_raw_documents, load_word_list,
                              save_corpus, tokenize, write_json)
 
@@ -404,6 +406,10 @@ def _dumps(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
+def _want(a: np.ndarray) -> bytes:
+    return _dumps(a.tolist()).encode()
+
+
 # values whose text is easy to get wrong: signed zeros, the smallest
 # subnormal, the smallest normal, exponent switch-overs, non-finite values
 SPECIAL_FLOATS = [0.0, -0.0, 1.0, 1e-05, 1e16, 5e-324, 2.2250738585072014e-308,
@@ -431,47 +437,79 @@ def _home_slots(bits: np.ndarray, n: int) -> np.ndarray:
     return (bits * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(64 - table_bits)
 
 
-def _on_both_backends(a: np.ndarray) -> list[str]:
-    """json_float_array(a) from the C kernel and from its json.dumps twin."""
+def _on_both_backends(a: np.ndarray) -> list[bytes]:
+    """_kernels.json_floats(a) from the C kernels and from its json.dumps twin."""
     texts = []
     for twins in (nullcontext, python_twins):
         with twins():
-            texts.append(json_float_array(a))
+            texts.append(bytes(_kernels.json_floats(a)))
     return texts
+
+
+def _without_the_twin(a: np.ndarray) -> bytes:
+    """_kernels.json_floats(a) with json.dumps switched off, so that only the
+    C kernels can write it."""
+    with mock.patch.object(json, "dumps", side_effect=AssertionError("the twin ran")):
+        return bytes(_kernels.json_floats(a))
+
+
+def _in_exact_range(a: np.ndarray) -> np.ndarray:
+    """Where the C ``reprs`` formats a value itself: zeros, non-finite values
+    and 2^-45 <= |x| < 2^54."""
+    m = np.abs(a)
+    return (m == 0) | ~np.isfinite(m) | ((m >= 2.0**-45) & (m < 2.0**54))
+
+
+def _assert_dumps_text(a: np.ndarray, backend: str) -> None:
+    """json_floats(a) is json.dumps's text, and on the C backend the values
+    in the exact range are written without the twin."""
+    assert _kernels.json_floats(a) == _want(a)
+    if backend == "c":
+        inside = a[_in_exact_range(a)]
+        assert _without_the_twin(inside) == _want(inside)
+
+
+def _bit_patterns(sign, exponent, fraction) -> np.ndarray:
+    """The float64 values with these sign bits, biased exponents and fractions."""
+    return ((np.asarray(sign, np.uint64) << np.uint64(63))
+            | (np.asarray(exponent, np.uint64) << np.uint64(52))
+            | np.asarray(fraction, np.uint64)).view(np.float64)
 
 
 class TestJsonFloatArray:
     @settings(max_examples=300, deadline=None)
     @given(float_arrays())
     def test_matches_json_dumps(self, a):
-        assert _on_both_backends(a) == [_dumps(a.tolist())] * 2
+        assert _on_both_backends(a) == [_want(a)] * 2
 
     @pytest.mark.parametrize("shape", [(0,), (0, 0), (0, 5), (4, 0)])
     def test_empty_shapes(self, shape):
         a = np.empty(shape)
-        assert _on_both_backends(a) == [_dumps(a.tolist())] * 2
+        assert _on_both_backends(a) == [_want(a)] * 2
 
     def test_all_distinct_and_non_contiguous(self):
         a = np.random.default_rng(0).random((6, 40))
         for view in (a, a[:, ::3], a.T):
-            assert _on_both_backends(view) == [_dumps(view.tolist())] * 2
+            assert _on_both_backends(view) == [_want(view)] * 2
 
     def test_all_distinct_at_the_highest_table_load(self, backend):
         # 1,024 distinct entries fill half of a 2,048-slot table
         a = np.random.default_rng(1).random((32, 32))
         assert len(set(a.ravel().tolist())) == a.size
-        assert json_float_array(a) == _dumps(a.tolist())
+        _assert_dumps_text(a, backend)
 
     def test_patterns_sharing_a_home_slot(self, backend):
         # eight patterns whose home is the table's last slot, each twice, so
-        # that probes run long, wrap around to slot 0 and find repeats
+        # that probes run long, wrap around to slot 0 and find repeats; all
+        # lie in [1, 2), so the kernels, not the twin, write them
         n = 16
-        candidates = np.random.default_rng(2).integers(0, 2**64, 4000, dtype=np.uint64)
+        fractions = np.random.default_rng(2).integers(0, 2**52, 4000, dtype=np.uint64)
+        candidates = _bit_patterns(0, 1023, fractions).view(np.uint64)
         colliding = candidates[_home_slots(candidates, n) == 2 * n - 1][:8]
         assert len(colliding) == 8
         a = np.concatenate([colliding, colliding[::-1]]).view(np.float64)
-        assert json_float_array(a) == _dumps(a.tolist())
-        assert json_float_array(a.reshape(4, 4)) == _dumps(a.reshape(4, 4).tolist())
+        _assert_dumps_text(a, backend)
+        _assert_dumps_text(a.reshape(4, 4), backend)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_zeros_and_nan_payloads_mixed(self, backend, seed):
@@ -480,23 +518,76 @@ class TestJsonFloatArray:
                          0x7FF8000000000001, 0x7FF0000000000001, -0x000FFFFFFFFFFFFF,
                          0x3FF0000000000000], dtype=np.int64).view(np.float64)
         a = np.random.default_rng(seed).choice(pool, size=(9, 7))
-        assert json_float_array(a) == _dumps(a.tolist())
+        _assert_dumps_text(a, backend)
 
     def test_signed_zeros_and_nan_payloads_keep_their_text(self):
         nans = np.array([0x7FF8000000000001, -0x0008000000000000, 0x7FF0000000000001],
                         dtype=np.int64).view(np.float64)
         a = np.concatenate([[0.0, -0.0, 1.0, -0.0], nans, [math.nan, 0.0]])
-        assert _on_both_backends(a) == ["[0.0,-0.0,1.0,-0.0,NaN,NaN,NaN,NaN,0.0]"] * 2
+        assert _on_both_backends(a) == [b"[0.0,-0.0,1.0,-0.0,NaN,NaN,NaN,NaN,0.0]"] * 2
 
     def test_rejects_other_dtypes_and_ranks(self):
         for twins in (nullcontext, python_twins):
             with twins():
                 with pytest.raises(TypeError):
-                    json_float_array(np.arange(3))
+                    _kernels.json_floats(np.arange(3))
                 with pytest.raises(TypeError):
-                    json_float_array(np.ones(3, dtype=np.float32))
+                    _kernels.json_floats(np.ones(3, dtype=np.float32))
                 with pytest.raises(ValueError):
-                    json_float_array(np.ones((2, 2, 2)))
+                    _kernels.json_floats(np.ones((2, 2, 2)))
+
+    def test_every_power_of_two_and_its_neighbours(self, backend):
+        powers = np.ldexp(1.0, np.arange(-1074, 1024))
+        values = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+        values = np.concatenate([values, -values])
+        _assert_dumps_text(values, backend)
+        for x in values:  # alone, each in or out of the exact range
+            assert _kernels.json_floats(x[None]) == _want(x[None])
+
+    def test_both_sides_of_the_exact_range(self, backend):
+        low, high = 2.0**-45, 2.0**54
+        inside = np.array([low, np.nextafter(low, 1), np.nextafter(high, 0), 2.0**53 + 2])
+        outside = np.array([np.nextafter(low, 0), high, np.nextafter(high, np.inf)])
+        for a in (inside, -inside, outside, -outside):
+            _assert_dumps_text(a, backend)
+        if backend == "c":
+            for x in np.concatenate([outside, -outside]):
+                with pytest.raises(AssertionError, match="the twin ran"):
+                    _without_the_twin(np.array([1.5, x]))
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.integers(0, 2**64 - 1), max_size=60))
+    def test_raw_bit_patterns(self, backend, patterns):
+        _assert_dumps_text(np.array(patterns, dtype=np.uint64).view(np.float64), backend)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.tuples(st.integers(0, 1), st.integers(978, 1076),
+                              st.integers(0, 2**52 - 1)), max_size=60))
+    @example(fields=[(0, 1023, 0), (1, 1076, 2**52 - 1), (0, 978, 0), (0, 1076, 0)])
+    def test_bit_patterns_in_the_exact_range(self, backend, fields):
+        a = _bit_patterns(*np.array(fields, dtype=np.uint64).reshape(-1, 3).T)
+        assert _in_exact_range(a).all()
+        _assert_dumps_text(a, backend)
+
+    @pytest.mark.parametrize("outlier", [
+        5e-324, 1e300, -1e300,
+        np.array(0x7FF0000000000001, np.uint64).view(np.float64),
+        np.array(0xFFF8000000000123, np.uint64).view(np.float64),
+    ])
+    def test_in_range_values_mixed_with_an_outlier(self, backend, outlier):
+        # a subnormal or a huge value sends the whole array to the twin; a
+        # NaN, whatever its payload, is written by the kernels
+        rng = np.random.default_rng(4)
+        base = rng.uniform(1, 10, 30) * 10.0 ** rng.integers(-12, 16, 30)
+        assert _in_exact_range(base).all()
+        a = np.insert(np.concatenate([base, [-0.0, 0.0]]), rng.integers(0, 33), outlier)
+        for view in (a.reshape(3, 11), a.reshape(3, 11).T.copy()):
+            _assert_dumps_text(view, backend)
+        if backend == "c" and not np.isnan(outlier):
+            with pytest.raises(AssertionError, match="the twin ran"):
+                _without_the_twin(a)
 
     @pytest.mark.parametrize("fields,arrays", [
         ({}, {}),

@@ -18,7 +18,8 @@ from priorlda.experiments import (FULL_SEARCH_GRID, PLAN_LIST_FIELDS, Experiment
 from priorlda.metrics import MetricConfig, ModelReport
 from priorlda.priors import TopicKind, symmetric_prior
 from priorlda.sampler import ModelConfig, fit
-from priorlda.synthetic import planted_stopword_corpus
+
+from .synthetic import planted_stopword_corpus
 
 
 @pytest.fixture(scope="module")

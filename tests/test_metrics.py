@@ -14,10 +14,10 @@ from priorlda.metrics import (MetricConfig, codocument_appearance,
                               log_lift, pmi_score, report, stopword_rate)
 from priorlda.priors import TopicKind, symmetric_prior
 from priorlda.sampler import ModelConfig, fit, top_words
-from priorlda.synthetic import pathology_corpus, planted_stopword_corpus
 
 from .conftest import python_twins
 from .oracles import (naive_codoc, naive_coherence, naive_log_lift, naive_pmi)
+from .synthetic import pathology_corpus, planted_stopword_corpus
 
 
 def token_docs_of(corpus):

@@ -11,10 +11,10 @@ from priorlda.priors import (DEFAULT_FLOOR, ConfigMismatch, PriorConfig, PriorMa
                              validate, wordfreq_prior)
 
 from priorlda.sampler import ModelConfig, fit, save_model
-from priorlda.synthetic import random_corpus
 
 from .conftest import ALICE_KEYWORDS
 from .oracles import reference_prior_data, reference_prior_rows
+from .synthetic import random_corpus
 
 
 @pytest.fixture

@@ -23,11 +23,11 @@ from priorlda.sampler import (DimensionMismatch, FittedModel, ModelConfig, Model
                               hyperparameter_search, init, load_model,
                               log_likelihood, save_model, sweep, sweep_snapshot,
                               tabulate, top_words)
-from priorlda.synthetic import random_corpus, two_topic_corpus
 
 from .conftest import python_twins
 from .oracles import (enumerate_posterior, greedy_align_cosine, snapshot_sweeps,
                       urn_log_joint)
+from .synthetic import random_corpus, two_topic_corpus
 
 
 def counts_match_assignments(state):
@@ -296,7 +296,7 @@ class TestKernelsAgree:
         with caplog.at_level(logging.WARNING, logger=_kernels.__name__):
             importlib.reload(_kernels)
         assert _kernels.BACKEND == "numpy"
-        assert _kernels._dedup_c is None and _kernels._splice_c is None
+        assert _kernels._dedup_c is _kernels._reprs_c is _kernels._splice_c is None
         assert [r.levelno for r in caplog.records] == [logging.WARNING]
         save_model(fit(corpus, prior, cfg), tmp_path / "numpy.json")
         assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "c.json").read_bytes()
@@ -308,7 +308,8 @@ def test_c_kernel_loads_where_a_compiler_is_present():
     if shutil.which("cc") is None:
         pytest.skip("no C compiler on PATH")
     assert _kernels.BACKEND == "c"
-    for entry in (_kernels._sweep_c, _kernels._log_sum_c, _kernels._dedup_c, _kernels._splice_c):
+    for entry in (_kernels._sweep_c, _kernels._log_sum_c, _kernels._dedup_c, _kernels._reprs_c,
+                  _kernels._splice_c):
         assert entry is not None
 
 
@@ -324,7 +325,7 @@ def test_c_kernel_source_compiles_without_warnings(tmp_path, monkeypatch):
         pytest.fail(exc.stderr)
     assert lib.parent == tmp_path / "priorlda"
     loaded = ctypes.CDLL(str(lib))
-    assert loaded.sweep and loaded.log_sum and loaded.dedup and loaded.splice
+    assert loaded.sweep and loaded.log_sum and loaded.dedup and loaded.reprs and loaded.splice
 
 
 @pytest.mark.parametrize("value", [0.0, -0.0, -1e-300, -math.inf])
@@ -500,7 +501,8 @@ class TestLogLikelihood:
         for _ in range(3):
             sweep(state, prior, 0.6)
             token_docs = [d.tolist() for d in corpus.documents]
-            z_docs = [z.tolist() for z in state.z_by_doc()]
+            z_docs = [state.z[lo:hi].tolist()
+                      for lo, hi in zip(state.doc_starts, state.doc_starts[1:])]
             want = urn_log_joint(token_docs, z_docs, prior.weights, 0.6)
             assert log_likelihood(state, prior, 0.6) == pytest.approx(want, abs=1e-8)
 
