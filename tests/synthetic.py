@@ -1,4 +1,4 @@
-"""Planted synthetic corpora for demos and verification.
+"""Planted synthetic corpora for the tests.
 
 Two families:
 
