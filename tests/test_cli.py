@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import priorlda
+from priorlda import experiments
 from priorlda.cli import build_parser, main
 from priorlda.corpus import compute_stats, load_corpus
 from priorlda.priors import PriorConfig, assemble, save_prior
@@ -283,6 +285,22 @@ class TestExperimentAndReport:
                 csv.DictReader((out_dir / "comparison.csv").read_text().splitlines())}
         assert float(rows["tfidf_prior"]["stopword_rate"]) < \
             float(rows["no_deletion"]["stopword_rate"])
+
+    def test_dead_worker_is_one_error_line(self, tmp_path, plan_path, capsys, monkeypatch):
+        run = experiments._run
+
+        def die_in_worker(plan, spec, *args):
+            if multiprocessing.parent_process() is not None and spec.variant.value == "tfidf_prior":
+                os._exit(3)
+            return run(plan, spec, *args)
+
+        monkeypatch.setattr(experiments, "_run", die_in_worker)
+        code = main(["experiment", "--plan", str(plan_path), "--jobs", "2",
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: broken-process-pool: ")
+        assert multiprocessing.active_children() == []
 
     def test_rerun_byte_identical(self, tmp_path, plan_path):
         dir_a, dir_b = tmp_path / "a", tmp_path / "b"

@@ -1,5 +1,6 @@
 import json
 import warnings
+from concurrent import futures
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from priorlda import _kernels
+from priorlda import _kernels, experiments
 from priorlda.experiments import (FULL_SEARCH_GRID, PLAN_LIST_FIELDS, ExperimentPlan,
                                   FailedRun, MissingResource, RunSettings, Variant,
                                   comparison_csv, comparison_table,
@@ -47,6 +48,14 @@ def planted_on_disk(tmp_path_factory):
 
 
 FAST_METRICS = MetricConfig(m_small=5, m_large=10)
+
+
+class TwoArg(Exception):
+    """Pickles, but does not unpickle: the rebuild calls __init__ with one
+    argument, the message."""
+
+    def __init__(self, what, why):
+        super().__init__(f"{what}: {why}")
 
 
 class TestEnumerateRuns:
@@ -166,22 +175,25 @@ class TestRunGrid:
         assert result.failures[0].variant is Variant.KEYWORD_SEEDING_PRIOR
         assert len(result.records) == 1
 
-    def test_failure_keeps_type_and_traceback(self, planted_on_disk):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failure_keeps_type_and_traceback(self, planted_on_disk, jobs):
         planted, plan = planted_on_disk
         no_list = ExperimentPlan(**{**plan.to_json(),
                                     "variants": [Variant.KEYWORD_TOPICS_BASELINE.value,
                                                  Variant.NO_DELETION.value],
                                     "whitelist": None})
         resources = load_resources(no_list)
-        result = run_grid(no_list, corpus=resources.corpus, metric_config=FAST_METRICS)
+        result = run_grid(no_list, jobs=jobs, corpus=resources.corpus,
+                          metric_config=FAST_METRICS)
         assert len(result.records) == 1
         (failure,) = result.failures
-        assert isinstance(failure.exception, MissingResource)
+        assert failure.type == "MissingResource"
         manifest = run_manifest(no_list, result, resources.corpus)
         (entry,) = manifest["failures"]
         assert entry["variant"] == Variant.KEYWORD_TOPICS_BASELINE.value
         assert entry["seed"] == 1
-        assert entry["error"] == str(failure.exception) == failure.error
+        assert entry["error"] == failure.error
+        assert entry["traceback"] == failure.traceback
         assert "needs a whitelist" in entry["error"]
         assert entry["type"] == "MissingResource"
         assert entry["traceback"].startswith("Traceback (most recent call last):")
@@ -205,6 +217,40 @@ class TestRunGrid:
         serial = run_grid(plan, jobs=1, metric_config=FAST_METRICS)
         parallel = run_grid(plan, jobs=4, metric_config=FAST_METRICS)
         assert comparison_csv(serial.records) == comparison_csv(parallel.records)
+
+    def test_workers_capped_at_the_run_count(self, planted_on_disk, monkeypatch):
+        planted, plan = planted_on_disk
+        started = []
+
+        class Recording(futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                started.append(max_workers)
+                # fork at most two, even where the cap is broken
+                super().__init__(min(max_workers, 2), **kwargs)
+
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", Recording)
+        result = run_grid(plan, jobs=64, metric_config=FAST_METRICS)
+        assert started == [len(enumerate_runs(plan))] == [2]
+        assert len(result.records) == 2
+        run_grid(replace(plan, variants=[Variant.NO_DELETION]), jobs=64,
+                 metric_config=FAST_METRICS)
+        assert started == [2]  # a single run is run in-process
+
+    def test_unrebuildable_exception_is_a_failed_run(self, planted_on_disk, monkeypatch):
+        planted, plan = planted_on_disk
+
+        def boom(settings):
+            raise TwoArg("tfidf", "unpicklable in the parent")
+
+        spec = experiments.VARIANTS[Variant.TFIDF_PRIOR]
+        monkeypatch.setitem(experiments.VARIANTS, Variant.TFIDF_PRIOR,
+                            replace(spec, model=boom))
+        result = run_grid(plan, jobs=2, metric_config=FAST_METRICS)
+        assert [r.variant for r in result.records] == [Variant.NO_DELETION]
+        (failure,) = result.failures
+        assert failure.type == "TwoArg"
+        assert failure.error == "tfidf: unpicklable in the parent"
+        assert "in boom" in failure.traceback
 
 
 class TestComparisonTable:
