@@ -89,9 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a plan file over its grid")
     p.add_argument("--plan", required=True)
-    # workers are forked processes, not threads: numpy releases the GIL in
-    # many small calls (RNG fills, sorts, ufuncs), and two threads traded it
-    # ~2,400 times per demo grid, slower than one job
+    # the caller runs one share of the grid and N-1 forked processes the rest;
+    # threads were slower than one job, as numpy drops the GIL in many small calls
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out-dir", required=True)
     # every plan field is overridable; the plan file wins only when the flag

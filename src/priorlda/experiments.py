@@ -13,7 +13,6 @@ import logging
 import time
 import traceback
 from collections.abc import Callable, Iterable, Sequence
-from concurrent import futures
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from itertools import product
@@ -370,17 +369,16 @@ class GridResult:
 def run_grid(plan: ExperimentPlan, jobs: int | None = None,
              corpus: Corpus | None = None,
              metric_config: MetricConfig | None = None) -> GridResult:
-    """Run every spec the plan enumerates, in plan order. ``jobs`` > 1 (None
-    means 1) forks ``min(jobs, runs)`` worker processes that inherit the grid
-    and send back each run's outcome, with the bytes of one job; a record's
-    ``duration`` is timed in its worker. Failed runs are recorded, not fatal."""
+    """Run every spec the plan enumerates, in plan order. Of ``workers =
+    min(jobs, runs)`` (None means 1 job), worker w runs specs w, w + workers, ...
+    The caller runs share 0; forked children inherit the grid and pipe back the
+    rest. Failed runs are recorded, not fatal; a dead child raises BrokenProcessPool."""
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     resources = load_resources(plan, corpus)
     metric_config = metric_config or plan.metric_config()
     specs = enumerate_runs(plan)
-    # Preprocessed corpora and their stats are shared read-only; build them
-    # once per key, before any worker starts.
+    # one preprocessed corpus and its stats per key, built before any fork
     prep: dict[str, tuple[Corpus, CorpusStats]] = {}
     for spec in specs:
         key = VARIANTS[spec.variant].preprocessing
@@ -388,16 +386,33 @@ def run_grid(plan: ExperimentPlan, jobs: int | None = None,
             working = _preprocess(key, resources.corpus, resources.stoplist,
                                   spec.settings.tfidf_cut)
             prep[key] = (working, compute_stats(working))
-    grid = (plan, specs, prep, resources, metric_config)
+    grid = (plan, prep, resources, metric_config)
     workers = min(jobs or 1, len(specs))
-    if workers > 1:
-        import multiprocessing  # loaded only where a grid forks
-        with futures.ProcessPoolExecutor(max_workers=workers,
-                                         mp_context=multiprocessing.get_context("fork"),
-                                         initializer=_start_worker, initargs=grid) as pool:
-            outcomes = list(pool.map(_outcome, range(len(specs))))
-    else:
-        outcomes = [_outcome(i, grid) for i in range(len(specs))]
+    outcomes, children = [None] * len(specs), []
+    try:
+        if workers > 1:
+            import multiprocessing  # loaded only where a grid forks
+            fork = multiprocessing.get_context("fork")
+            for w in range(1, workers):
+                receive, send = fork.Pipe(duplex=False)
+                child = fork.Process(target=lambda send=send, share=specs[w::workers]:
+                                     send.send(_share(share, grid)))
+                child.start()
+                send.close()  # the child now holds the only send end: its death is EOF
+                children.append((child, receive))
+        outcomes[::workers] = _share(specs[::workers], grid)
+        for w, (child, receive) in enumerate(children, 1):
+            try:
+                outcomes[w::workers] = receive.recv()
+            except EOFError:
+                from concurrent.futures.process import BrokenProcessPool
+                child.join()
+                raise BrokenProcessPool(f"worker {w} exited with code {child.exitcode}") from None
+            child.join()
+    finally:
+        for child, _ in children:
+            child.terminate()  # a no-op once joined
+            child.join()
     records = [o for o in outcomes if isinstance(o, RunRecord)]
     failures = [o for o in outcomes if isinstance(o, FailedRun)]
     for failure in failures:
@@ -405,25 +420,18 @@ def run_grid(plan: ExperimentPlan, jobs: int | None = None,
     return GridResult(records=records, failures=failures)
 
 
-_worker_grid: tuple | None = None  # set only in a run_grid worker process
-
-
-def _start_worker(*grid) -> None:
-    global _worker_grid
-    _worker_grid = grid
-
-
-def _outcome(index: int, grid: tuple | None = None) -> RunRecord | FailedRun:
-    """Run spec ``index`` of ``grid`` (by default the grid this worker
-    process was started with); an exception becomes a FailedRun."""
-    plan, specs, prep, resources, metric_config = grid or _worker_grid
-    spec = specs[index]
-    try:
-        return _run(plan, spec, *prep[VARIANTS[spec.variant].preprocessing],
-                    resources, metric_config)
-    except Exception as exc:  # noqa: BLE001 - failure isolation is the contract
-        return FailedRun(spec.variant, spec.settings, spec.seed, type(exc).__name__,
-                         str(exc), "".join(traceback.format_exception(exc)))
+def _share(specs: list[RunSpec], grid: tuple) -> list[RunRecord | FailedRun]:
+    """Run each spec on its preprocessed corpus; an exception becomes a FailedRun."""
+    plan, prep, resources, metric_config = grid
+    outcomes = []
+    for spec in specs:
+        try:
+            outcomes.append(_run(plan, spec, *prep[VARIANTS[spec.variant].preprocessing],
+                                 resources, metric_config))
+        except Exception as exc:  # noqa: BLE001 - failure isolation is the contract
+            outcomes.append(FailedRun(spec.variant, spec.settings, spec.seed, type(exc).__name__,
+                                      str(exc), "".join(traceback.format_exception(exc))))
+    return outcomes
 
 
 # --- tables ----------------------------------------------------------------

@@ -558,9 +558,11 @@ class TestByteContract:
 
 def test_import_leaves_scipy_stats_unloaded():
     # scipy.stats would cost every priorlda process, --help included, about
-    # a second and 45 MB of memory
+    # a second and 45 MB of memory; scipy.sparse is not used, and
+    # multiprocessing only by a grid that forks
     code = ("import sys, priorlda, priorlda.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))")
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+            "(['scipy', 'stats'], ['scipy', 'sparse']) or m.startswith('multiprocessing')))")
     path = [str(Path(priorlda.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": os.pathsep.join(path)}, check=True)

@@ -1,6 +1,8 @@
 import json
+import multiprocessing
+import signal
+import time
 import warnings
-from concurrent import futures
 from dataclasses import replace
 
 import numpy as np
@@ -213,28 +215,69 @@ class TestRunGrid:
             run_grid(plan, jobs=jobs, metric_config=FAST_METRICS)
 
     def test_parallel_equals_serial(self, planted_on_disk):
-        planted, plan = planted_on_disk
-        serial = run_grid(plan, jobs=1, metric_config=FAST_METRICS)
-        parallel = run_grid(plan, jobs=4, metric_config=FAST_METRICS)
-        assert comparison_csv(serial.records) == comparison_csv(parallel.records)
+        planted, two_runs = planted_on_disk
+        # Six runs stride over three workers as (0, 3), (1, 4), (2, 5). The
+        # keyword runs 2 and 3 cannot fit 1 + 9 + 19 rows in 8 topics: one
+        # fails in a child, the other in the calling process.
+        six_runs = replace(two_runs, variants=[Variant.NO_DELETION, Variant.KEYWORD_SEEDING_PRIOR,
+                                               Variant.TFIDF_PRIOR],
+                           seeds=[1, 2], iterations=[40], tfidf_topics=[9], keyword_topics=[19])
+        keyword = Variant.KEYWORD_SEEDING_PRIOR
+        for plan, jobs, failed in [(two_runs, 4, []), (six_runs, 3, [(keyword, 1), (keyword, 2)])]:
+            serial = run_grid(plan, jobs=1, metric_config=FAST_METRICS)
+            parallel = run_grid(plan, jobs=jobs, metric_config=FAST_METRICS)
+            order = [(spec.variant, spec.seed) for spec in enumerate_runs(plan)]
+            assert [(f.variant, f.seed) for f in parallel.failures] == failed
+            assert [(r.variant, r.seed) for r in parallel.records] == \
+                [key for key in order if key not in failed]
+            assert [f.to_json() for f in parallel.failures] == \
+                [f.to_json() for f in serial.failures]
+            assert comparison_csv(serial.records) == comparison_csv(parallel.records)
+            tables = [correlation_data(r.records) for r in (serial, parallel)]
+            assert tables[0].points_csv() == tables[1].points_csv()
+            assert tables[0].correlations_csv() == tables[1].correlations_csv()
 
     def test_workers_capped_at_the_run_count(self, planted_on_disk, monkeypatch):
         planted, plan = planted_on_disk
         started = []
+        start = multiprocessing.context.ForkProcess.start
 
-        class Recording(futures.ProcessPoolExecutor):
-            def __init__(self, max_workers, **kwargs):
-                started.append(max_workers)
-                # fork at most two, even where the cap is broken
-                super().__init__(min(max_workers, 2), **kwargs)
+        def recording(process):
+            started.append(process)
+            # fork at most one, even where the cap is broken
+            assert len(started) == 1, "forked more children than the plan has runs, less one"
+            start(process)
 
-        monkeypatch.setattr(futures, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", recording)
         result = run_grid(plan, jobs=64, metric_config=FAST_METRICS)
-        assert started == [len(enumerate_runs(plan))] == [2]
+        assert len(started) == len(enumerate_runs(plan)) - 1 == 1
         assert len(result.records) == 2
         run_grid(replace(plan, variants=[Variant.NO_DELETION]), jobs=64,
                  metric_config=FAST_METRICS)
-        assert started == [2]  # a single run is run in-process
+        assert len(started) == 1  # a single run forks no child
+
+    def test_interrupt_in_the_callers_share_terminates_children(self, planted_on_disk,
+                                                                monkeypatch):
+        planted, plan = planted_on_disk
+        started = []
+        start = multiprocessing.context.ForkProcess.start
+
+        def recording(process):
+            started.append(process)
+            start(process)
+
+        def interrupted(*args):
+            if multiprocessing.parent_process() is None:
+                raise KeyboardInterrupt
+            time.sleep(60)  # the child is still running when the caller stops
+
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", recording)
+        monkeypatch.setattr(experiments, "_run", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_grid(plan, jobs=2, metric_config=FAST_METRICS)
+        (child,) = started
+        assert child.exitcode == -signal.SIGTERM
+        assert multiprocessing.active_children() == []
 
     def test_unrebuildable_exception_is_a_failed_run(self, planted_on_disk, monkeypatch):
         planted, plan = planted_on_disk
