@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a plan file over its grid")
     p.add_argument("--plan", required=True)
-    # the caller runs one share of the grid and N-1 forked processes the rest;
+    # the caller and N-1 forked processes each take the next run when free;
     # threads were slower than one job, as numpy drops the GIL in many small calls
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out-dir", required=True)

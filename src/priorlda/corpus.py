@@ -13,7 +13,6 @@ import numpy as np
 from . import _kernels
 
 CORPUS_FORMAT_VERSION = 1
-CODOC_BLOCK = 4096  # documents per incidence block in co_doc_counts
 
 
 class AllDocumentsEmpty(ValueError):
@@ -252,22 +251,20 @@ def co_doc_freq(stats: CorpusStats, w1: int, w2: int) -> int:
 
 
 def co_doc_counts(stats: CorpusStats, ids: Sequence[int]) -> np.ndarray:
-    """All co_doc_freq values among the given word ids.
+    """All co_doc_freq values among the given word ids, from one sparse product.
 
     Entry (i, j) is the number of documents holding both ids[i] and ids[j];
     the diagonal is each word's document frequency. Repeated ids give
-    repeated rows and columns. The result is X.T @ X, X the ids' document x
-    word incidence matrix, taken in float32 per CODOC_BLOCK documents (whole
-    numbers below 2**24, exact in any summation order) and summed in int64."""
-    rows = np.concatenate([stats.doc_index[w] for w in ids] or [np.zeros(0, np.int64)])
-    cols = np.repeat(np.arange(len(ids)), [stats.doc_index[w].size for w in ids])
-    counts = np.zeros((len(ids), len(ids)), dtype=np.int64)
-    for lo in range(0, stats.n_docs, CODOC_BLOCK):
-        part = (rows >= lo) & (rows < lo + CODOC_BLOCK)
-        x = np.zeros((min(CODOC_BLOCK, stats.n_docs - lo), len(ids)), dtype=np.float32)
-        x[rows[part] - lo, cols[part]] = 1
-        counts += (x.T @ x).astype(np.int64)
-    return counts
+    repeated rows and columns. X is the document x word incidence matrix of
+    the ids, built from ``doc_index``, and the result is X.T @ X.
+    """
+    from scipy import sparse  # loaded by the first report, not by every import
+    columns = [stats.doc_index[w] for w in ids]
+    indptr = np.cumsum([0] + [c.size for c in columns])
+    rows = np.concatenate(columns) if columns else np.zeros(0, dtype=np.int64)
+    x = sparse.csc_array((np.ones(rows.size, dtype=np.int64), rows, indptr),
+                         shape=(stats.n_docs, len(columns)))
+    return (x.T @ x).toarray()
 
 
 def _rebuild(corpus: Corpus, keep: np.ndarray) -> Corpus:

@@ -15,7 +15,7 @@ import traceback
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import asdict, dataclass, field
 from enum import Enum
-from itertools import product
+from itertools import count, product
 from pathlib import Path
 
 import numpy as np
@@ -369,10 +369,9 @@ class GridResult:
 def run_grid(plan: ExperimentPlan, jobs: int | None = None,
              corpus: Corpus | None = None,
              metric_config: MetricConfig | None = None) -> GridResult:
-    """Run every spec the plan enumerates, in plan order. Of ``workers =
-    min(jobs, runs)`` (None means 1 job), worker w runs specs w, w + workers, ...
-    The caller runs share 0; forked children inherit the grid and pipe back the
-    rest. Failed runs are recorded, not fatal; a dead child raises BrokenProcessPool."""
+    """Run every spec the plan enumerates, in plan order. ``jobs`` > 1 (None
+    means 1) forks ``min(jobs, runs) - 1`` children; they and the caller each draw
+    the next spec when free. Failures are recorded; a dead child raises BrokenProcessPool."""
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     resources = load_resources(plan, corpus)
@@ -386,24 +385,27 @@ def run_grid(plan: ExperimentPlan, jobs: int | None = None,
             working = _preprocess(key, resources.corpus, resources.stoplist,
                                   spec.settings.tfidf_cut)
             prep[key] = (working, compute_stats(working))
-    grid = (plan, prep, resources, metric_config)
-    workers = min(jobs or 1, len(specs))
-    outcomes, children = [None] * len(specs), []
+    grid = (plan, specs, prep, resources, metric_config)
+    take, children = count().__next__, []
     try:
-        if workers > 1:
+        if min(jobs or 1, len(specs)) > 1:
             import multiprocessing  # loaded only where a grid forks
             fork = multiprocessing.get_context("fork")
-            for w in range(1, workers):
+
+            def take(drawn=fork.Value("q", -1)) -> int:  # the next spec, drawn by a free process
+                with drawn:
+                    drawn.value += 1
+                    return drawn.value
+            for _ in range(min(jobs, len(specs)) - 1):
                 receive, send = fork.Pipe(duplex=False)
-                child = fork.Process(target=lambda send=send, share=specs[w::workers]:
-                                     send.send(_share(share, grid)))
+                child = fork.Process(target=lambda send=send: send.send(_drain(take, grid)))
                 child.start()
                 send.close()  # the child now holds the only send end: its death is EOF
                 children.append((child, receive))
-        outcomes[::workers] = _share(specs[::workers], grid)
+        done = _drain(take, grid)
         for w, (child, receive) in enumerate(children, 1):
             try:
-                outcomes[w::workers] = receive.recv()
+                done += receive.recv()
             except EOFError:
                 from concurrent.futures.process import BrokenProcessPool
                 child.join()
@@ -413,6 +415,7 @@ def run_grid(plan: ExperimentPlan, jobs: int | None = None,
         for child, _ in children:
             child.terminate()  # a no-op once joined
             child.join()
+    outcomes = [outcome for _, outcome in sorted(done, key=lambda pair: pair[0])]
     records = [o for o in outcomes if isinstance(o, RunRecord)]
     failures = [o for o in outcomes if isinstance(o, FailedRun)]
     for failure in failures:
@@ -420,18 +423,21 @@ def run_grid(plan: ExperimentPlan, jobs: int | None = None,
     return GridResult(records=records, failures=failures)
 
 
-def _share(specs: list[RunSpec], grid: tuple) -> list[RunRecord | FailedRun]:
-    """Run each spec on its preprocessed corpus; an exception becomes a FailedRun."""
-    plan, prep, resources, metric_config = grid
-    outcomes = []
-    for spec in specs:
+def _drain(take: Callable[[], int], grid: tuple) -> list[tuple[int, RunRecord | FailedRun]]:
+    """Run spec ``take()`` on its preprocessed corpus until ``take()`` passes the
+    last spec; an exception becomes a FailedRun. Returns (index, outcome) pairs."""
+    plan, specs, prep, resources, metric_config = grid
+    done = []
+    while (i := take()) < len(specs):
+        spec = specs[i]
         try:
-            outcomes.append(_run(plan, spec, *prep[VARIANTS[spec.variant].preprocessing],
-                                 resources, metric_config))
+            outcome = _run(plan, spec, *prep[VARIANTS[spec.variant].preprocessing],
+                           resources, metric_config)
         except Exception as exc:  # noqa: BLE001 - failure isolation is the contract
-            outcomes.append(FailedRun(spec.variant, spec.settings, spec.seed, type(exc).__name__,
-                                      str(exc), "".join(traceback.format_exception(exc))))
-    return outcomes
+            outcome = FailedRun(spec.variant, spec.settings, spec.seed, type(exc).__name__,
+                                str(exc), "".join(traceback.format_exception(exc)))
+        done.append((i, outcome))
+    return done
 
 
 # --- tables ----------------------------------------------------------------

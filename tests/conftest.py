@@ -28,6 +28,28 @@ def no_worker_outlives_its_test():
 
 
 @pytest.fixture
+def child_runs_first(monkeypatch):
+    """Call it to make run_grid's calling process start its first run only
+    once a forked child has started one. A 2-job grid's child then surely
+    runs one of the plan's first two runs, whichever the caller draws."""
+    from priorlda import experiments
+
+    def install():
+        started = multiprocessing.get_context("fork").Event()
+        run = experiments._run
+
+        def child_first(*args):
+            if multiprocessing.parent_process() is None:
+                assert started.wait(timeout=60), "no child started a run"
+            else:
+                started.set()
+            return run(*args)
+
+        monkeypatch.setattr(experiments, "_run", child_first)
+    return install
+
+
+@pytest.fixture
 def alice_texts():
     return list(ALICE_TEXTS)
 

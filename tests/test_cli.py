@@ -286,15 +286,17 @@ class TestExperimentAndReport:
         assert float(rows["tfidf_prior"]["stopword_rate"]) < \
             float(rows["no_deletion"]["stopword_rate"])
 
-    def test_dead_worker_is_one_error_line(self, tmp_path, plan_path, capsys, monkeypatch):
+    def test_dead_worker_is_one_error_line(self, tmp_path, plan_path, capsys, monkeypatch,
+                                           child_runs_first):
         run = experiments._run
 
         def die_in_worker(plan, spec, *args):
-            if multiprocessing.parent_process() is not None and spec.variant.value == "tfidf_prior":
+            if multiprocessing.parent_process() is not None:
                 os._exit(3)
             return run(plan, spec, *args)
 
         monkeypatch.setattr(experiments, "_run", die_in_worker)
+        child_runs_first()  # the child dies in its first run; the caller runs the rest
         code = main(["experiment", "--plan", str(plan_path), "--jobs", "2",
                      "--out-dir", str(tmp_path / "out")])
         assert code == 1

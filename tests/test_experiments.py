@@ -178,29 +178,31 @@ class TestRunGrid:
         assert len(result.records) == 1
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_failure_keeps_type_and_traceback(self, planted_on_disk, jobs):
+    def test_failure_keeps_type_and_traceback(self, planted_on_disk, child_runs_first, jobs):
         planted, plan = planted_on_disk
         no_list = ExperimentPlan(**{**plan.to_json(),
                                     "variants": [Variant.KEYWORD_TOPICS_BASELINE.value,
                                                  Variant.NO_DELETION.value],
-                                    "whitelist": None})
+                                    "seeds": [1, 2], "whitelist": None})
+        if jobs > 1:
+            child_runs_first()  # so a failure raised in the child crosses the pipe
         resources = load_resources(no_list)
         result = run_grid(no_list, jobs=jobs, corpus=resources.corpus,
                           metric_config=FAST_METRICS)
-        assert len(result.records) == 1
-        (failure,) = result.failures
-        assert failure.type == "MissingResource"
+        assert len(result.records) == 2
+        assert [failure.type for failure in result.failures] == ["MissingResource"] * 2
         manifest = run_manifest(no_list, result, resources.corpus)
-        (entry,) = manifest["failures"]
-        assert entry["variant"] == Variant.KEYWORD_TOPICS_BASELINE.value
-        assert entry["seed"] == 1
-        assert entry["error"] == failure.error
-        assert entry["traceback"] == failure.traceback
-        assert "needs a whitelist" in entry["error"]
-        assert entry["type"] == "MissingResource"
-        assert entry["traceback"].startswith("Traceback (most recent call last):")
-        assert "in _build_model" in entry["traceback"]
-        assert entry["traceback"].rstrip().endswith(f"MissingResource: {entry['error']}")
+        for seed, failure, entry in zip([1, 2], result.failures, manifest["failures"],
+                                        strict=True):
+            assert entry["variant"] == Variant.KEYWORD_TOPICS_BASELINE.value
+            assert entry["seed"] == seed
+            assert entry["error"] == failure.error
+            assert entry["traceback"] == failure.traceback
+            assert "needs a whitelist" in entry["error"]
+            assert entry["type"] == "MissingResource"
+            assert entry["traceback"].startswith("Traceback (most recent call last):")
+            assert "in _build_model" in entry["traceback"]
+            assert entry["traceback"].rstrip().endswith(f"MissingResource: {entry['error']}")
         json.dumps(manifest)
 
     def test_grid_completeness(self, planted_on_disk):
@@ -216,9 +218,8 @@ class TestRunGrid:
 
     def test_parallel_equals_serial(self, planted_on_disk):
         planted, two_runs = planted_on_disk
-        # Six runs stride over three workers as (0, 3), (1, 4), (2, 5). The
-        # keyword runs 2 and 3 cannot fit 1 + 9 + 19 rows in 8 topics: one
-        # fails in a child, the other in the calling process.
+        # Six runs over three processes that draw them as they become free. The
+        # keyword runs 2 and 3 cannot fit 1 + 9 + 19 rows in 8 topics and fail.
         six_runs = replace(two_runs, variants=[Variant.NO_DELETION, Variant.KEYWORD_SEEDING_PRIOR,
                                                Variant.TFIDF_PRIOR],
                            seeds=[1, 2], iterations=[40], tfidf_topics=[9], keyword_topics=[19])
@@ -279,21 +280,26 @@ class TestRunGrid:
         assert child.exitcode == -signal.SIGTERM
         assert multiprocessing.active_children() == []
 
-    def test_unrebuildable_exception_is_a_failed_run(self, planted_on_disk, monkeypatch):
+    def test_unrebuildable_exception_is_a_failed_run(self, planted_on_disk, monkeypatch,
+                                                     child_runs_first):
         planted, plan = planted_on_disk
+        run = experiments._run
 
-        def boom(settings):
-            raise TwoArg("tfidf", "unpicklable in the parent")
+        def boom(plan, spec, *args):
+            if multiprocessing.parent_process() is not None:
+                raise TwoArg(spec.variant.value, "unpicklable in the parent")
+            return run(plan, spec, *args)
 
-        spec = experiments.VARIANTS[Variant.TFIDF_PRIOR]
-        monkeypatch.setitem(experiments.VARIANTS, Variant.TFIDF_PRIOR,
-                            replace(spec, model=boom))
+        monkeypatch.setattr(experiments, "_run", boom)
+        child_runs_first()  # the child surely runs one of the two runs, perhaps both
         result = run_grid(plan, jobs=2, metric_config=FAST_METRICS)
-        assert [r.variant for r in result.records] == [Variant.NO_DELETION]
-        (failure,) = result.failures
-        assert failure.type == "TwoArg"
-        assert failure.error == "tfidf: unpicklable in the parent"
-        assert "in boom" in failure.traceback
+        assert result.failures
+        assert sorted(o.variant.value for o in result.records + result.failures) == \
+            ["no_deletion", "tfidf_prior"]
+        for failure in result.failures:
+            assert failure.type == "TwoArg"
+            assert failure.error == f"{failure.variant.value}: unpicklable in the parent"
+            assert "in boom" in failure.traceback
 
 
 class TestComparisonTable:

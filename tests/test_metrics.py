@@ -6,7 +6,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from priorlda import corpus as corpus_module
 from priorlda import metrics
 from priorlda.corpus import (AllDocumentsEmpty, build_corpus, co_doc_counts,
                              co_doc_freq, compute_stats, delete_stopwords)
@@ -217,18 +216,6 @@ class TestReport:
             values = [getattr(t, name) for t in rep.per_topic]
             assert rep.model_means[name] == pytest.approx(float(np.mean(values)))
 
-    def test_means_have_the_bits_of_each_columns_np_mean(self):
-        # magnitudes from 1e-8 to 1e8 make the sum depend on its order
-        rng = np.random.default_rng(7)
-        for k in rng.integers(1, 200, size=300).tolist():
-            table = rng.standard_normal((k, 7)) * 10.0 ** rng.integers(-8, 9, size=(k, 7))
-            scores = [metrics.TopicScore(*row, kind=TopicKind.TFIDF) for row in table.tolist()]
-            means = metrics._means(scores)
-            for name in metrics.METRIC_COLUMNS:
-                want = float(np.mean([getattr(s, name) for s in scores]))
-                assert type(means[name]) is float
-                assert means[name].hex() == want.hex(), (k, name)
-
     def test_full_independent_recomputation(self):
         planted, stats, model = self._small_model(seed=3)
         stoplist = set(planted.stopwords)
@@ -299,16 +286,6 @@ class TestBatchedCounts:
         for i, a in enumerate(ids):
             for j, b in enumerate(ids):
                 assert counts[i, j] == co_doc_freq(stats, a, b)
-
-    @pytest.mark.parametrize("block", [1, 7, 299])
-    def test_document_blocks_add_up(self, monkeypatch, block):
-        stats = compute_stats(zipf_corpus(seed=4))
-        ids = list(range(40)) + [3, 0]
-        whole = co_doc_counts(stats, ids)
-        monkeypatch.setattr(corpus_module, "CODOC_BLOCK", block)
-        assert np.array_equal(co_doc_counts(stats, ids), whole)
-        assert whole.dtype == np.int64
-        assert whole.tolist() == [[co_doc_freq(stats, a, b) for b in ids] for a in ids]
 
     def test_counts_shape_checked(self):
         stats = compute_stats(build_corpus(["a b", "b c"]))
