@@ -2,17 +2,18 @@
 text of float arrays.
 
 All three are small C functions, compiled on first import into a cache
-directory and called through ctypes (the sweep and the JSON writer without
-holding the GIL). Without a C compiler their twins run instead:
-``_sweep_py``, ``_log_sum_py`` and ``json.dumps(a.tolist())``. Each pair
-gives the same bits: the sweep does the same arithmetic in the same order on
-pre-drawn uniforms, and the fold adds libm's ``log`` (what ``math.log``
-calls) left to right. The JSON writer's ``reprs`` gives each distinct
-value ``float.__repr__``'s shortest round-trip digits with Ryu's digit loop,
+directory and called through one ctypes handle. Without a C compiler their
+twins run instead: ``_sweep_py``, ``_log_sum_py`` and
+``json.dumps(a.tolist())``. Each pair gives the same bits: the sweep does the
+same arithmetic in the same order on pre-drawn uniforms, and the fold adds
+libm's ``log`` (what ``math.log`` calls) left to right. The JSON writer walks
+an array once, giving each value of a row that it has not met earlier in the
+row ``float.__repr__``'s shortest round-trip digits with Ryu's digit loop,
 exact in 128-bit integers for zeros, non-finite values and
-2^-45 <= |x| < 2^54; an array with any finite value outside that range is
-written whole by ``json.dumps``. The snapshot sweep's per-document step runs
-``sweep_tokens`` too, on either backend.
+2^-45 <= |x| < 2^54, and copying the text of a repeat; an array with any
+finite value outside that range is written whole by ``json.dumps``. The
+snapshot sweep's per-document step runs ``sweep_tokens`` too, on either
+backend.
 
 The word-topic counts and the prior weights are word-major (V x K), so the
 K weights a token's conditional reads lie next to each other in memory.
@@ -43,25 +44,25 @@ HAVE_NUMBA = False
 # capped at K-1. Running totals are summed in order, as np.cumsum does, and
 # -ffp-contract=off keeps the compiler from fusing a multiply and an add.
 # log_sum returns the index of its first entry <= 0, where math.log raises.
-# dedup numbers the distinct 64-bit patterns of x in first-seen order, so that
-# x[i] == distinct[inverse[i]], probing from the high bits of a multiplicative
-# hash in a table of 1 << bits >= 2n slots. reprs writes the text json.dumps
-# gives each of those m values, back to back from starts[j] (starts[m] is the
-# end). It returns -1, or the index of the first finite nonzero value outside
-# 2^-45 <= |x| < 2^54, where the digit loop of Ryu (Adams, PLDI 2018) is exact
-# in 128-bit integers: there its binary exponent e2 is negative and i <= 31,
-# so mv*5^i < 2^128 for mv < 2^55, and the floors vr, vp and vm of x and of
-# the bounds of its rounding interval, scaled by 5^i / 2^q, are exact. Digits
-# are dropped while vp and vm differ above the last one; the last dropped
-# digit rounds vr, half to even when x scaled was whole and every digit
-# dropped before that 5 was 0, as repr rounds. Ryu's handling of a bound that is itself exact is left out, as in
-# this range a bound is never the shortest, closest decimal: below 2^50 no
-# bound is exact (q >= 2, and mm and mp have at most one trailing zero bit),
-# and above it x has no more digits than its bounds x +- ulp/2 and x - ulp/4
-# and is closer. The digits are then laid out as repr lays them out.
-# splice writes entry i as the text of value inverse[i]: one list, or rows
-# lists of cols if nested. With out NULL it returns the length of the result,
-# which the call with out then writes.
+# json_floats writes json.dumps's text of rows lists of cols values, one list
+# if not nested, in one pass into out, and returns its length. A value seen
+# earlier in the same row is copied from where its text was first written:
+# its 64-bit pattern is probed for from the high bits of a multiplicative hash
+# in a table of 1 << bits >= 2 * cols slots, emptied at the start of each row,
+# whose slot holds the pattern and the offset and length of its text. It
+# returns -1 at the first finite nonzero value outside 2^-45 <= |x| < 2^54,
+# where the digit loop of Ryu (Adams, PLDI 2018) in repr is exact in 128-bit
+# integers: there its binary exponent e2 is negative and i <= 31, so
+# mv*5^i < 2^128 for mv < 2^55, and the floors vr, vp and vm of x and of the
+# bounds of its rounding interval, scaled by 5^i / 2^q, are exact. Digits are
+# dropped while vp and vm differ above the last one; the last dropped digit
+# rounds vr, half to even when x scaled was whole and every digit dropped
+# before that 5 was 0, as repr rounds. Ryu's handling of a bound that is
+# itself exact is left out, as in this range a bound is never the shortest,
+# closest decimal: below 2^50 no bound is exact (q >= 2, and mm and mp have at
+# most one trailing zero bit), and above it x has no more digits than its
+# bounds x +- ulp/2 and x - ulp/4 and is closer. The digits are then laid out
+# as repr lays them out, in at most 23 bytes ("-1.2345678901234567e-14").
 _C_SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
@@ -106,100 +107,83 @@ int64_t log_sum(const double *x, int64_t n, double *total)
     return -1;
 }
 
-int64_t dedup(const uint64_t *x, int64_t n, int64_t *inverse, uint64_t *distinct,
-              int64_t *table, int64_t bits)
-{
-    uint64_t mask = ((uint64_t)1 << bits) - 1;
-    int64_t m = 0;
-    for (uint64_t s = 0; s <= mask; s++)
-        table[s] = -1;
-    for (int64_t i = 0; i < n; i++) {
-        uint64_t s = (x[i] * UINT64_C(0x9E3779B97F4A7C15)) >> (64 - bits);
-        while (table[s] >= 0 && distinct[table[s]] != x[i])
-            s = (s + 1) & mask;
-        if (table[s] < 0) {
-            table[s] = m;
-            distinct[m++] = x[i];
-        }
-        inverse[i] = table[s];
-    }
-    return m;
-}
-
 static int64_t put(char *out, int64_t at, const char *s, int64_t len)
 {
-    if (out)
-        memcpy(out + at, s, len);
+    memcpy(out + at, s, len);
     return at + len;
 }
 
-int64_t reprs(const uint64_t *bits, int64_t m, char *text, int64_t *starts)
+static int64_t repr(uint64_t bits, char *out)
 {
-    int64_t at = starts[0] = 0;
-    for (int64_t j = 0; j < m; starts[++j] = at) {
-        uint64_t frac = bits[j] & ((UINT64_C(1) << 52) - 1);
-        int neg = bits[j] >> 63, ex = (bits[j] >> 52) & 0x7FF;
-        if (ex == 0x7FF || (ex == 0 && !frac)) {  /* NaN, the infinities, the zeros */
-            const char *s = ex ? (frac ? "NaN" : "-Infinity" + !neg) : "-0.0" + !neg;
-            at = put(text, at, s, strlen(s));
-            continue;
-        }
-        if (ex < 978 || ex > 1076)
-            return j;
-        int e2 = ex - 1077, q = ((-e2 * 732923) >> 20) - (e2 < -1), i = -e2 - q;
-        unsigned __int128 five = 1;
-        while (i--)
-            five *= 5;
-        uint64_t mv = 4 * (frac | (UINT64_C(1) << 52)), mm = mv - 1 - (frac != 0);
-        unsigned __int128 r = mv * five;
-        uint64_t vr = r >> q, vp = ((mv + 2) * five) >> q, vm = (mm * five) >> q;
-        int exact = !(r & (((unsigned __int128)1 << q) - 1)), removed = 0, last = 0, n = 0;
-        while (vp / 10 > vm / 10) {
-            exact &= last == 0;
-            last = vr % 10;
-            vr /= 10, vp /= 10, vm /= 10, removed++;
-        }
-        if (exact && last == 5 && vr % 2 == 0)
-            last = 4;
-        uint64_t digits = vr + (vr == vm || last >= 5);
-        char d[20];
-        for (; digits; digits /= 10)
-            d[19 - n++] = '0' + digits % 10;
-        const char *s = d + 20 - n;
-        int point = q + e2 + removed + n, e = point > 0 ? point - 1 : 1 - point;
-        if (neg)
-            at = put(text, at, "-", 1);
-        if (point <= -4 || point > 16) {
-            at = put(text, at, s, 1);
-            if (n > 1)
-                at = put(text, put(text, at, ".", 1), s + 1, n - 1);
-            char tail[4] = {'e', point > 0 ? '+' : '-', '0' + e / 10, '0' + e % 10};
-            at = put(text, at, tail, 4);
-        } else if (point <= 0) {
-            at = put(text, put(text, at, "0.000", 2 - point), s, n);
-        } else if (point < n) {
-            at = put(text, put(text, at, s, point), ".", 1);
-            at = put(text, at, s + point, n - point);
-        } else {
-            at = put(text, put(text, at, s, n), "0000000000000000", point - n);
-            at = put(text, at, ".0", 2);
-        }
+    uint64_t frac = bits & ((UINT64_C(1) << 52) - 1);
+    int neg = bits >> 63, ex = (bits >> 52) & 0x7FF;
+    if (ex == 0x7FF || (ex == 0 && !frac)) {  /* NaN, the infinities, the zeros */
+        const char *s = ex ? (frac ? "NaN" : "-Infinity" + !neg) : "-0.0" + !neg;
+        return put(out, 0, s, strlen(s));
     }
-    return -1;
+    if (ex < 978 || ex > 1076)
+        return -1;
+    int e2 = ex - 1077, q = ((-e2 * 732923) >> 20) - (e2 < -1), i = -e2 - q;
+    unsigned __int128 five = 1;
+    while (i--)
+        five *= 5;
+    uint64_t mv = 4 * (frac | (UINT64_C(1) << 52)), mm = mv - 1 - (frac != 0);
+    unsigned __int128 r = mv * five;
+    uint64_t vr = r >> q, vp = ((mv + 2) * five) >> q, vm = (mm * five) >> q;
+    int exact = !(r & (((unsigned __int128)1 << q) - 1)), removed = 0, last = 0, n = 0;
+    while (vp / 10 > vm / 10) {
+        exact &= last == 0;
+        last = vr % 10;
+        vr /= 10, vp /= 10, vm /= 10, removed++;
+    }
+    if (exact && last == 5 && vr % 2 == 0)
+        last = 4;
+    uint64_t digits = vr + (vr == vm || last >= 5);
+    char d[20];
+    for (; digits; digits /= 10)
+        d[19 - n++] = '0' + digits % 10;
+    const char *s = d + 20 - n;
+    int point = q + e2 + removed + n, e = point > 0 ? point - 1 : 1 - point;
+    int64_t at = neg ? put(out, 0, "-", 1) : 0;
+    if (point <= -4 || point > 16) {
+        at = put(out, at, s, 1);
+        if (n > 1)
+            at = put(out, put(out, at, ".", 1), s + 1, n - 1);
+        char tail[4] = {'e', point > 0 ? '+' : '-', '0' + e / 10, '0' + e % 10};
+        return put(out, at, tail, 4);
+    }
+    if (point <= 0)
+        return put(out, put(out, at, "0.000", 2 - point), s, n);
+    if (point < n)
+        return put(out, put(out, put(out, at, s, point), ".", 1), s + point, n - point);
+    return put(out, put(out, put(out, at, s, n), "0000000000000000", point - n), ".0", 2);
 }
 
-int64_t splice(const char *text, const int64_t *starts, const int64_t *inverse,
-               int64_t rows, int64_t cols, int64_t nested, char *out)
+int64_t json_floats(const uint64_t *x, int64_t rows, int64_t cols, int64_t nested,
+                    uint64_t *table, int64_t bits, char *out)
 {
+    uint64_t mask = ((uint64_t)1 << bits) - 1;
     int64_t at = put(out, 0, "[", 1);
-    for (int64_t r = 0; r < rows; r++) {
+    for (int64_t r = 0; r < rows; r++, x += cols) {
+        memset(table, 0, 2 * (mask + 1) * sizeof *table);
         if (nested)
             at = r ? put(out, at, ",[", 2) : put(out, at, "[", 1);
         for (int64_t c = 0; c < cols; c++) {
-            int64_t j = inverse[r * cols + c];
+            uint64_t s = (x[c] * UINT64_C(0x9E3779B97F4A7C15)) >> (64 - bits);
             if (c)
                 at = put(out, at, ",", 1);
-            at = put(out, at, text + starts[j], starts[j + 1] - starts[j]);
+            while (table[2 * s + 1] && table[2 * s] != x[c])
+                s = (s + 1) & mask;
+            uint64_t *slot = table + 2 * s;  /* the pattern, and its text's offset << 5 | length */
+            if (slot[1]) {
+                at = put(out, at, out + (slot[1] >> 5), slot[1] & 31);
+                continue;
+            }
+            int64_t len = repr(x[c], out + at);
+            if (len < 0)
+                return -1;
+            slot[0] = x[c], slot[1] = (uint64_t)at << 5 | len;
+            at += len;
         }
         if (nested)
             at = put(out, at, "]", 1);
@@ -233,30 +217,25 @@ def _build() -> Path:
 
 
 def _load():
-    """The compiled sweep, log fold, dedup, reprs and splice, or Nones after one
+    """The compiled sweep, log fold and float-array writer, or Nones after one
     warning."""
     try:
-        path = str(_build())
-        # the fold keeps the GIL, as a handover to another thread would cost
-        # more than its few microseconds
-        lib, fold = ctypes.CDLL(path), ctypes.PyDLL(path).log_sum
+        lib = ctypes.CDLL(str(_build()))
     except (subprocess.CalledProcessError, OSError) as exc:  # no compiler, or it failed
         log.warning("C kernels unavailable, using the Python twins: %s",
                     getattr(exc, "stderr", None) or exc)
-        return (None,) * 5
+        return (None,) * 3
     ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-    sweep, dedup, reprs, splice = lib.sweep, lib.dedup, lib.reprs, lib.splice
+    sweep, fold, floats = lib.sweep, lib.log_sum, lib.json_floats
     sweep.argtypes = [ptr] * 3 + [i64] + [ptr] * 5 + [f64, ptr, ptr, i64, i64, i64]
     fold.argtypes = [ptr, i64, ptr]
-    dedup.argtypes = [ptr, i64, ptr, ptr, ptr, i64]
-    reprs.argtypes = [ptr, i64, ptr, ptr]
-    splice.argtypes = [ptr] * 3 + [i64, i64, i64, ptr]
-    for entry in (sweep, fold, dedup, reprs, splice):
+    floats.argtypes = [ptr, i64, i64, i64, ptr, i64, ptr]
+    for entry in (sweep, fold, floats):
         entry.restype = i64
-    return sweep, fold, dedup, reprs, splice
+    return sweep, fold, floats
 
 
-_sweep_c, _log_sum_c, _dedup_c, _reprs_c, _splice_c = _load()
+_sweep_c, _log_sum_c, _json_floats_c = _load()
 BACKEND = "numpy" if _sweep_c is None else "c"
 
 
@@ -284,35 +263,31 @@ def _log_sum_py(x):
     return functools.reduce(operator.add, map(math.log, x.tolist()), 0.0)
 
 
-def json_floats(a: np.ndarray) -> bytes | bytearray:
+def json_floats(a: np.ndarray) -> bytes | memoryview:
     """``json.dumps(a.tolist(), separators=(",", ":"))`` as ASCII bytes, for a
     1-D or 2-D float64 array.
 
-    The kernels format each distinct bit pattern once, so -0.0 and every NaN
-    keep their own text. If a finite nonzero value lies outside the range
-    ``reprs`` formats exactly, 2^-45 <= |x| < 2^54, the whole array goes to
-    the twin, ``json.dumps`` itself.
+    The kernel formats each distinct bit pattern of a row once, so -0.0 and
+    every NaN keep their own text; a 1-D array is one row. If a finite nonzero
+    value lies outside the range it formats exactly, 2^-45 <= |x| < 2^54,
+    the whole array goes to the twin, ``json.dumps`` itself.
     """
     if a.dtype != np.float64:
         raise TypeError(f"expected a float64 array, got {a.dtype}")
     if a.ndim not in (1, 2):
         raise ValueError(f"expected a 1-D or 2-D array, got {a.ndim}-D")
-    if _dedup_c is not None:
-        bits = np.ascontiguousarray(a).view(np.uint64)
-        n, table_bits = bits.size, max(1, (2 * bits.size - 1).bit_length())
-        inverse, distinct = np.empty(n, np.int64), np.empty(n, np.uint64)
-        table = np.empty(1 << table_bits, np.int64)
-        m = _dedup_c(bits.ctypes.data, n, inverse.ctypes.data, distinct.ctypes.data,
-                     table.ctypes.data, table_bits)
-        del table  # freed before the texts and the output buffer are made
-        # no text is longer than 23 bytes ("-1.2345678901234567e-14")
-        text, starts = np.empty(32 * m, np.uint8), np.empty(m + 1, np.int64)
-        if _reprs_c(distinct.ctypes.data, m, text.ctypes.data, starts.ctypes.data) < 0:
-            args = (text.ctypes.data, starts.ctypes.data, inverse.ctypes.data,
-                    *(a.shape if a.ndim == 2 else (1, n)), a.ndim == 2)
-            out = bytearray(_splice_c(*args, None))
-            _splice_c(*args, ctypes.addressof(ctypes.c_char.from_buffer(out)))
-            return out
+    if _json_floats_c is not None:
+        x = np.ascontiguousarray(a)
+        rows, cols = a.shape if a.ndim == 2 else (1, a.size)
+        table_bits = max(1, (2 * cols - 1).bit_length())
+        table = np.empty(2 << table_bits, np.uint64)
+        # a value's text and its comma take at most 24 bytes, a row's brackets
+        # and comma 3, the outer brackets 2
+        out = np.empty(24 * a.size + 3 * rows + 2, np.uint8)
+        n = _json_floats_c(x.ctypes.data, rows, cols, a.ndim == 2,
+                           table.ctypes.data, table_bits, out.ctypes.data)
+        if n >= 0:
+            return out[:n].data
     return json.dumps(a.tolist(), separators=(",", ":")).encode()
 
 

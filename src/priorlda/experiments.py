@@ -206,10 +206,6 @@ class ExperimentPlan:
     def from_json(cls, data: dict) -> "ExperimentPlan":
         return cls(**data)
 
-    @classmethod
-    def from_file(cls, path: str | Path) -> "ExperimentPlan":
-        return cls.from_json(json.loads(Path(path).read_text(encoding="utf-8")))
-
 
 @dataclass(frozen=True)
 class RunSpec:
@@ -377,14 +373,18 @@ def run_grid(plan: ExperimentPlan, jobs: int | None = None,
     resources = load_resources(plan, corpus)
     metric_config = metric_config or plan.metric_config()
     specs = enumerate_runs(plan)
-    # one preprocessed corpus and its stats per key, built before any fork
-    prep: dict[str, tuple[Corpus, CorpusStats]] = {}
+    # one preprocessed corpus and its stats per key, or the exception that
+    # building them raised, made before any fork
+    prep: dict[str, tuple[Corpus, CorpusStats] | Exception] = {}
     for spec in specs:
         key = VARIANTS[spec.variant].preprocessing
         if key not in prep:
-            working = _preprocess(key, resources.corpus, resources.stoplist,
-                                  spec.settings.tfidf_cut)
-            prep[key] = (working, compute_stats(working))
+            try:
+                working = _preprocess(key, resources.corpus, resources.stoplist,
+                                      spec.settings.tfidf_cut)
+                prep[key] = (working, compute_stats(working))
+            except Exception as exc:  # noqa: BLE001 - each of the key's runs fails with it
+                prep[key] = exc
     grid = (plan, specs, prep, resources, metric_config)
     take, children = count().__next__, []
     try:
@@ -425,18 +425,21 @@ def run_grid(plan: ExperimentPlan, jobs: int | None = None,
 
 def _drain(take: Callable[[], int], grid: tuple) -> list[tuple[int, RunRecord | FailedRun]]:
     """Run spec ``take()`` on its preprocessed corpus until ``take()`` passes the
-    last spec; an exception becomes a FailedRun. Returns (index, outcome) pairs."""
+    last spec; an exception, raised by the run or by its preprocessing, becomes
+    a FailedRun. Returns (index, outcome) pairs."""
     plan, specs, prep, resources, metric_config = grid
     done = []
     while (i := take()) < len(specs):
         spec = specs[i]
-        try:
-            outcome = _run(plan, spec, *prep[VARIANTS[spec.variant].preprocessing],
-                           resources, metric_config)
-        except Exception as exc:  # noqa: BLE001 - failure isolation is the contract
-            outcome = FailedRun(spec.variant, spec.settings, spec.seed, type(exc).__name__,
-                                str(exc), "".join(traceback.format_exception(exc)))
-        done.append((i, outcome))
+        error = prepared = prep[VARIANTS[spec.variant].preprocessing]
+        if not isinstance(prepared, Exception):
+            try:
+                done.append((i, _run(plan, spec, *prepared, resources, metric_config)))
+                continue
+            except Exception as exc:  # noqa: BLE001 - failure isolation is the contract
+                error = exc
+        done.append((i, FailedRun(spec.variant, spec.settings, spec.seed, type(error).__name__,
+                                  str(error), "".join(traceback.format_exception(error)))))
     return done
 
 

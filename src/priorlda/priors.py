@@ -222,7 +222,8 @@ def validate(prior: PriorMatrix) -> list[str]:
 
 def save_prior(prior: PriorMatrix, path: str | Path) -> None:
     """Write ``json.dumps(prior.to_json(), separators=(",", ":")) + "\\n"``,
-    byte for byte, formatting each distinct weight once (see ``save_model``)."""
+    byte for byte, formatting each distinct weight of a row once (see
+    ``save_model``)."""
     write_json(path, *prior._parts())
 
 

@@ -412,10 +412,11 @@ def save_model(model: FittedModel, path: str | Path) -> None:
     """Write ``json.dumps(model.to_json(), separators=(",", ":")) + "\\n"``,
     byte for byte: compact separators, shortest-repr floats.
 
-    ``_kernels.json_floats`` writes each array: the C ``reprs`` formats each
-    distinct value once, exactly for 2^-45 <= |x| < 2^54 (and zeros and
-    non-finite values), and an array with a finite value outside that range
-    is written whole by ``json.dumps``.
+    ``_kernels.json_floats`` writes each array in one C pass: it formats each
+    distinct value of a row once, exactly for 2^-45 <= |x| < 2^54 (and zeros
+    and non-finite values), and copies the text of its repeats in the row; an
+    array with a finite value outside that range is written whole by
+    ``json.dumps``.
     """
     write_json(path, *model._parts())
 

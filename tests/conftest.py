@@ -72,8 +72,7 @@ def python_twins():
     """Switch every C entry point off, so the sweep, the log fold and the JSON
     float writer run on their Python twins, as they do where no compiler is
     present."""
-    return mock.patch.multiple(_kernels, _sweep_c=None, _log_sum_c=None,
-                               _dedup_c=None, _reprs_c=None, _splice_c=None)
+    return mock.patch.multiple(_kernels, _sweep_c=None, _log_sum_c=None, _json_floats_c=None)
 
 
 @pytest.fixture(params=["c", "numpy"])

@@ -560,8 +560,8 @@ class TestByteContract:
 
 def test_import_leaves_scipy_stats_unloaded():
     # scipy.stats would cost every priorlda process, --help included, about
-    # a second and 45 MB of memory; scipy.sparse is not used, and
-    # multiprocessing only by a grid that forks
+    # a second and 45 MB of memory; scipy.sparse is loaded by the first
+    # report, and multiprocessing only by a grid that forks
     code = ("import sys, priorlda, priorlda.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
             "(['scipy', 'stats'], ['scipy', 'sparse']) or m.startswith('multiprocessing')))")

@@ -430,9 +430,9 @@ def float_arrays(draw):
 
 
 def _home_slots(bits: np.ndarray, n: int) -> np.ndarray:
-    """The slot the C dedup first tries for each 64-bit pattern, in its table
-    for an array of n entries: the high bits of a multiplicative hash, in
-    the smallest power-of-two table of at least 2n (and 2) slots."""
+    """The slot the C writer first tries for each 64-bit pattern, in its table
+    for a row of n entries: the high bits of a multiplicative hash, in the
+    smallest power-of-two table of at least 2n (and 2) slots."""
     table_bits = max(1, (2 * n - 1).bit_length())
     return (bits * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(64 - table_bits)
 
@@ -448,13 +448,13 @@ def _on_both_backends(a: np.ndarray) -> list[bytes]:
 
 def _without_the_twin(a: np.ndarray) -> bytes:
     """_kernels.json_floats(a) with json.dumps switched off, so that only the
-    C kernels can write it."""
+    C kernel can write it."""
     with mock.patch.object(json, "dumps", side_effect=AssertionError("the twin ran")):
         return bytes(_kernels.json_floats(a))
 
 
 def _in_exact_range(a: np.ndarray) -> np.ndarray:
-    """Where the C ``reprs`` formats a value itself: zeros, non-finite values
+    """Where the C writer formats a value itself: zeros, non-finite values
     and 2^-45 <= |x| < 2^54."""
     m = np.abs(a)
     return (m == 0) | ~np.isfinite(m) | ((m >= 2.0**-45) & (m < 2.0**54))
@@ -462,10 +462,11 @@ def _in_exact_range(a: np.ndarray) -> np.ndarray:
 
 def _assert_dumps_text(a: np.ndarray, backend: str) -> None:
     """json_floats(a) is json.dumps's text, and on the C backend the values
-    in the exact range are written without the twin."""
+    in the exact range, the whole array if they are all, are written without
+    the twin."""
     assert _kernels.json_floats(a) == _want(a)
     if backend == "c":
-        inside = a[_in_exact_range(a)]
+        inside = a if _in_exact_range(a).all() else a[_in_exact_range(a)]
         assert _without_the_twin(inside) == _want(inside)
 
 
@@ -499,17 +500,32 @@ class TestJsonFloatArray:
         _assert_dumps_text(a, backend)
 
     def test_patterns_sharing_a_home_slot(self, backend):
-        # eight patterns whose home is the table's last slot, each twice, so
-        # that probes run long, wrap around to slot 0 and find repeats; all
-        # lie in [1, 2), so the kernels, not the twin, write them
-        n = 16
+        # eight patterns whose home is the last slot of a 16-entry row's
+        # table, each twice, so that probes run long, wrap around to slot 0
+        # and find repeats; all lie in [1, 2), so the kernel, not the twin,
+        # writes them
         fractions = np.random.default_rng(2).integers(0, 2**52, 4000, dtype=np.uint64)
         candidates = _bit_patterns(0, 1023, fractions).view(np.uint64)
-        colliding = candidates[_home_slots(candidates, n) == 2 * n - 1][:8]
+        colliding = candidates[_home_slots(candidates, 16) == 31][:8]
         assert len(colliding) == 8
         a = np.concatenate([colliding, colliding[::-1]]).view(np.float64)
         _assert_dumps_text(a, backend)
         _assert_dumps_text(a.reshape(4, 4), backend)
+        # rows of 4 entries, each two patterns twice, from 12 patterns whose
+        # home is the last of the 8 slots, each in two rows: the rows hold
+        # more patterns than a table, so each row must start from an empty one
+        colliding = candidates[_home_slots(candidates, 4) == 7][:12]
+        assert len(colliding) == 12
+        pairs = np.stack([colliding[:-1], colliding[1:]], axis=1)
+        _assert_dumps_text(np.hstack([pairs, pairs[:, ::-1]]).view(np.float64), backend)
+
+    @pytest.mark.parametrize("shape", [(60,), (60, 1), (60, 0)])
+    def test_longest_texts(self, backend, shape):
+        # every text takes 23 bytes, the most the output buffer leaves a value
+        values = -np.random.default_rng(5).uniform(3, 10, 400) * 1e-14
+        values = values[[len(repr(v)) == 23 for v in values.tolist()]]
+        assert len(values) >= 60
+        _assert_dumps_text(np.resize(values, shape), backend)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_zeros_and_nan_payloads_mixed(self, backend, seed):

@@ -205,6 +205,30 @@ class TestRunGrid:
             assert entry["traceback"].rstrip().endswith(f"MissingResource: {entry['error']}")
         json.dumps(manifest)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_preprocessing_failure_fails_only_its_runs(self, planted_on_disk, tmp_path, jobs):
+        planted, plan = planted_on_disk
+        # a TF-IDF cut of 0 is out of range, and a stoplist of every word
+        # empties every document; the runs on the loaded corpus still go ahead
+        every_word = tmp_path / "every_word.txt"
+        every_word.write_text("\n".join(load_resources(plan).corpus.vocabulary.id_to_word))
+        bad = replace(plan, variants=[Variant.TFIDF_DELETION, Variant.NO_DELETION,
+                                      Variant.STOPWORD_DELETION],
+                      seeds=[1, 2], iterations=[40], tfidf_cut=0.0, stoplist=str(every_word))
+        serial, result = (run_grid(bad, jobs=j, metric_config=FAST_METRICS) for j in (1, jobs))
+        assert [(r.variant, r.seed) for r in result.records] == \
+            [(Variant.NO_DELETION, 1), (Variant.NO_DELETION, 2)]
+        failed = [(f.variant, f.seed, f.type) for f in result.failures]
+        assert failed == [(Variant.TFIDF_DELETION, 1, "ValueError"),
+                          (Variant.TFIDF_DELETION, 2, "ValueError"),
+                          (Variant.STOPWORD_DELETION, 1, "AllDocumentsEmpty"),
+                          (Variant.STOPWORD_DELETION, 2, "AllDocumentsEmpty")]
+        for failure, where in zip(result.failures, ["delete_low_tfidf"] * 2 + ["_rebuild"] * 2):
+            assert f"in {where}" in failure.traceback
+            assert failure.traceback.rstrip().endswith(f"{failure.type}: {failure.error}")
+        assert [f.to_json() for f in result.failures] == [f.to_json() for f in serial.failures]
+        assert comparison_csv(result.records) == comparison_csv(serial.records)
+
     def test_grid_completeness(self, planted_on_disk):
         planted, plan = planted_on_disk
         result = run_grid(plan, metric_config=FAST_METRICS)
@@ -507,7 +531,7 @@ class TestPlanSerialization:
         planted, plan = planted_on_disk
         path = tmp_path / "plan.json"
         path.write_text(json.dumps(plan.to_json()))
-        loaded = ExperimentPlan.from_file(path)
+        loaded = ExperimentPlan.from_json(json.loads(path.read_text()))
         assert loaded.to_json() == plan.to_json()
 
     def test_empty_variants_rejected(self):

@@ -296,7 +296,7 @@ class TestKernelsAgree:
         with caplog.at_level(logging.WARNING, logger=_kernels.__name__):
             importlib.reload(_kernels)
         assert _kernels.BACKEND == "numpy"
-        assert _kernels._dedup_c is _kernels._reprs_c is _kernels._splice_c is None
+        assert _kernels._log_sum_c is _kernels._json_floats_c is None
         assert [r.levelno for r in caplog.records] == [logging.WARNING]
         save_model(fit(corpus, prior, cfg), tmp_path / "numpy.json")
         assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "c.json").read_bytes()
@@ -308,8 +308,7 @@ def test_c_kernel_loads_where_a_compiler_is_present():
     if shutil.which("cc") is None:
         pytest.skip("no C compiler on PATH")
     assert _kernels.BACKEND == "c"
-    for entry in (_kernels._sweep_c, _kernels._log_sum_c, _kernels._dedup_c, _kernels._reprs_c,
-                  _kernels._splice_c):
+    for entry in (_kernels._sweep_c, _kernels._log_sum_c, _kernels._json_floats_c):
         assert entry is not None
 
 
@@ -325,7 +324,7 @@ def test_c_kernel_source_compiles_without_warnings(tmp_path, monkeypatch):
         pytest.fail(exc.stderr)
     assert lib.parent == tmp_path / "priorlda"
     loaded = ctypes.CDLL(str(lib))
-    assert loaded.sweep and loaded.log_sum and loaded.dedup and loaded.reprs and loaded.splice
+    assert loaded.sweep and loaded.log_sum and loaded.json_floats
 
 
 @pytest.mark.parametrize("value", [0.0, -0.0, -1e-300, -math.inf])
