@@ -19,4 +19,4 @@ from .metrics import (MetricConfig, ModelReport, TopicScore, codocument_appearan
                       stopword_rate)
 from .experiments import (ExperimentPlan, MissingResource, RunRecord, RunSettings,
                           Variant, comparison_csv, comparison_table,
-                          correlation_data, enumerate_runs, run_grid, run_variant)
+                          correlation_data, enumerate_runs, run_grid)

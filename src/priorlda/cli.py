@@ -11,15 +11,16 @@ import argparse
 import json
 import re
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
 from .corpus import (build_corpus, compute_stats, default_stoplist,
                      delete_low_tfidf, delete_stopwords, load_corpus,
                      load_raw_documents, load_word_list, save_corpus, write_json)
-from .experiments import (PLAN_LIST_FIELDS, VARIANTS, ExperimentPlan, RunSettings,
-                          Variant, comparison_table, correlation_data, load_resources,
-                          run_grid, run_manifest, run_stem, table_csv)
+from .experiments import (PLAN_FIELD_TYPES, PLAN_LIST_FIELDS, VARIANTS, ExperimentPlan,
+                          RunSettings, Variant, comparison_table, correlation_data,
+                          load_resources, run_grid, run_manifest, run_stem, table_csv)
 from .metrics import MetricConfig, report as score_report
 from .priors import validate
 from .sampler import ModelConfig, fit as fit_model, load_model, save_model
@@ -34,6 +35,13 @@ class _Parser(argparse.ArgumentParser):
 def _error_code(exc: Exception) -> str:
     name = type(exc).__name__
     return re.sub(r"(?<!^)(?=[A-Z])", "-", name).lower()
+
+
+# each plan field's `experiment` flag; corpus_format, hyper_alphas and
+# hyper_etas are read from the plan file only
+_PLAN_FLAGS = {f.name: "--" + f.name.replace("_", "-") for f in fields(ExperimentPlan)
+               if f.name not in ("corpus_format", "hyper_alphas", "hyper_etas")}
+_PLAN_FLAGS["keyword_boost"] = "--c"
 
 
 # the variant whose prior each `fit --prior` choice fits with
@@ -93,24 +101,12 @@ def build_parser() -> argparse.ArgumentParser:
     # threads were slower than one job, as numpy drops the GIL in many small calls
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out-dir", required=True)
-    # every plan field is overridable; the plan file wins only when the flag
-    # is not given
-    p.add_argument("--corpus")
-    p.add_argument("--variants", help="comma-separated variant names")
-    p.add_argument("--topics", help="comma-separated topic counts")
-    p.add_argument("--iterations", help="comma-separated sweep counts")
-    p.add_argument("--seeds", help="comma-separated seeds")
-    p.add_argument("--c1", help="comma-separated TF-IDF scales")
-    p.add_argument("--c2", help="comma-separated keyword scales")
-    p.add_argument("--c", dest="keyword_boost", help="comma-separated keyword boosts")
-    p.add_argument("--tfidf-topics", help="comma-separated TF-IDF topic counts")
-    p.add_argument("--keyword-topics", help="comma-separated keyword topic counts")
-    p.add_argument("--stopword-topics", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--tfidf-cut", type=float)
-    p.add_argument("--metric-top-words", type=int)
-    p.add_argument("--stoplist")
-    p.add_argument("--whitelist")
+    # the plan file's value wins only when the flag is not given
+    for name, flag in _PLAN_FLAGS.items():
+        if name in PLAN_LIST_FIELDS:
+            p.add_argument(flag, dest=name, help="comma-separated values")
+        else:
+            p.add_argument(flag, dest=name, type=PLAN_FIELD_TYPES[name])
 
     p = sub.add_parser("report", help="re-aggregate saved runs into one table")
     p.add_argument("--runs", required=True, help="directory holding *.report.json files")
@@ -183,21 +179,13 @@ def _cmd_score(args) -> int:
     return 0
 
 
-_PLAN_SCALAR_FIELDS = ("corpus", "stopword_topics", "alpha", "tfidf_cut",
-                       "metric_top_words", "stoplist", "whitelist")
-
-
 def _plan_with_overrides(args) -> ExperimentPlan:
     data = json.loads(Path(args.plan).read_text(encoding="utf-8"))
-    # list fields without a flag (hyper_alphas, hyper_etas) come from the plan
-    for name, cast in PLAN_LIST_FIELDS.items():
-        value = getattr(args, name, None)
+    for name in _PLAN_FLAGS:
+        value = getattr(args, name)
         if value is not None:
-            data[name] = [cast(item) for item in str(value).split(",") if item]
-    for name in _PLAN_SCALAR_FIELDS:
-        value = getattr(args, name, None)
-        if value is not None:
-            data[name] = value
+            data[name] = ([PLAN_FIELD_TYPES[name](item) for item in value.split(",") if item]
+                          if name in PLAN_LIST_FIELDS else value)
     return ExperimentPlan.from_json(data)
 
 
@@ -206,7 +194,7 @@ def _cmd_experiment(args) -> int:
     out_dir = Path(args.out_dir)
     runs_dir = out_dir / "runs"
     resources = load_resources(plan)
-    result = run_grid(plan, jobs=args.jobs, corpus=resources.corpus)
+    result = run_grid(plan, jobs=args.jobs, resources=resources)
     runs_dir.mkdir(parents=True, exist_ok=True)
     rows = comparison_table(result.records)
     for i, (rec, row) in enumerate(zip(result.records, rows)):

@@ -19,6 +19,13 @@ class AllDocumentsEmpty(ValueError):
     """Raised when every document tokenizes to nothing after word removal."""
 
 
+def check_version(data: dict, expected: int, what: str) -> None:
+    """Raise ValueError unless ``data`` is version ``expected`` of the ``what`` format."""
+    found = data.get("version")
+    if type(found) is not int or found != expected:  # true and 1.0 equal 1
+        raise ValueError(f"unsupported {what} format version: expected {expected}, found {found!r}")
+
+
 def tokenize(raw_text: str, lowercase: bool = True) -> list[str]:
     """Split on whitespace runs; punctuation stays attached to its token."""
     text = raw_text.lower() if lowercase else raw_text
@@ -124,8 +131,7 @@ class Corpus:
 
     @classmethod
     def from_json(cls, data: dict) -> "Corpus":
-        if data.get("version") != CORPUS_FORMAT_VERSION:
-            raise ValueError(f"unsupported corpus format version: {data.get('version')!r}")
+        check_version(data, CORPUS_FORMAT_VERSION, "corpus")
         return cls(data["documents"], Vocabulary(data["vocabulary"]), data.get("doc_ids"))
 
 
@@ -193,6 +199,7 @@ class CorpusStats:
 
     @classmethod
     def from_json(cls, data: dict) -> "CorpusStats":
+        check_version(data, CORPUS_FORMAT_VERSION, "stats")
         return cls(
             vocabulary=Vocabulary(data["vocabulary"]),
             word_freq=_frozen(np.asarray(data["word_freq"], dtype=np.float64)),

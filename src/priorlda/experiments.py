@@ -12,8 +12,9 @@ import json
 import logging
 import time
 import traceback
+import typing
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from itertools import count, product
 from pathlib import Path
@@ -68,16 +69,6 @@ class VariantSpec:
     model: str | Callable[[RunSettings], PriorConfig]
     extra_dims: tuple[str, ...] = ()
     needs_whitelist: bool = False
-
-    @property
-    def alters_vocabulary(self) -> bool:
-        """Coherence/PMI are then incomparable against full-vocabulary runs."""
-        return self.preprocessing != "none"
-
-    @property
-    def forces_zero_stopword_rate(self) -> bool:
-        """The scored stoplist was deleted from the vocabulary."""
-        return self.preprocessing == "stoplist"
 
     def prior(self, settings: RunSettings, stats: CorpusStats,
               keywords: Iterable[str] = ()) -> PriorMatrix:
@@ -192,19 +183,34 @@ class ExperimentPlan:
         return MetricConfig(m_small=min(10, n), m_large=n)
 
     def __post_init__(self):
+        for f in fields(self):
+            name, value, kind = f.name, getattr(self, f.name), PLAN_FIELD_TYPES[f.name]
+            if name in PLAN_LIST_FIELDS:
+                if not (isinstance(value, list) and value and all(_is_a(v, kind) for v in value)):
+                    raise ValueError(f"plan field {name} must be a non-empty list of "
+                                     f"{kind.__name__} values, got {value!r}")
+            elif not (_is_a(value, kind) or value is None and f.default is None):
+                raise ValueError(f"plan field {name} must be a {kind.__name__}, got {value!r}")
         self.variants = [Variant(v) for v in self.variants]
-        for name in PLAN_LIST_FIELDS:
-            if not getattr(self, name):
-                raise ValueError(f"plan field {name} must be a non-empty list")
 
     def to_json(self) -> dict:
-        data = asdict(self)
-        data["variants"] = [v.value for v in self.variants]
-        return data
+        return {**asdict(self), "variants": [v.value for v in self.variants]}
 
     @classmethod
     def from_json(cls, data: dict) -> "ExperimentPlan":
         return cls(**data)
+
+
+# Each plan field's value type: one item's for a list, an optional's without None.
+PLAN_FIELD_TYPES = {name: PLAN_LIST_FIELDS.get(name)
+                    or next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
+                    for name, hint in typing.get_type_hints(ExperimentPlan).items()}
+
+
+def _is_a(value, kind: type) -> bool:
+    """Whether ``value`` may stand as a ``kind``: an int as a float, a bool as nothing."""
+    return not isinstance(value, bool) and (
+        isinstance(value, kind) or kind is float and isinstance(value, int))
 
 
 @dataclass(frozen=True)
@@ -248,10 +254,12 @@ class RunRecord:
 
     @property
     def vocabulary_altered(self) -> bool:
-        return VARIANTS[self.variant].alters_vocabulary
+        """Coherence/PMI are then incomparable against full-vocabulary runs."""
+        return VARIANTS[self.variant].preprocessing != "none"
 
     def forced_zero_stopword_rate(self) -> bool:
-        return VARIANTS[self.variant].forces_zero_stopword_rate
+        """The scored stoplist was deleted from the vocabulary."""
+        return VARIANTS[self.variant].preprocessing == "stoplist"
 
 
 @dataclass(frozen=True)
@@ -285,25 +293,21 @@ class PlanResources:
     whitelist: list[str] | None
 
 
-def load_resources(plan: ExperimentPlan, corpus: Corpus | None = None) -> PlanResources:
-    if corpus is None:
-        corpus = _load_plan_corpus(plan)
-    stoplist = load_word_list(plan.stoplist) if plan.stoplist else default_stoplist()
-    whitelist = load_word_list(plan.whitelist) if plan.whitelist else None
-    return PlanResources(corpus=corpus, stoplist=stoplist, whitelist=whitelist)
-
-
-def _load_plan_corpus(plan: ExperimentPlan) -> Corpus:
+def load_resources(plan: ExperimentPlan) -> PlanResources:
+    """The plan's corpus, in its ``corpus_format`` or by suffix, and its word lists."""
     if not plan.corpus:
         raise MissingResource("plan names no corpus")
     fmt = plan.corpus_format
     if fmt is None:
-        suffix = Path(plan.corpus).suffix
-        fmt = {"": "text", ".txt": "text", ".jsonl": "jsonl", ".json": "corpus"}.get(suffix, "text")
+        fmt = {".jsonl": "jsonl", ".json": "corpus"}.get(Path(plan.corpus).suffix, "text")
     if fmt == "corpus":
-        return load_corpus(plan.corpus)
-    texts, ids = load_raw_documents(plan.corpus, fmt)
-    return build_corpus(texts, doc_ids=ids)
+        corpus = load_corpus(plan.corpus)
+    else:
+        texts, ids = load_raw_documents(plan.corpus, fmt)
+        corpus = build_corpus(texts, doc_ids=ids)
+    stoplist = load_word_list(plan.stoplist) if plan.stoplist else default_stoplist()
+    whitelist = load_word_list(plan.whitelist) if plan.whitelist else None
+    return PlanResources(corpus=corpus, stoplist=stoplist, whitelist=whitelist)
 
 
 def _preprocess(key: str, corpus: Corpus, stoplist: list[str],
@@ -316,44 +320,28 @@ def _preprocess(key: str, corpus: Corpus, stoplist: list[str],
     return corpus
 
 
-def _build_model(variant: Variant, working: Corpus, stats: CorpusStats,
-                 settings: RunSettings, seed: int,
-                 whitelist: list[str] | None,
-                 plan: ExperimentPlan) -> tuple[FittedModel, SearchPoint | None]:
-    spec = VARIANTS[variant]
-    if spec.needs_whitelist and not whitelist:
-        raise MissingResource(f"variant {variant.value} needs a whitelist (keyword list)")
-    config = ModelConfig(topics=settings.topics, alpha=settings.alpha,
-                         iterations=settings.iterations, seed=seed)
-    if spec.model == SEARCH:
-        grid = [(a, e) for a in plan.hyper_alphas for e in plan.hyper_etas]
-        result = hyperparameter_search(working, grid, config)
-        return result.model, result.chosen
-    return fit(working, spec.prior(settings, stats, whitelist or ()), config), None
-
-
 def _run(plan: ExperimentPlan, spec: RunSpec, working: Corpus, stats: CorpusStats,
          resources: PlanResources, metric_config: MetricConfig) -> RunRecord:
-    """Fit and score one run on its already preprocessed corpus."""
+    """Build the variant's model, fit and score one run on its already
+    preprocessed corpus."""
     t0 = time.perf_counter()
-    model, search = _build_model(spec.variant, working, stats, spec.settings,
-                                 spec.seed, resources.whitelist, plan)
+    vspec, settings = VARIANTS[spec.variant], spec.settings
+    if vspec.needs_whitelist and not resources.whitelist:
+        raise MissingResource(f"variant {spec.variant.value} needs a whitelist (keyword list)")
+    config = ModelConfig(topics=settings.topics, alpha=settings.alpha,
+                         iterations=settings.iterations, seed=spec.seed)
+    if vspec.model == SEARCH:
+        grid = [(a, e) for a in plan.hyper_alphas for e in plan.hyper_etas]
+        result = hyperparameter_search(working, grid, config)
+        model, search = result.model, result.chosen
+    else:
+        model = fit(working, vspec.prior(settings, stats, resources.whitelist or ()), config)
+        search = None
     rep = report(model, stats, resources.stoplist, resources.whitelist or (),
                  metric_config)
-    return RunRecord(variant=spec.variant, settings=spec.settings, seed=spec.seed,
+    return RunRecord(variant=spec.variant, settings=settings, seed=spec.seed,
                      model=model, report=rep, duration=time.perf_counter() - t0,
                      search=search)
-
-
-def run_variant(plan: ExperimentPlan, variant: Variant, settings: RunSettings,
-                seed: int, resources: PlanResources | None = None,
-                metric_config: MetricConfig | None = None) -> RunRecord:
-    """Preprocess, build the variant's prior, fit, and score one run."""
-    resources = resources or load_resources(plan)
-    working = _preprocess(VARIANTS[variant].preprocessing, resources.corpus,
-                          resources.stoplist, settings.tfidf_cut)
-    return _run(plan, RunSpec(variant, settings, seed), working, compute_stats(working),
-                resources, metric_config or plan.metric_config())
 
 
 @dataclass(eq=False)
@@ -363,14 +351,15 @@ class GridResult:
 
 
 def run_grid(plan: ExperimentPlan, jobs: int | None = None,
-             corpus: Corpus | None = None,
+             resources: PlanResources | None = None,
              metric_config: MetricConfig | None = None) -> GridResult:
-    """Run every spec the plan enumerates, in plan order. ``jobs`` > 1 (None
-    means 1) forks ``min(jobs, runs) - 1`` children; they and the caller each draw
-    the next spec when free. Failures are recorded; a dead child raises BrokenProcessPool."""
+    """Run every spec the plan enumerates, in plan order, on ``resources`` (None
+    loads the plan's). ``jobs`` > 1 (None means 1) forks ``min(jobs, runs) - 1``
+    children; they and the caller each draw the next spec when free. Failures
+    are recorded; a dead child raises BrokenProcessPool."""
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    resources = load_resources(plan, corpus)
+    resources = resources or load_resources(plan)
     metric_config = metric_config or plan.metric_config()
     specs = enumerate_runs(plan)
     # one preprocessed corpus and its stats per key, or the exception that
@@ -505,14 +494,10 @@ class CorrelationData:
     correlations: list[dict]
 
     def points_csv(self) -> str:
-        header = ["variant", "seed", "metric", "metric_value",
-                  "stopword_rate", "expert_rate", "codoc"]
-        return _rows_csv(header, ([_csv_cell(p[h]) for h in header] for p in self.points))
+        return table_csv(self.points, ("variant", "seed", "metric", "metric_value", *_PROXY_AXES))
 
     def correlations_csv(self) -> str:
-        return _rows_csv(["metric", "axis", "spearman", "n"],
-                         ([c["metric"], c["axis"], _csv_cell(c["spearman"]), c["n"]]
-                          for c in self.correlations))
+        return table_csv(self.correlations, ("metric", "axis", "spearman", "n"))
 
     def correlation(self, metric: str, axis: str) -> float | None:
         for c in self.correlations:

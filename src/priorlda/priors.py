@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import gammaln
 
-from .corpus import CorpusStats, Vocabulary, _frozen, write_json
+from .corpus import CorpusStats, Vocabulary, _frozen, check_version, write_json
 
 log = logging.getLogger(__name__)
 
@@ -161,8 +161,7 @@ class PriorMatrix:
 
     @classmethod
     def from_json(cls, data: dict) -> "PriorMatrix":
-        if data.get("version") != PRIOR_FORMAT_VERSION:
-            raise ValueError(f"unsupported prior format version: {data.get('version')!r}")
+        check_version(data, PRIOR_FORMAT_VERSION, "prior")
         return cls(np.asarray(data["weights"], dtype=np.float64),
                    tuple(TopicKind(k) for k in data["kinds"]))
 

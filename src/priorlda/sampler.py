@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import _kernels
-from .corpus import Corpus, Vocabulary, write_json
+from .corpus import Corpus, Vocabulary, check_version, write_json
 from .priors import PriorMatrix, TopicKind, symmetric_prior
 
 MODEL_FORMAT_VERSION = 1
@@ -267,8 +267,7 @@ class FittedModel:
 
     @classmethod
     def from_json(cls, data: dict, vocabulary: Vocabulary | None = None) -> "FittedModel":
-        if data.get("version") != MODEL_FORMAT_VERSION:
-            raise ValueError(f"unsupported model format version: {data.get('version')!r}")
+        check_version(data, MODEL_FORMAT_VERSION, "model")
         return cls(
             beta_hat=np.asarray(data["beta_hat"], dtype=np.float64),
             theta_hat=np.asarray(data["theta_hat"], dtype=np.float64),
@@ -378,6 +377,8 @@ def heldout_perplexity(model: FittedModel, corpus: Corpus,
         raise ValueError("model has no vocabulary attached")
     if model.config is None:
         raise ValueError("model has no config attached, so its alpha is unknown")
+    if sweeps < 1:
+        raise ValueError(f"sweeps must be at least 1, got {sweeps}")
     beta = model.beta_hat
     k_total = beta.shape[0]
     word_to_id = model.vocabulary.word_to_id

@@ -11,9 +11,8 @@ import time
 import numpy as np
 
 from priorlda.corpus import build_corpus, compute_stats
-from priorlda.experiments import (ExperimentPlan, PlanResources, RunSettings,
-                                  Variant, correlation_data, run_grid,
-                                  run_variant)
+from priorlda.experiments import (ExperimentPlan, PlanResources, Variant,
+                                  correlation_data, run_grid)
 from priorlda.metrics import (MetricConfig, coherence, lift_of_words, log_lift,
                               pmi_score)
 from priorlda.priors import (PriorMatrix, TopicKind, keyword_prior,
@@ -164,17 +163,17 @@ def test_criterion_5_directional_stopword_drop():
     and >= 4 of 5 planted universal words in the stopword topic's top 10, in
     >= 8 of 10 seeds. Defaults K=20, c1=c2=1, one stopword topic."""
     planted, resources = _planted_resources()
-    plan = ExperimentPlan(corpus="unused")
-    metric_cfg = MetricConfig(m_small=5, m_large=10)
-    settings = RunSettings(topics=20, iterations=500, alpha=0.2,
-                           c1=1.0, c2=1.0, stopword_topics=1)
+    plan = ExperimentPlan(corpus="unused", variants=[Variant.TFIDF_PRIOR, Variant.NO_DELETION],
+                          topics=[20], iterations=[500], alpha=0.2, c1=[1.0], c2=[1.0],
+                          stopword_topics=1, seeds=list(range(10)))
+    result = run_grid(plan, resources=resources,
+                      metric_config=MetricConfig(m_small=5, m_large=10))
+    assert not result.failures, [f.error for f in result.failures]
     ok_ratio = 0
     ok_stop_topic = 0
-    for seed in range(10):
-        prior_rec = run_variant(plan, Variant.TFIDF_PRIOR, settings, seed,
-                                resources=resources, metric_config=metric_cfg)
-        base_rec = run_variant(plan, Variant.NO_DELETION, settings, seed,
-                               resources=resources, metric_config=metric_cfg)
+    # plan order: the ten TF-IDF prior runs, then the ten baseline runs
+    for prior_rec, base_rec in zip(result.records[:10], result.records[10:], strict=True):
+        assert prior_rec.seed == base_rec.seed
         FITTED_MODELS.extend([prior_rec.model, base_rec.model])
         domain_rate = prior_rec.report.domain_means["stopword_rate"]
         baseline_rate = base_rec.report.model_means["stopword_rate"]

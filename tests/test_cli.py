@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import json
@@ -5,6 +6,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from collections import Counter
 from contextlib import nullcontext
 from importlib import resources
 from pathlib import Path
@@ -15,6 +17,7 @@ import priorlda
 from priorlda import experiments
 from priorlda.cli import build_parser, main
 from priorlda.corpus import compute_stats, load_corpus
+from priorlda.experiments import ExperimentPlan
 from priorlda.priors import PriorConfig, assemble, save_prior
 
 from .conftest import python_twins
@@ -209,6 +212,28 @@ class TestScore:
         assert not out.exists()
 
 
+# every `experiment` override flag, a value unlike the test plan's, and the
+# plan field it sets with that value; "copy" passes a copy of the plan's file
+FLAG_OVERRIDES = [
+    ("--corpus", "copy", "corpus", None),
+    ("--variants", "tfidf_prior", "variants", ["tfidf_prior"]),
+    ("--topics", "6", "topics", [6]),
+    ("--iterations", "7", "iterations", [7]),
+    ("--seeds", "4,9", "seeds", [4, 9]),
+    ("--c1", "2.5", "c1", [2.5]),
+    ("--c2", "0.5", "c2", [0.5]),
+    ("--c", "50", "keyword_boost", [50.0]),
+    ("--tfidf-topics", "3", "tfidf_topics", [3]),
+    ("--keyword-topics", "2", "keyword_topics", [2]),
+    ("--stopword-topics", "2", "stopword_topics", 2),
+    ("--alpha", "0.5", "alpha", 0.5),
+    ("--tfidf-cut", "0.1", "tfidf_cut", 0.1),
+    ("--metric-top-words", "10", "metric_top_words", 10),
+    ("--stoplist", "copy", "stoplist", None),
+    ("--whitelist", "copy", "whitelist", None),
+]
+
+
 class TestExperimentAndReport:
     @pytest.fixture
     def plan_path(self, tmp_path, demo_corpus_path, demo_lists):
@@ -367,6 +392,58 @@ class TestExperimentAndReport:
         assert [r["variant"] for r in rows] == ["no_deletion", "no_deletion"]
         assert [r["seed"] for r in rows] == ["5", "6"]
         assert rows[0]["iterations"] == "20"
+
+    def test_experiment_flags(self):
+        (sub,) = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        flags = [o for a in sub.choices["experiment"]._actions for o in a.option_strings]
+        assert sorted(flags) == sorted(
+            "-h --help --plan --jobs --out-dir --corpus --variants --topics --iterations "
+            "--seeds --c1 --c2 --c --tfidf-topics --keyword-topics --stopword-topics "
+            "--alpha --tfidf-cut --metric-top-words --stoplist --whitelist".split())
+
+    @pytest.mark.parametrize("flag,value,name,want", FLAG_OVERRIDES,
+                             ids=[flag for flag, *_ in FLAG_OVERRIDES])
+    def test_each_flag_lands_in_the_manifest_plan(self, tmp_path, plan_path, flag, value,
+                                                  name, want):
+        plan = {**json.loads(plan_path.read_text()), "variants": ["no_deletion"],
+                "iterations": [5]}
+        plan_path.write_text(json.dumps(plan))
+        if value == "copy":
+            copy = tmp_path / f"copy{Path(plan[name]).suffix}"
+            copy.write_bytes(Path(plan[name]).read_bytes())
+            value = want = str(copy)
+        from_file = ExperimentPlan.from_json(plan).to_json()
+        assert from_file[name] != want
+        out_dir = tmp_path / "out"
+        assert main(["experiment", "--plan", str(plan_path), flag, value,
+                     "--out-dir", str(out_dir)]) == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["plan"] == {**from_file, name: want}
+
+    @pytest.mark.parametrize("flag,value,code,error", [
+        ("--alpha", "x", 2, "usage"), ("--stopword-topics", "1.5", 2, "usage"),
+        ("--seeds", "1,x", 1, "value-error"), ("--variants", "bogus", 1, "value-error"),
+    ])
+    def test_bad_flag_value_exit_codes(self, tmp_path, plan_path, capsys, flag, value,
+                                       code, error):
+        assert main(["experiment", "--plan", str(plan_path), flag, value,
+                     "--out-dir", str(tmp_path / "out")]) == code
+        assert capsys.readouterr().err.startswith(f"error: {error}: ")
+
+    def test_each_word_list_read_once(self, tmp_path, plan_path, monkeypatch):
+        reads = Counter()
+        load = experiments.load_word_list
+
+        def counting(path):
+            reads[str(path)] += 1
+            return load(path)
+
+        monkeypatch.setattr(experiments, "load_word_list", counting)
+        assert main(["experiment", "--plan", str(plan_path), "--iterations", "5",
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        plan = json.loads(plan_path.read_text())
+        assert reads == {plan["stoplist"]: 1, plan["whitelist"]: 1}
 
 
 # sha256 of the outputs of the README demo plan at 10 sweeps and seed 1,

@@ -375,6 +375,24 @@ class TestSerialization:
         book = loaded.vocabulary.word_to_id["book"]
         assert co_doc_freq(loaded, book, book) == loaded.doc_freq[book]
 
+    @pytest.mark.parametrize("what", ["corpus", "stats", "prior", "model"])
+    def test_other_version_names_both_versions(self, alice_corpus, what):
+        from priorlda.corpus import CorpusStats
+        from priorlda.priors import PriorMatrix, symmetric_prior
+        from priorlda.sampler import FittedModel, ModelConfig, fit
+
+        prior = symmetric_prior(2, alice_corpus.vocabulary.size)
+        model = fit(alice_corpus, prior, ModelConfig(topics=2, iterations=2, seed=0))
+        loader, data = {"corpus": (Corpus, alice_corpus.to_json()),
+                        "stats": (CorpusStats, compute_stats(alice_corpus).to_json()),
+                        "prior": (PriorMatrix, prior.to_json()),
+                        "model": (FittedModel, model.to_json())}[what]
+        assert loader.from_json(data) is not None
+        for found in (99, True, 1.0, None):
+            with pytest.raises(ValueError, match=f"^unsupported {what} format version: "
+                                                 f"expected 1, found {found!r}$"):
+                loader.from_json({**data, "version": found})
+
 
 class TestLoaders:
     def test_text_format(self, tmp_path):

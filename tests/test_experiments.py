@@ -12,14 +12,14 @@ from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from priorlda import _kernels, experiments
-from priorlda.experiments import (FULL_SEARCH_GRID, PLAN_LIST_FIELDS, ExperimentPlan,
-                                  FailedRun, MissingResource, RunSettings, Variant,
-                                  comparison_csv, comparison_table,
+from priorlda.corpus import compute_stats, delete_stopwords
+from priorlda.experiments import (FULL_SEARCH_GRID, GRID_DIMS, PLAN_LIST_FIELDS,
+                                  ExperimentPlan, FailedRun, RunRecord, RunSettings,
+                                  Variant, comparison_csv, comparison_table,
                                   correlation_data, corpus_hash, enumerate_runs,
-                                  load_resources, run_grid, run_variant,
-                                  run_manifest, _spearman)
-from priorlda.metrics import MetricConfig, ModelReport
-from priorlda.priors import TopicKind, symmetric_prior
+                                  load_resources, run_grid, run_manifest, _spearman)
+from priorlda.metrics import MetricConfig, ModelReport, report
+from priorlda.priors import PriorConfig, TopicKind, assemble, symmetric_prior
 from priorlda.sampler import ModelConfig, fit
 
 from .synthetic import planted_stopword_corpus
@@ -50,6 +50,17 @@ def planted_on_disk(tmp_path_factory):
 
 
 FAST_METRICS = MetricConfig(m_small=5, m_large=10)
+
+
+def run_one(plan, variant, settings, seed, resources=None):
+    """The one run of ``variant`` at ``settings`` and ``seed``, as a one-spec
+    plan through run_grid: its RunRecord, or its FailedRun."""
+    one = replace(plan, variants=[variant], seeds=[seed],
+                  **{k: [v] if k in GRID_DIMS else v for k, v in settings.to_json().items()})
+    result = run_grid(one, resources=resources, metric_config=FAST_METRICS)
+    (outcome,) = result.records + result.failures
+    assert outcome.settings == settings
+    return outcome
 
 
 class TwoArg(Exception):
@@ -97,31 +108,29 @@ class TestEnumerateRuns:
 
 
 class TestRunVariant:
+    """One variant's run, as a one-spec plan through run_grid."""
+
     def test_no_deletion_high_stopword_rate(self, planted_on_disk):
         planted, plan = planted_on_disk
-        resources = load_resources(plan)
-        rec = run_variant(plan, Variant.NO_DELETION, RunSettings(topics=8, iterations=120, alpha=0.2),
-                          seed=1, resources=resources, metric_config=FAST_METRICS)
+        rec = run_one(plan, Variant.NO_DELETION,
+                      RunSettings(topics=8, iterations=120, alpha=0.2), seed=1)
         assert rec.report.model_means["stopword_rate"] > 0.25
         assert not rec.vocabulary_altered
 
     def test_tfidf_prior_has_one_stopword_topic(self, planted_on_disk):
         planted, plan = planted_on_disk
-        resources = load_resources(plan)
-        rec = run_variant(plan, Variant.TFIDF_PRIOR,
-                          RunSettings(topics=8, iterations=120, alpha=0.2, stopword_topics=1),
-                          seed=1, resources=resources, metric_config=FAST_METRICS)
+        rec = run_one(plan, Variant.TFIDF_PRIOR,
+                      RunSettings(topics=8, iterations=120, alpha=0.2, stopword_topics=1),
+                      seed=1)
         kinds = [t.kind for t in rec.report.per_topic]
         assert kinds.count(TopicKind.STOPWORD) == 1
         assert kinds[0] is TopicKind.STOPWORD
 
     def test_keyword_seeding_layout(self, planted_on_disk):
         planted, plan = planted_on_disk
-        resources = load_resources(plan)
-        rec = run_variant(plan, Variant.KEYWORD_SEEDING_PRIOR,
-                          RunSettings(topics=20, iterations=30, stopword_topics=1,
-                                      tfidf_topics=9, keyword_topics=10),
-                          seed=1, resources=resources, metric_config=FAST_METRICS)
+        rec = run_one(plan, Variant.KEYWORD_SEEDING_PRIOR,
+                      RunSettings(topics=20, iterations=30, stopword_topics=1,
+                                  tfidf_topics=9, keyword_topics=10), seed=1)
         kinds = [t.kind.value for t in rec.report.per_topic]
         assert kinds == ["stopword"] + ["tfidf"] * 9 + ["keyword"] * 10
 
@@ -129,17 +138,15 @@ class TestRunVariant:
         planted, plan = planted_on_disk
         resources = load_resources(plan)
         resources.whitelist = None
-        with pytest.raises(MissingResource):
-            run_variant(plan, Variant.KEYWORD_TOPICS_BASELINE,
-                        RunSettings(topics=4, iterations=10), seed=1,
-                        resources=resources, metric_config=FAST_METRICS)
+        failure = run_one(plan, Variant.KEYWORD_TOPICS_BASELINE,
+                          RunSettings(topics=4, iterations=10), seed=1, resources=resources)
+        assert isinstance(failure, FailedRun)
+        assert failure.type == "MissingResource"
 
     def test_deletion_variant_changes_vocabulary(self, planted_on_disk):
         planted, plan = planted_on_disk
-        resources = load_resources(plan)
-        rec = run_variant(plan, Variant.STOPWORD_DELETION,
-                          RunSettings(topics=4, iterations=20), seed=1,
-                          resources=resources, metric_config=FAST_METRICS)
+        rec = run_one(plan, Variant.STOPWORD_DELETION,
+                      RunSettings(topics=4, iterations=20), seed=1)
         assert rec.vocabulary_altered
         assert rec.report.model_means["stopword_rate"] == 0.0
 
@@ -149,19 +156,27 @@ class TestRunGrid:
     @pytest.mark.parametrize("variant", [Variant.NO_DELETION, Variant.STOPWORD_DELETION,
                                          Variant.KEYWORD_SEEDING_PRIOR],
                              ids=lambda v: v.value)
-    def test_singleton_matches_run_variant(self, planted_on_disk, variant):
+    def test_singleton_matches_fit_and_report(self, planted_on_disk, variant):
         planted, plan = planted_on_disk
         single = ExperimentPlan(**{**plan.to_json(), "variants": [variant.value],
                                    "tfidf_topics": [4], "keyword_topics": [3]})
         result = run_grid(single, metric_config=FAST_METRICS)
         assert not result.failures
-        assert len(result.records) == 1
+        (rec,) = result.records
+        # the same run assembled by hand: corpus, prior, fit and report
         resources = load_resources(plan)
-        direct = run_variant(single, variant,
-                             result.records[0].settings, 1,
-                             resources=resources, metric_config=FAST_METRICS)
-        assert np.array_equal(direct.model.beta_hat, result.records[0].model.beta_hat)
-        assert comparison_csv([direct]) == comparison_csv(result.records)
+        working = (delete_stopwords(resources.corpus, resources.stoplist)
+                   if variant is Variant.STOPWORD_DELETION else resources.corpus)
+        stats = compute_stats(working)
+        layout = (PriorConfig(topics=8, tfidf_topics=4, keyword_topics=3)
+                  if variant is Variant.KEYWORD_SEEDING_PRIOR
+                  else PriorConfig(topics=8, stopword_topics=0))
+        model = fit(working, assemble(layout, stats, resources.whitelist),
+                    ModelConfig(topics=8, alpha=0.2, iterations=120, seed=1))
+        scores = report(model, stats, resources.stoplist, resources.whitelist, FAST_METRICS)
+        direct = RunRecord(variant, rec.settings, 1, model, scores, duration=0.0)
+        assert np.array_equal(model.beta_hat, rec.model.beta_hat)
+        assert comparison_csv([direct]) == comparison_csv([rec])
 
     def test_failures_recorded_not_fatal(self, planted_on_disk):
         planted, plan = planted_on_disk
@@ -187,7 +202,7 @@ class TestRunGrid:
         if jobs > 1:
             child_runs_first()  # so a failure raised in the child crosses the pipe
         resources = load_resources(no_list)
-        result = run_grid(no_list, jobs=jobs, corpus=resources.corpus,
+        result = run_grid(no_list, jobs=jobs, resources=resources,
                           metric_config=FAST_METRICS)
         assert len(result.records) == 2
         assert [failure.type for failure in result.failures] == ["MissingResource"] * 2
@@ -201,7 +216,8 @@ class TestRunGrid:
             assert "needs a whitelist" in entry["error"]
             assert entry["type"] == "MissingResource"
             assert entry["traceback"].startswith("Traceback (most recent call last):")
-            assert "in _build_model" in entry["traceback"]
+            # the last frame is where the run raised
+            assert "in _run\n    raise MissingResource(" in entry["traceback"]
             assert entry["traceback"].rstrip().endswith(f"MissingResource: {entry['error']}")
         json.dumps(manifest)
 
@@ -329,9 +345,7 @@ class TestRunGrid:
 class TestComparisonTable:
     def test_single_record_single_row(self, planted_on_disk):
         planted, plan = planted_on_disk
-        resources = load_resources(plan)
-        rec = run_variant(plan, Variant.NO_DELETION, RunSettings(topics=4, iterations=20),
-                          seed=1, resources=resources, metric_config=FAST_METRICS)
+        rec = run_one(plan, Variant.NO_DELETION, RunSettings(topics=4, iterations=20), seed=1)
         rows = comparison_table([rec])
         assert len(rows) == 1
         assert rows[0]["variant"] == "no_deletion"
@@ -340,9 +354,8 @@ class TestComparisonTable:
     def test_search_rows_report_the_alpha_the_fit_used(self, planted_on_disk):
         planted, plan = planted_on_disk
         plan = replace(plan, hyper_alphas=[0.05], hyper_etas=[0.1])
-        rec = run_variant(plan, Variant.HYPERPARAM_OPT,
-                          RunSettings(topics=4, iterations=20, alpha=0.2), seed=1,
-                          resources=load_resources(plan), metric_config=FAST_METRICS)
+        rec = run_one(plan, Variant.HYPERPARAM_OPT,
+                      RunSettings(topics=4, iterations=20, alpha=0.2), seed=1)
         assert comparison_table([rec])[0]["alpha"] == rec.model.config.alpha == 0.05
 
     def test_records_carry_the_alpha_and_eta_the_fit_used(self, planted_on_disk):
@@ -350,8 +363,7 @@ class TestComparisonTable:
         plan = replace(plan, hyper_alphas=[0.05, 0.5], hyper_etas=[0.1, 1.0])
         resources = load_resources(plan)
         settings = RunSettings(topics=4, iterations=20, alpha=0.2)
-        rec = run_variant(plan, Variant.HYPERPARAM_OPT, settings, seed=1,
-                          resources=resources, metric_config=FAST_METRICS)
+        rec = run_one(plan, Variant.HYPERPARAM_OPT, settings, seed=1, resources=resources)
         chosen = rec.search
         assert rec.fit_settings() == {**settings.to_json(), "alpha": chosen.alpha,
                                       "eta": chosen.eta}
@@ -360,17 +372,14 @@ class TestComparisonTable:
                     symmetric_prior(4, resources.corpus.vocabulary.size, chosen.eta),
                     ModelConfig(topics=4, alpha=chosen.alpha, iterations=20, seed=1))
         assert np.array_equal(refit.beta_hat, rec.model.beta_hat)
-        fixed = run_variant(plan, Variant.NO_DELETION, settings, seed=1,
-                            resources=resources, metric_config=FAST_METRICS)
+        fixed = run_one(plan, Variant.NO_DELETION, settings, seed=1, resources=resources)
         assert fixed.search is None
         assert fixed.fit_settings() == settings.to_json()
 
     def test_deletion_rows_flagged_non_comparable(self, planted_on_disk):
         planted, plan = planted_on_disk
-        resources = load_resources(plan)
-        rec = run_variant(plan, Variant.STOPWORD_DELETION,
-                          RunSettings(topics=4, iterations=20), seed=1,
-                          resources=resources, metric_config=FAST_METRICS)
+        rec = run_one(plan, Variant.STOPWORD_DELETION,
+                      RunSettings(topics=4, iterations=20), seed=1)
         rows = comparison_table([rec])
         assert rows[0]["vocabulary_altered"] is True
 
@@ -505,7 +514,7 @@ class TestReproducibility:
     def test_manifest_contents(self, planted_on_disk):
         planted, plan = planted_on_disk
         resources = load_resources(plan)
-        result = run_grid(plan, corpus=resources.corpus, metric_config=FAST_METRICS)
+        result = run_grid(plan, resources=resources, metric_config=FAST_METRICS)
         manifest = run_manifest(plan, result, resources.corpus)
         assert manifest["corpus_hash"] == corpus_hash(resources.corpus)
         assert manifest["n_records"] == len(result.records)
@@ -542,3 +551,18 @@ class TestPlanSerialization:
     def test_every_empty_list_field_rejected(self, name):
         with pytest.raises(ValueError, match=f"plan field {name} must be a non-empty list"):
             ExperimentPlan(corpus="x", **{name: []})
+
+    @pytest.mark.parametrize("name,value", [
+        ("seeds", [True]), ("iterations", [True]), ("seeds", "12"), ("c1", ["1"]),
+        ("topics", [20.0]), ("variants", "no_deletion"), ("hyper_etas", (0.1,)),
+        ("alpha", True), ("alpha", "0.2"), ("stopword_topics", 1.5),
+        ("metric_top_words", False), ("stoplist", 3), ("corpus", None),
+    ])
+    def test_wrong_type_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^plan field {name} must be "):
+            ExperimentPlan(**{"corpus": "x", name: value})
+
+    def test_ints_stand_for_floats_unchanged(self):
+        plan = ExperimentPlan(corpus="x", c1=[1, 0.5], alpha=2, tfidf_cut=0, stoplist=None)
+        assert plan.to_json()["c1"] == [1, 0.5] and type(plan.c1[0]) is int
+        assert type(plan.alpha) is int and type(plan.tfidf_cut) is int

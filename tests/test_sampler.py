@@ -959,3 +959,12 @@ class TestHeldoutPerplexity:
         model = estimate(state, prior, 0.05, vocabulary=corpus.vocabulary)
         with pytest.raises(ValueError, match="no config"):
             heldout_perplexity(model, corpus, sweeps=2)
+
+    @pytest.mark.parametrize("sweeps", [0, -3])
+    def test_sweeps_below_one_rejected(self, sweeps):
+        # no sweep would score the random start of the fold-in
+        corpus, _ = two_topic_corpus(seed=6, docs_per_topic=10)
+        model = fit(corpus, symmetric_prior(2, corpus.vocabulary.size, 1.0),
+                    ModelConfig(topics=2, iterations=5, seed=0))
+        with pytest.raises(ValueError, match=f"sweeps must be at least 1, got {sweeps}"):
+            heldout_perplexity(model, corpus, sweeps=sweeps)
