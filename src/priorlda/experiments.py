@@ -7,9 +7,11 @@ and skipped, never fatal to the sweep.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
+import math
 import time
 import traceback
 import typing
@@ -191,6 +193,12 @@ class ExperimentPlan:
                                      f"{kind.__name__} values, got {value!r}")
             elif not (_is_a(value, kind) or value is None and f.default is None):
                 raise ValueError(f"plan field {name} must be a {kind.__name__}, got {value!r}")
+        for name, least in (("seeds", 0), ("topics", 1), ("iterations", 1)):
+            if min(getattr(self, name)) < least:
+                raise ValueError(f"plan field {name} must hold values of at least {least}, "
+                                 f"got {getattr(self, name)!r}")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"plan field alpha must be positive and finite, got {self.alpha!r}")
         self.variants = [Variant(v) for v in self.variants]
 
     def to_json(self) -> dict:
@@ -573,9 +581,13 @@ def run_stem(index: int, record: RunRecord) -> str:
     return f"{index:04d}_{record.variant.value}_seed{record.seed}"
 
 
-def run_manifest(plan: ExperimentPlan, result: GridResult, corpus: Corpus) -> dict:
-    import scipy
+@functools.cache
+def _scipy_version() -> str:
+    import importlib.metadata  # scipy itself stays unloaded
+    return importlib.metadata.version("scipy")
 
+
+def run_manifest(plan: ExperimentPlan, result: GridResult, corpus: Corpus) -> dict:
     from . import __version__
 
     return {
@@ -589,5 +601,5 @@ def run_manifest(plan: ExperimentPlan, result: GridResult, corpus: Corpus) -> di
         "settings": {run_stem(i, r): r.fit_settings()
                      for i, r in enumerate(result.records)},
         "versions": {"priorlda": __version__, "numpy": np.__version__,
-                     "scipy": scipy.__version__, "kernel_backend": _kernels.BACKEND},
+                     "scipy": _scipy_version(), "kernel_backend": _kernels.BACKEND},
     }

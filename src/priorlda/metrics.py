@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import json
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass

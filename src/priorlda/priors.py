@@ -12,8 +12,8 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.special import gammaln
 
+from ._kernels import LGAM_MAX
 from .corpus import CorpusStats, Vocabulary, _frozen, check_version, write_json
 
 log = logging.getLogger(__name__)
@@ -129,7 +129,7 @@ class PriorMatrix:
             raise ValueError("Dirichlet weights must be strictly positive and finite")
         # every weight is at most its row sum, so this keeps gammaln finite on
         # every weight too, and the log-likelihood free of inf - inf
-        if self.weights.size and not np.isfinite(gammaln(self.row_sums.max())):
+        if self.weights.size and self.row_sums.max() > LGAM_MAX:
             raise ValueError(f"a prior row sums to {self.row_sums.max():.6g}, "
                              "too large for a finite log-gamma")
 

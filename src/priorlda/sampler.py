@@ -18,7 +18,6 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import _kernels
 from .corpus import Corpus, Vocabulary, check_version, write_json
@@ -198,22 +197,24 @@ def log_likelihood(state: ModelState, prior: PriorMatrix, alpha: float) -> float
     """Collapsed joint log p(w, z | alpha, eta): a product of
     Dirichlet-multinomial normalizers over documents and topics.
 
-    An empty cell contributes exactly 0.0, gammaln(0 + eta) - gammaln(eta),
-    since PriorMatrix keeps gammaln(eta) finite. So gammaln runs only on the
-    occupied word-topic cells, the document cells read a table by count, and
-    both are summed as full C-order arrays: the dense formula's bits.
+    Two kernel calls compute every gammaln term. One takes the short
+    arguments in one array: K alpha, alpha, the row sums, n_k plus the row
+    sums, the document lengths plus K alpha, and alpha plus each count
+    0..max n_dk, so the document cells read a table by count. The other
+    writes the (K, V) word-topic cells, where an empty cell is exactly 0.0,
+    gammaln(0 + eta) - gammaln(eta), since PriorMatrix keeps gammaln(eta)
+    finite. Both are summed as full C-order arrays: the dense formula's bits.
     """
-    k_total = state.n_topics
-    doc_part = float((gammaln(k_total * alpha) - gammaln(state.doc_lengths + k_total * alpha)).sum())
-    by_count = gammaln(np.arange(state.n_dk.max(initial=0) + 1) + alpha) - gammaln(alpha)
-    doc_part += float(by_count[state.n_dk].sum())
-    topic_part = float((gammaln(prior.row_sums) - gammaln(state.n_k + prior.row_sums)).sum())
-    counts = np.ravel(state.n_kw)
-    occupied = np.flatnonzero(counts != 0)  # faster on bools than on int32
-    eta = prior.weights.ravel()[occupied]
-    cells = np.zeros(state.n_kw.shape)
-    cells.ravel()[occupied] = gammaln(counts[occupied] + eta) - gammaln(eta)
-    topic_part += float(cells.sum())
+    k_total, n_docs = state.n_topics, len(state.doc_lengths)
+    g = _kernels.gammaln(np.concatenate((
+        [k_total * alpha, alpha], prior.row_sums, state.n_k + prior.row_sums,
+        state.doc_lengths + k_total * alpha, np.arange(state.n_dk.max(initial=0) + 1) + alpha)))
+    docs_at = 2 + 2 * k_total
+    doc_part = float((g[0] - g[docs_at:docs_at + n_docs]).sum())
+    by_count = g[docs_at + n_docs:] - g[1]
+    doc_part += float(by_count.take(state.n_dk).sum())
+    topic_part = float((g[2:2 + k_total] - g[2 + k_total:docs_at]).sum())
+    topic_part += float(_kernels.gammaln_cells(state.n_wk, prior.weights).sum())
     return doc_part + topic_part
 
 

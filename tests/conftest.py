@@ -69,10 +69,11 @@ def alice_stats(alice_corpus):
 
 
 def python_twins():
-    """Switch every C entry point off, so the sweep, the log fold and the JSON
-    float writer run on their Python twins, as they do where no compiler is
-    present."""
-    return mock.patch.multiple(_kernels, _sweep_c=None, _log_sum_c=None, _json_floats_c=None)
+    """Switch every C entry point off, so the sweep, the log fold, the JSON
+    float writer and both log-gamma kernels run on their Python twins, as
+    they do where no compiler is present."""
+    return mock.patch.multiple(_kernels, _sweep_c=None, _log_sum_c=None, _json_floats_c=None,
+                               _gammaln_c=None, _gammaln_cells_c=None)
 
 
 @pytest.fixture(params=["c", "numpy"])

@@ -424,6 +424,8 @@ class TestExperimentAndReport:
     @pytest.mark.parametrize("flag,value,code,error", [
         ("--alpha", "x", 2, "usage"), ("--stopword-topics", "1.5", 2, "usage"),
         ("--seeds", "1,x", 1, "value-error"), ("--variants", "bogus", 1, "value-error"),
+        ("--alpha", "-1", 1, "value-error"), ("--seeds", "1,-1", 1, "value-error"),
+        ("--topics", "0", 1, "value-error"), ("--iterations", "0", 1, "value-error"),
     ])
     def test_bad_flag_value_exit_codes(self, tmp_path, plan_path, capsys, flag, value,
                                        code, error):
@@ -635,17 +637,36 @@ class TestByteContract:
                     "83687054462b6bcb08ba6ee60d531ed3a4310968bdb7e1dd71028d54342fd87e")
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats would cost every priorlda process, --help included, about
-    # a second and 45 MB of memory; scipy.sparse is loaded by the first
-    # report, and multiprocessing only by a grid that forks
-    code = ("import sys, priorlda, priorlda.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
-            "(['scipy', 'stats'], ['scipy', 'sparse']) or m.startswith('multiprocessing')))")
+def _fresh_modules(code: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports priorlda from this
+    checkout; the sorted list of scipy and multiprocessing modules it then
+    holds, as printed."""
+    code += ("\nimport sys\nprint(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('scipy', 'multiprocessing')))")
     path = [str(Path(priorlda.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": os.pathsep.join(path)}, check=True)
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip().splitlines()[-1]
+
+
+def test_import_loads_no_scipy():
+    # scipy.special alone cost every priorlda process, --help included, about
+    # 0.3 s and 24 MB; scipy.sparse is loaded by the first report, and
+    # multiprocessing only by a grid that forks
+    assert _fresh_modules("import priorlda, priorlda.cli") == "[]"
+
+
+def test_readme_ingest_and_fit_load_no_scipy(tmp_path):
+    data = resources.files("priorlda.data").joinpath("demo_corpus.jsonl")
+    corpus, model = tmp_path / "corpus.json", tmp_path / "model.json"
+    code = (f"from priorlda.cli import main\n"
+            f"assert main(['ingest', '--input', {str(data)!r}, '--format', 'jsonl', "
+            f"'--out', {str(corpus)!r}]) == 0\n"
+            f"assert main(['fit', '--corpus', {str(corpus)!r}, '--prior', 'tfidf', "
+            f"'--topics', '20', '--alpha', '0.2', '--iters', '500', '--seed', '7', "
+            f"'--out', {str(model)!r}]) == 0")
+    assert _fresh_modules(code) == "[]"
+    assert json.loads(model.read_text())["config"]["iterations"] == 500
 
 
 class TestDispatch:

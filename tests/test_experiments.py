@@ -562,6 +562,15 @@ class TestPlanSerialization:
         with pytest.raises(ValueError, match=f"^plan field {name} must be "):
             ExperimentPlan(**{"corpus": "x", name: value})
 
+    @pytest.mark.parametrize("name,value", [
+        ("seeds", [1, -1]), ("topics", [0]), ("iterations", [5, 0]), ("alpha", -1),
+        ("alpha", 0), ("alpha", float("inf")), ("alpha", float("nan")),
+    ])
+    def test_out_of_range_rejected(self, name, value):
+        # each would fail every run on its own, one by one
+        with pytest.raises(ValueError, match=f"^plan field {name} must "):
+            ExperimentPlan(**{"corpus": "x", name: value})
+
     def test_ints_stand_for_floats_unchanged(self):
         plan = ExperimentPlan(corpus="x", c1=[1, 0.5], alpha=2, tfidf_cut=0, stoplist=None)
         assert plan.to_json()["c1"] == [1, 0.5] and type(plan.c1[0]) is int

@@ -3,7 +3,9 @@ import logging
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
+from priorlda import _kernels
 from priorlda.corpus import build_corpus, compute_stats
 from priorlda.priors import (DEFAULT_FLOOR, ConfigMismatch, PriorConfig, PriorMatrix,
                              TopicKind, assemble, keyword_prior, load_prior, save_prior,
@@ -214,6 +216,16 @@ class TestPriorMatrix:
         # as it sums the row); the trace would come out NaN
         with pytest.raises(ValueError, match="too large for a finite log-gamma"):
             PriorMatrix(np.full((2, 2), weight), (TopicKind.SYMMETRIC,) * 2)
+
+    def test_heaviest_row_has_a_finite_log_gamma(self, backend):
+        # gammaln is finite up to LGAM_MAX and inf just above it, on both
+        # backends and in scipy; a row sum is checked against the threshold
+        edge = np.array([_kernels.LGAM_MAX, np.nextafter(_kernels.LGAM_MAX, np.inf)])
+        assert np.isfinite(gammaln(edge)).tolist() == [True, False]
+        assert _kernels.gammaln(edge).tobytes() == gammaln(edge).tobytes()
+        assert PriorMatrix(edge[None, :1], (TopicKind.SYMMETRIC,)).row_sums[0] == edge[0]
+        with pytest.raises(ValueError, match="too large for a finite log-gamma"):
+            PriorMatrix(edge[None, 1:], (TopicKind.SYMMETRIC,))
 
     def test_load_prior_rejects_rows_too_heavy(self, tmp_path):
         path = tmp_path / "prior.json"

@@ -288,6 +288,35 @@ class TestKernelsAgree:
         x = np.array(values, dtype=np.float64)
         assert _kernels.log_sum(x).hex() == _kernels._log_sum_py(x).hex()
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(0.0, exclude_min=True, allow_nan=False),
+                              st.floats(0.0, 20.0, exclude_min=True),
+                              st.integers(1, 2000).map(float),
+                              st.floats(5e-324, 2.2250738585072014e-308)),  # subnormals
+                    min_size=1, max_size=50))
+    def test_gammaln_same_bits_as_scipy(self, values):
+        x = np.array(values)
+        assert _kernels.gammaln(x).tobytes() == gammaln(x).tobytes()
+
+    def test_gammaln_same_bits_as_scipy_at_branch_edges(self):
+        # each branch's edge and its five neighbours on either side
+        x = np.array([edge for at in (2.0, 3.0, 13.0, 1000.0, 1e8, _kernels.LGAM_MAX)
+                      for edge in at + np.arange(-5, 6) * np.spacing(at)])
+        assert _kernels.gammaln(x).tobytes() == gammaln(x).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 10), st.integers(0, 2**32 - 1))
+    @example(k_total=1, vocab_size=1, seed=0)
+    def test_gammaln_cells_same_bits_as_the_numpy_cells(self, k_total, vocab_size, seed):
+        # about half the cells empty; weights log-uniform over nine decades
+        rng = np.random.default_rng(seed)
+        n_wk = (rng.integers(0, 40, (vocab_size, k_total))
+                * rng.integers(0, 2, (vocab_size, k_total))).astype(np.int32)
+        eta = np.exp(rng.uniform(np.log(1e-6), np.log(1e3), (k_total, vocab_size)))
+        want = np.empty(eta.shape)
+        assert _kernels._gammaln_cells_py(n_wk, eta, want) == -1
+        assert _kernels.gammaln_cells(n_wk, eta).tobytes() == want.tobytes()
+
     def test_fallback_without_compiler_gives_same_bytes(self, no_compiler, caplog, tmp_path):
         corpus = random_corpus(seed=3, n_docs=20, vocab_size=15)
         prior = symmetric_prior(3, corpus.vocabulary.size, 0.5)
@@ -296,7 +325,8 @@ class TestKernelsAgree:
         with caplog.at_level(logging.WARNING, logger=_kernels.__name__):
             importlib.reload(_kernels)
         assert _kernels.BACKEND == "numpy"
-        assert _kernels._log_sum_c is _kernels._json_floats_c is None
+        assert (_kernels._log_sum_c is _kernels._json_floats_c is _kernels._gammaln_c
+                is _kernels._gammaln_cells_c is None)
         assert [r.levelno for r in caplog.records] == [logging.WARNING]
         save_model(fit(corpus, prior, cfg), tmp_path / "numpy.json")
         assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "c.json").read_bytes()
@@ -308,7 +338,8 @@ def test_c_kernel_loads_where_a_compiler_is_present():
     if shutil.which("cc") is None:
         pytest.skip("no C compiler on PATH")
     assert _kernels.BACKEND == "c"
-    for entry in (_kernels._sweep_c, _kernels._log_sum_c, _kernels._json_floats_c):
+    for entry in (_kernels._sweep_c, _kernels._log_sum_c, _kernels._json_floats_c,
+                  _kernels._gammaln_c, _kernels._gammaln_cells_c):
         assert entry is not None
 
 
@@ -325,6 +356,42 @@ def test_c_kernel_source_compiles_without_warnings(tmp_path, monkeypatch):
     assert lib.parent == tmp_path / "priorlda"
     loaded = ctypes.CDLL(str(lib))
     assert loaded.sweep and loaded.log_sum and loaded.json_floats
+    assert loaded.gammaln and loaded.gammaln_cells
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0, -1e-300, -math.inf, math.nan])
+def test_gammaln_outside_the_domain_raises(backend, value):
+    with pytest.raises(ValueError, match=r"^x\[2\] = .* outside the domain of gammaln"):
+        _kernels.gammaln(np.array([2.0, math.inf, value, -1.0]))
+
+
+@pytest.mark.parametrize("count,weight", [(-1, 0.5), (-3, 3.0), (2, -0.5), (1, math.nan)])
+def test_gammaln_cells_outside_the_domain_raise(backend, count, weight):
+    # the first bad occupied cell in C order is named; the weight of an empty
+    # cell, (0, 0) here, is never checked
+    n_wk = np.array([[0, 1], [count, 0], [0, count]], dtype=np.int32)
+    eta = np.array([[-1.0, weight, 0.5], [0.5, 0.5, weight]])
+    with pytest.raises(ValueError, match=r"^cell \(0, 1\): "):
+        _kernels.gammaln_cells(n_wk, eta)
+
+
+def test_gammaln_cells_rejects_mismatched_shapes(backend):
+    with pytest.raises(ValueError, match="n_wk is"):
+        _kernels.gammaln_cells(np.zeros((3, 2), np.int32), np.ones((3, 2)))
+
+
+@pytest.mark.parametrize("doc_streams,digest", [
+    (False, "5a45edf3e64a9d4656031d54276073eb33248720e122618bf3a74fa32a08d1cd"),
+    (True, "794baf6af9d976a56517dc7bedeea0854598a6f1fafb23c907d988ce189ec34c")])
+def test_loglik_trace_same_bits_on_each_backend(backend, doc_streams, digest):
+    # sha256 of the trace's bytes, recorded while every gammaln term came
+    # from scipy.special.gammaln
+    corpus = random_corpus(seed=5, n_docs=30, vocab_size=25)
+    prior = assemble(PriorConfig(topics=6, stopword_topics=1, tfidf_topics=3,
+                                 wordfreq_topics=1), compute_stats(corpus))
+    model = fit(corpus, prior, ModelConfig(topics=6, alpha=0.3, iterations=8, seed=2,
+                                           doc_streams=doc_streams))
+    assert hashlib.sha256(model.loglik_trace.tobytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("value", [0.0, -0.0, -1e-300, -math.inf])
