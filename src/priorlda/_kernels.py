@@ -352,18 +352,21 @@ def log_sum(x: np.ndarray) -> float:
     """0.0 + log(x[0]) + log(x[1]) + ... for a 1-D C-contiguous float64 x, added left
     to right with ``math.log``'s bits: NaN and +inf pass through, entries <= 0 raise."""
     _check_array("x", x, np.float64, 1)
-    if _log_sum_c is None:
-        return _log_sum_py(x)
     total = ctypes.c_double(0.0)
-    bad = _log_sum_c(_address(x), len(x), ctypes.byref(total))
+    bad = (_log_sum_py(x, total) if _log_sum_c is None
+           else _log_sum_c(_address(x), len(x), ctypes.byref(total)))
     if bad >= 0:
         raise ValueError(f"x[{bad}] = {float(x[bad])!r} is outside the domain of log")
     return total.value
 
 
-def _log_sum_py(x):
+def _log_sum_py(x, total):
+    bad = np.flatnonzero(x <= 0)
+    if bad.size:
+        return int(bad[0])
     # a strict left fold: sum() compensates from Python 3.12, np.sum is pairwise
-    return functools.reduce(operator.add, map(math.log, x.tolist()), 0.0)
+    total.value = functools.reduce(operator.add, map(math.log, x.tolist()), 0.0)
+    return -1
 
 
 def gammaln(x: np.ndarray) -> np.ndarray:

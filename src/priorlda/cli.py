@@ -32,6 +32,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
+class NoRunSucceeded(RuntimeError):
+    """Every run of an experiment failed."""
+
+
 def _error_code(exc: Exception) -> str:
     name = type(exc).__name__
     return re.sub(r"(?<!^)(?=[A-Z])", "-", name).lower()
@@ -218,6 +222,8 @@ def _cmd_experiment(args) -> int:
     for failure in result.failures:
         print(f"run failed: {failure}", file=sys.stderr)
     print(f"ran {len(result.records)} runs ({len(result.failures)} failures) -> {out_dir}")
+    if not result.records:
+        raise NoRunSucceeded(f"all {len(result.failures)} runs failed")
     return 0
 
 

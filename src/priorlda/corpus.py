@@ -48,9 +48,6 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.id_to_word)
 
-    def __len__(self) -> int:
-        return len(self.id_to_word)
-
     def __contains__(self, word: str) -> bool:
         return word in self.word_to_id
 
@@ -196,19 +193,6 @@ class CorpusStats:
             "n_docs": self.n_docs,
             "n_tokens": self.n_tokens,
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CorpusStats":
-        check_version(data, CORPUS_FORMAT_VERSION, "stats")
-        return cls(
-            vocabulary=Vocabulary(data["vocabulary"]),
-            word_freq=_frozen(np.asarray(data["word_freq"], dtype=np.float64)),
-            doc_freq=_frozen(np.asarray(data["doc_freq"], dtype=np.int64)),
-            avg_tfidf=_frozen(np.asarray(data["avg_tfidf"], dtype=np.float64)),
-            doc_index=tuple(_frozen(np.asarray(ix, dtype=np.int64)) for ix in data["doc_index"]),
-            n_docs=int(data["n_docs"]),
-            n_tokens=int(data["n_tokens"]),
-        )
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

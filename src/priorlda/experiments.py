@@ -358,14 +358,14 @@ class GridResult:
     failures: list[FailedRun]
 
 
-def run_grid(plan: ExperimentPlan, jobs: int | None = None,
+def run_grid(plan: ExperimentPlan, jobs: int = 1,
              resources: PlanResources | None = None,
              metric_config: MetricConfig | None = None) -> GridResult:
     """Run every spec the plan enumerates, in plan order, on ``resources`` (None
-    loads the plan's). ``jobs`` > 1 (None means 1) forks ``min(jobs, runs) - 1``
-    children; they and the caller each draw the next spec when free. Failures
-    are recorded; a dead child raises BrokenProcessPool."""
-    if jobs is not None and jobs < 1:
+    loads the plan's). ``jobs`` > 1 forks ``min(jobs, runs) - 1`` children;
+    they and the caller each draw the next spec when free. Failures are
+    recorded; a dead child raises BrokenProcessPool."""
+    if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     resources = resources or load_resources(plan)
     metric_config = metric_config or plan.metric_config()
@@ -385,7 +385,7 @@ def run_grid(plan: ExperimentPlan, jobs: int | None = None,
     grid = (plan, specs, prep, resources, metric_config)
     take, children = count().__next__, []
     try:
-        if min(jobs or 1, len(specs)) > 1:
+        if min(jobs, len(specs)) > 1:
             import multiprocessing  # loaded only where a grid forks
             fork = multiprocessing.get_context("fork")
 

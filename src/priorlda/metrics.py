@@ -250,8 +250,6 @@ def report(model: FittedModel, stats: CorpusStats, stoplist: Iterable[str],
     topics' heads (see ``MetricConfig``), and each score but coherence and
     PMI is one array pass over all topics.
     """
-    if model.vocabulary is None:
-        raise ValueError("model has no vocabulary attached")
     small, large = slice(config.m_small), slice(config.m_large)
     n_head = max(config.m_small, config.m_large)
     head = np.argsort(-model.beta_hat, axis=1, kind="stable")[:, :n_head]

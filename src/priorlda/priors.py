@@ -2,23 +2,19 @@
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
 from ._kernels import LGAM_MAX
-from .corpus import CorpusStats, Vocabulary, _frozen, check_version, write_json
+from .corpus import CorpusStats, Vocabulary, _frozen
 
 log = logging.getLogger(__name__)
-
-PRIOR_FORMAT_VERSION = 1
 
 # Smallest allowed Dirichlet weight. A word present in every document has an
 # average TF-IDF of exactly 0, which is not a valid Dirichlet parameter, so
@@ -150,21 +146,6 @@ class PriorMatrix:
     def weights_by_word(self) -> np.ndarray:
         return _frozen(np.ascontiguousarray(self.weights.T))
 
-    def _parts(self) -> tuple[dict, dict[str, np.ndarray]]:
-        """The JSON fields in file order: plain values, then float arrays."""
-        return ({"version": PRIOR_FORMAT_VERSION, "kinds": [k.value for k in self.kinds]},
-                {"weights": self.weights})
-
-    def to_json(self) -> dict:
-        fields, arrays = self._parts()
-        return {**fields, **{name: a.tolist() for name, a in arrays.items()}}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "PriorMatrix":
-        check_version(data, PRIOR_FORMAT_VERSION, "prior")
-        return cls(np.asarray(data["weights"], dtype=np.float64),
-                   tuple(TopicKind(k) for k in data["kinds"]))
-
 
 def symmetric_prior(topics: int, vocab_size: int, weight: float = 1.0) -> PriorMatrix:
     """Plain symmetric prior; the baseline models use this."""
@@ -217,14 +198,3 @@ def validate(prior: PriorMatrix) -> list[str]:
                 f"warning: stopword-topic prior weight ({stop_mass:.4g}) does not exceed "
                 f"TF-IDF-topic prior weight ({tfidf_mass:.4g}); stopword separation may fail")
     return warnings
-
-
-def save_prior(prior: PriorMatrix, path: str | Path) -> None:
-    """Write ``json.dumps(prior.to_json(), separators=(",", ":")) + "\\n"``,
-    byte for byte, formatting each distinct weight of a row once (see
-    ``save_model``)."""
-    write_json(path, *prior._parts())
-
-
-def load_prior(path: str | Path) -> PriorMatrix:
-    return PriorMatrix.from_json(json.loads(Path(path).read_text(encoding="utf-8")))

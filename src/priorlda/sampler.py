@@ -227,14 +227,14 @@ def _point_estimates(state: ModelState, prior: PriorMatrix, alpha: float):
 
 @dataclass(eq=False)
 class FittedModel:
-    """Posterior point estimates plus the labels and trace from the fit."""
+    """Posterior point estimates plus the labels, trace and vocabulary of the fit."""
 
     beta_hat: np.ndarray              # (K, V) topic-word, rows sum to 1
     theta_hat: np.ndarray             # (D, K) doc-topic, rows sum to 1
     kinds: tuple[TopicKind, ...]
     loglik_trace: np.ndarray
     config: ModelConfig | None = None
-    vocabulary: Vocabulary | None = None
+    vocabulary: Vocabulary = field(kw_only=True)
 
     def __post_init__(self):
         for name, rows in (("beta_hat", self.beta_hat), ("theta_hat", self.theta_hat)):
@@ -245,8 +245,7 @@ class FittedModel:
         k_total, v_total = self.beta_hat.shape
         for got, want, what in ((len(self.kinds), k_total, "topic kinds"),
                                 (self.theta_hat.shape[1], k_total, "theta_hat columns"),
-                                (v_total if self.vocabulary is None else self.vocabulary.size,
-                                 v_total, "vocabulary words")):
+                                (self.vocabulary.size, v_total, "vocabulary words")):
             if got != want:
                 raise ValueError(f"{got} {what} for a {k_total}x{v_total} beta_hat")
 
@@ -267,7 +266,7 @@ class FittedModel:
         return {**fields, **{name: a.tolist() for name, a in arrays.items()}}
 
     @classmethod
-    def from_json(cls, data: dict, vocabulary: Vocabulary | None = None) -> "FittedModel":
+    def from_json(cls, data: dict, vocabulary: Vocabulary) -> "FittedModel":
         check_version(data, MODEL_FORMAT_VERSION, "model")
         return cls(
             beta_hat=np.asarray(data["beta_hat"], dtype=np.float64),
@@ -280,7 +279,7 @@ class FittedModel:
 
 
 def estimate(state: ModelState, prior: PriorMatrix, alpha: float,
-             vocabulary: Vocabulary | None = None) -> FittedModel:
+             vocabulary: Vocabulary) -> FittedModel:
     """Point estimates from the current sample.
 
     beta_hat[k,w] = (n_kw + eta_kw) / (n_k + sum_v eta_kv)
@@ -321,8 +320,6 @@ def fit(corpus: Corpus, prior: PriorMatrix, config: ModelConfig) -> FittedModel:
 
 def top_words(model: FittedModel, topic: int, n: int = 30) -> list[str]:
     """The n most probable words of a topic, ties broken by ascending word id."""
-    if model.vocabulary is None:
-        raise ValueError("model has no vocabulary attached")
     if not 0 <= topic < model.n_topics:
         raise ValueError(f"topic index {topic} out of range")
     if n < 1:
@@ -374,8 +371,6 @@ def heldout_perplexity(model: FittedModel, corpus: Corpus,
     Gibbs passes that hold beta_hat fixed, at the alpha of the model's
     config, then perplexity is exp(-mean log p(w | theta_d, beta)).
     """
-    if model.vocabulary is None:
-        raise ValueError("model has no vocabulary attached")
     if model.config is None:
         raise ValueError("model has no config attached, so its alpha is unknown")
     if sweeps < 1:
@@ -423,6 +418,6 @@ def save_model(model: FittedModel, path: str | Path) -> None:
     write_json(path, *model._parts())
 
 
-def load_model(path: str | Path, vocabulary: Vocabulary | None = None) -> FittedModel:
+def load_model(path: str | Path, vocabulary: Vocabulary) -> FittedModel:
     return FittedModel.from_json(json.loads(Path(path).read_text(encoding="utf-8")),
                                  vocabulary=vocabulary)

@@ -320,7 +320,7 @@ def test_criterion_9_estimator_normalization():
     corpus = build_corpus(["a"])
     prior = PriorMatrix(np.array([[2.0], [3.0], [5.0]]), (TopicKind.SYMMETRIC,) * 3)
     state = init(corpus, prior, ModelConfig(topics=3, iterations=10, seed=0))
-    model = estimate(state, prior, 1.0)
+    model = estimate(state, prior, 1.0, vocabulary=corpus.vocabulary)
     exact = True
     for k in range(3):
         if state.n_k[k] == 0:

@@ -16,9 +16,9 @@ import pytest
 import priorlda
 from priorlda import experiments
 from priorlda.cli import build_parser, main
-from priorlda.corpus import compute_stats, load_corpus
+from priorlda.corpus import compute_stats, load_corpus, write_json
 from priorlda.experiments import ExperimentPlan
-from priorlda.priors import PriorConfig, assemble, save_prior
+from priorlda.priors import PriorConfig, assemble
 
 from .conftest import python_twins
 
@@ -367,6 +367,23 @@ class TestExperimentAndReport:
         assert [r.getMessage() for r in caplog.records
                 if r.getMessage().startswith("run failed:")] == [line]
 
+    def test_no_run_succeeded_exits_one_after_writing(self, tmp_path, plan_path, capsys):
+        # a TF-IDF cut of 2.0 fails each run's preprocessing on its own
+        plan = {**json.loads(plan_path.read_text()), "variants": ["tfidf_deletion"],
+                "seeds": [1, 2], "tfidf_cut": 2.0, "iterations": [5]}
+        plan_path.write_text(json.dumps(plan))
+        out_dir = tmp_path / "out"
+        assert main(["experiment", "--plan", str(plan_path), "--out-dir", str(out_dir)]) == 1
+        out, err = capsys.readouterr()
+        assert out == f"ran 0 runs (2 failures) -> {out_dir}\n"
+        lines = err.splitlines()
+        assert [ln.split(":")[0] for ln in lines[:-1]] == ["run failed"] * 2
+        assert lines[-1] == "error: no-run-succeeded: all 2 runs failed"
+        assert len(json.loads((out_dir / "manifest.json").read_text())["failures"]) == 2
+        assert (out_dir / "comparison.csv").read_text().count("\n") == 1
+        for name in ("scatter.csv", "correlations.csv"):
+            assert (out_dir / name).exists()
+
     def test_report_aggregates_runs(self, tmp_path, plan_path):
         out_dir = tmp_path / "out"
         assert main(["experiment", "--plan", str(plan_path), "--out-dir", str(out_dir)]) == 0
@@ -530,9 +547,9 @@ class TestByteContract:
                 (json.dumps(report, separators=(",", ":")) + "\n").encode())
         assert got == DEMO_DIGESTS[top]
 
-    # sha256 of `priorlda fit` model files and of a save_prior file on the
-    # demo corpus, recorded before the writers stopped formatting every float
-    # through json.dumps of tolist()
+    # sha256 of `priorlda fit` model files on the demo corpus, recorded
+    # before the writers stopped formatting every float through json.dumps
+    # of tolist()
     @pytest.mark.parametrize("extra,digest", [
         ([], "260b78fc4e087098f4704ddac7363c2e05b1dada20b905d38aaf1b6ca5197ba4"),
         (["--average-estimates"],
@@ -626,15 +643,17 @@ class TestByteContract:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "fa5eabbf65457272ba7069dd6f1d5897d8c9b5e8729558320cd18722cdfe546e")
 
-    def test_save_prior_digest(self, tmp_path, ingested):
+    def test_repeated_prior_rows_write_as_json_dumps(self, tmp_path, ingested):
+        # one stopword row and seven identical TF-IDF rows: the writer
+        # formats each row's values again, and copies repeats within a row
         stats = compute_stats(load_corpus(ingested))
         prior = assemble(PriorConfig(topics=8, stopword_topics=1, tfidf_topics=7), stats)
+        want = json.dumps({"weights": prior.weights.tolist()}, separators=(",", ":")) + "\n"
         for twins in (nullcontext, python_twins):
             with twins():
                 out = tmp_path / f"{twins.__name__}.json"
-                save_prior(prior, out)
-                assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-                    "83687054462b6bcb08ba6ee60d531ed3a4310968bdb7e1dd71028d54342fd87e")
+                write_json(out, {}, {"weights": prior.weights})
+                assert out.read_bytes() == want.encode()
 
 
 def _fresh_modules(code: str) -> str:

@@ -1,4 +1,3 @@
-import json
 import logging
 
 import numpy as np
@@ -8,9 +7,8 @@ from scipy.special import gammaln
 from priorlda import _kernels
 from priorlda.corpus import build_corpus, compute_stats
 from priorlda.priors import (DEFAULT_FLOOR, ConfigMismatch, PriorConfig, PriorMatrix,
-                             TopicKind, assemble, keyword_prior, load_prior, save_prior,
-                             stopword_prior, symmetric_prior, tfidf_prior,
-                             validate, wordfreq_prior)
+                             TopicKind, assemble, keyword_prior, stopword_prior,
+                             symmetric_prior, tfidf_prior, validate, wordfreq_prior)
 
 from priorlda.sampler import ModelConfig, fit, save_model
 
@@ -227,13 +225,6 @@ class TestPriorMatrix:
         with pytest.raises(ValueError, match="too large for a finite log-gamma"):
             PriorMatrix(edge[None, 1:], (TopicKind.SYMMETRIC,))
 
-    def test_load_prior_rejects_rows_too_heavy(self, tmp_path):
-        path = tmp_path / "prior.json"
-        path.write_text(json.dumps({"version": 1, "kinds": ["symmetric"] * 2,
-                                    "weights": [[1e306, 1e306], [1.0, 1.0]]}))
-        with pytest.raises(ValueError, match="too large for a finite log-gamma"):
-            load_prior(path)
-
     def test_weights_are_a_read_only_copy(self, alice_stats):
         # a write after row_sums is cached would leave the cache stale
         prior = assemble(PriorConfig(topics=3, stopword_topics=1, tfidf_topics=2),
@@ -267,26 +258,6 @@ class TestPriorMatrix:
             save_model(fit(corpus, prior, ModelConfig(topics=6, iterations=5, seed=1)), path)
             saved.append(path.read_bytes())
         assert saved[0] == saved[1]
-
-    def test_round_trip(self, alice_stats, tmp_path):
-        cfg = PriorConfig(topics=3, stopword_topics=1, tfidf_topics=2)
-        prior = assemble(cfg, alice_stats)
-        path = tmp_path / "prior.json"
-        save_prior(prior, path)
-        loaded = load_prior(path)
-        np.testing.assert_array_equal(loaded.weights, prior.weights)
-        assert loaded.kinds == prior.kinds
-
-    def test_save_prior_writes_compact_to_json(self, alice_stats, tmp_path):
-        cfg = PriorConfig(topics=6, stopword_topics=1, wordfreq_topics=1, tfidf_topics=2,
-                          keyword_topics=1)
-        prior = assemble(cfg, alice_stats, ALICE_KEYWORDS)
-        path = tmp_path / "prior.json"
-        save_prior(prior, path)
-        want = json.dumps(prior.to_json(), separators=(",", ":")) + "\n"
-        assert path.read_bytes() == want.encode()
-        save_prior(load_prior(path), path)
-        assert path.read_bytes() == want.encode()
 
     def test_symmetric_prior(self):
         prior = symmetric_prior(3, 4, 0.5)
