@@ -1,15 +1,17 @@
 """Hot loops: the collapsed Gibbs sweep, coherence's log fold, the JSON text
-of float arrays and the log-likelihood's log-gamma terms.
+of float arrays, the log-likelihood's log-gamma terms and the co-document
+counts of coherence and PMI.
 
 All are small C functions, compiled on first import into a cache
 directory and called through one ctypes handle. Without a C compiler their
 twins run instead: ``_sweep_py``, ``_log_sum_py``, ``json.dumps(a.tolist())``,
-``_gammaln_py`` and ``_gammaln_cells_py``. Each pair gives the same bits: the sweep does the
-same arithmetic in the same order on pre-drawn uniforms, and the fold adds
-libm's ``log`` (what ``math.log`` calls) left to right. The JSON writer walks
-an array once, giving each value of a row that it has not met earlier in the
-row ``float.__repr__``'s shortest round-trip digits with Ryu's digit loop,
-exact in 128-bit integers for zeros, non-finite values and
+``_gammaln_py``, ``_gammaln_cells_py`` and ``_co_doc_py``, the
+``scipy.sparse`` product X.T @ X. Each pair gives the same bits: the sweep
+does the same arithmetic in the same order on pre-drawn uniforms, and the
+fold adds libm's ``log`` (what ``math.log`` calls) left to right. The JSON
+writer walks an array once, giving each value of a row that it has not met
+earlier in the row ``float.__repr__``'s shortest round-trip digits with
+Ryu's digit loop, exact in 128-bit integers for zeros, non-finite values and
 2^-45 <= |x| < 2^54, and copying the text of a repeat; an array with any
 finite value outside that range is written whole by ``json.dumps``. The
 snapshot sweep's per-document step runs ``sweep_tokens`` too, on either
@@ -18,9 +20,10 @@ backend.
 Log-gamma is Moshier's Cephes ``lgam`` (Cephes Math Library, "Methods and
 Programs for Mathematical Functions", 1989), which ``scipy.special.gammaln``
 runs, copied operation for operation for x > 0; scipy is imported by the
-twins alone. Below 13 the rational approximation is taken at Cephes'
-``x + (p - 2)``: at u - 2, for the shifted u, the last bit of about a
-quarter of the values in (0, 3) moves.
+twins alone, ``scipy.special`` here and ``scipy.sparse`` for the counts.
+Below 13 the rational approximation is taken at Cephes' ``x + (p - 2)``: at
+u - 2, for the shifted u, the last bit of about a quarter of the values in
+(0, 3) moves.
 
 The sweep's word-topic counts and prior weights are word-major (V x K), so the
 K weights a token's conditional reads lie next to each other in memory.
@@ -76,6 +79,13 @@ LGAM_MAX = 2.556348e305
 # gammaln and gammaln_cells (0.0 where the count is 0) return the index of
 # the first value, or occupied cell, where an argument of lgam is not > 0:
 # its shifting loops would never end on -inf or a huge negative x.
+# co_doc returns the index of the first entry of rows outside [0, D); then it
+# buckets the entries by document with a counting sort (ends[d] ends up where
+# document d's run of column numbers ends) and adds 1 to counts[cols[a]][cols[b]]
+# for each ordered pair (a, b) of positions in a run, a == b included: that is
+# X.T @ X exactly, repeated rows within a column too.
+# Mirroring the pairs a < b would halve the adds, but the mirror touches every
+# page of the m x m result, which cost more than it saved at m = 1,500.
 _C_SOURCE = f"#define LGAM_MAX {LGAM_MAX!r}\n" + r"""
 #include <math.h>
 #include <stdint.h>
@@ -282,6 +292,29 @@ int64_t gammaln_cells(const int32_t *n_wk, const double *eta, int64_t K, int64_t
         }
     return -1;
 }
+
+int64_t co_doc(const int64_t *rows, const int64_t *indptr, int64_t m, int64_t D,
+               int64_t *ends, int64_t *cols, int64_t *counts)
+{
+    int64_t nnz = indptr[m];
+    for (int64_t e = 0; e < nnz; e++)
+        if (rows[e] < 0 || rows[e] >= D)
+            return e;
+    for (int64_t e = 0; e < nnz; e++)
+        ends[rows[e] + 1]++;
+    for (int64_t d = 0; d < D; d++)
+        ends[d + 1] += ends[d];
+    for (int64_t j = 0; j < m; j++)
+        for (int64_t e = indptr[j]; e < indptr[j + 1]; e++)
+            cols[ends[rows[e]]++] = j;
+    for (int64_t d = 0, lo = 0; d < D; lo = ends[d++])
+        for (int64_t a = lo; a < ends[d]; a++) {
+            int64_t *row = counts + cols[a] * m;
+            for (int64_t b = lo; b < ends[d]; b++)
+                row[cols[b]]++;
+        }
+    return -1;
+}
 """
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
@@ -330,8 +363,9 @@ _ENTRIES = {"sweep": [_ptr] * 3 + [_i64] + [_ptr] * 5 + [_f64, _ptr, _ptr, _i64,
             "log_sum": [_ptr, _i64, _ptr],
             "json_floats": [_ptr, _i64, _i64, _i64, _ptr, _i64, _ptr],
             "gammaln": [_ptr, _i64, _ptr],
-            "gammaln_cells": [_ptr, _ptr, _i64, _i64, _ptr]}
-_sweep_c, _log_sum_c, _json_floats_c, _gammaln_c, _gammaln_cells_c = _load()
+            "gammaln_cells": [_ptr, _ptr, _i64, _i64, _ptr],
+            "co_doc": [_ptr, _ptr, _i64, _i64, _ptr, _ptr, _ptr]}
+_sweep_c, _log_sum_c, _json_floats_c, _gammaln_c, _gammaln_cells_c, _co_doc_c = _load()
 BACKEND = "numpy" if _sweep_c is None else "c"
 
 
@@ -419,6 +453,39 @@ def _gammaln_cells_py(n_wk, eta, cells):
         return int(occupied[bad[0]])
     cells.fill(0.0)
     cells.ravel()[occupied] = gammaln(args) - gammaln(e)
+    return -1
+
+
+def co_doc_counts(columns: list[np.ndarray], n_docs: int) -> np.ndarray:
+    """X.T @ X, exactly, as an int64 (m, m) array, where X is the n_docs x m
+    matrix whose column j counts each document index in ``columns[j]``.
+
+    For columns of distinct indices, entry (i, j) is the number of documents
+    in both columns and the diagonal each column's size. An index outside
+    [0, n_docs) raises ValueError.
+    """
+    indptr = np.cumsum([0, *map(len, columns)], dtype=np.int64)
+    rows = np.concatenate([np.zeros(0, np.int64), *columns], dtype=np.int64)
+    counts = np.zeros((len(columns), len(columns)), np.int64)
+    if _co_doc_c is None:
+        bad = _co_doc_py(rows, indptr, n_docs, counts)
+    else:
+        ends, cols = np.zeros(n_docs + 1, np.int64), np.empty_like(rows)
+        bad = _co_doc_c(_address(rows), _address(indptr), len(columns), n_docs,
+                        _address(ends), _address(cols), _address(counts))
+    if bad >= 0:
+        raise ValueError(f"document index {rows[bad]} is outside D={n_docs}")
+    return counts
+
+
+def _co_doc_py(rows, indptr, n_docs, counts):
+    from scipy import sparse
+    bad = np.flatnonzero((rows < 0) | (rows >= n_docs))
+    if bad.size:
+        return int(bad[0])
+    x = sparse.csc_array((np.ones(rows.size, dtype=np.int64), rows, indptr),
+                         shape=(n_docs, len(counts)))
+    counts[...] = (x.T @ x).toarray()
     return -1
 
 

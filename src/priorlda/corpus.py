@@ -242,20 +242,15 @@ def co_doc_freq(stats: CorpusStats, w1: int, w2: int) -> int:
 
 
 def co_doc_counts(stats: CorpusStats, ids: Sequence[int]) -> np.ndarray:
-    """All co_doc_freq values among the given word ids, from one sparse product.
+    """All co_doc_freq values among the given word ids, from one kernel call.
 
     Entry (i, j) is the number of documents holding both ids[i] and ids[j];
     the diagonal is each word's document frequency. Repeated ids give
-    repeated rows and columns. X is the document x word incidence matrix of
-    the ids, built from ``doc_index``, and the result is X.T @ X.
+    repeated rows and columns. The result is X.T @ X for the document x word
+    incidence matrix X of the ids, whose columns are their ``doc_index``
+    lists (``_kernels.co_doc_counts``).
     """
-    from scipy import sparse  # loaded by the first report, not by every import
-    columns = [stats.doc_index[w] for w in ids]
-    indptr = np.cumsum([0] + [c.size for c in columns])
-    rows = np.concatenate(columns) if columns else np.zeros(0, dtype=np.int64)
-    x = sparse.csc_array((np.ones(rows.size, dtype=np.int64), rows, indptr),
-                         shape=(stats.n_docs, len(columns)))
-    return (x.T @ x).toarray()
+    return _kernels.co_doc_counts([stats.doc_index[w] for w in ids], stats.n_docs)
 
 
 def _rebuild(corpus: Corpus, keep: np.ndarray) -> Corpus:

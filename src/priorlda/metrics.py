@@ -4,7 +4,7 @@ Coherence and PMI are computed from in-corpus document co-occurrence counts.
 Both are known to reward topics full of words that appear in every document,
 which is exactly what the lift score is here to counterbalance.
 
-The counts come from one sparse product (``corpus.co_doc_counts``), which
+The counts come from one kernel call (``corpus.co_doc_counts``), which
 ``report`` makes once over every topic's top words; it passes each topic's
 block to one ``coherence`` call per window and one ``pmi_score`` call, which
 compute their pairs' log arguments with numpy over the pairs i<j. Coherence

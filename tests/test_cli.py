@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import priorlda
-from priorlda import experiments
+from priorlda import _kernels, experiments
 from priorlda.cli import build_parser, main
 from priorlda.corpus import compute_stats, load_corpus, write_json
 from priorlda.experiments import ExperimentPlan
@@ -670,12 +670,14 @@ def _fresh_modules(code: str) -> str:
 
 def test_import_loads_no_scipy():
     # scipy.special alone cost every priorlda process, --help included, about
-    # 0.3 s and 24 MB; scipy.sparse is loaded by the first report, and
+    # 0.3 s and 24 MB; scipy is loaded only by the Python twins, and
     # multiprocessing only by a grid that forks
     assert _fresh_modules("import priorlda, priorlda.cli") == "[]"
 
 
-def test_readme_ingest_and_fit_load_no_scipy(tmp_path):
+def _readme_fit(tmp_path) -> tuple[str, Path, Path]:
+    """Code running the README's ingest and fit commands, and the corpus and
+    model files they write."""
     data = resources.files("priorlda.data").joinpath("demo_corpus.jsonl")
     corpus, model = tmp_path / "corpus.json", tmp_path / "model.json"
     code = (f"from priorlda.cli import main\n"
@@ -683,9 +685,39 @@ def test_readme_ingest_and_fit_load_no_scipy(tmp_path):
             f"'--out', {str(corpus)!r}]) == 0\n"
             f"assert main(['fit', '--corpus', {str(corpus)!r}, '--prior', 'tfidf', "
             f"'--topics', '20', '--alpha', '0.2', '--iters', '500', '--seed', '7', "
-            f"'--out', {str(model)!r}]) == 0")
+            f"'--out', {str(model)!r}]) == 0\n")
+    return code, corpus, model
+
+
+def test_readme_ingest_and_fit_load_no_scipy(tmp_path):
+    code, _, model = _readme_fit(tmp_path)
     assert _fresh_modules(code) == "[]"
     assert json.loads(model.read_text())["config"]["iterations"] == 500
+
+
+@pytest.mark.skipif(_kernels.BACKEND != "c", reason="the Python twins load scipy")
+def test_readme_score_and_experiment_load_no_scipy(tmp_path):
+    # the co-document counts of every report come from a C kernel, not from
+    # scipy.sparse, whose import cost the first report in a process about 14 MB
+    data = resources.files("priorlda.data")
+    stop, white = str(data / "demo_stoplist.txt"), str(data / "demo_whitelist.txt")
+    plan = {"corpus": str(data / "demo_corpus.jsonl"),
+            "variants": ["no_deletion", "stopword_deletion", "tfidf_prior",
+                         "keyword_seeding_prior"],
+            "topics": [20], "iterations": [300], "seeds": [1, 2, 3], "alpha": 0.2,
+            "tfidf_topics": [9], "keyword_topics": [10], "stoplist": stop, "whitelist": white}
+    (tmp_path / "plan.json").write_text(json.dumps(plan))
+    fit, corpus, model = _readme_fit(tmp_path)
+    scores, out = tmp_path / "scores.csv", tmp_path / "results"
+    code = fit + (
+        f"assert main(['score', '--model', {str(model)!r}, '--corpus', {str(corpus)!r}, "
+        f"'--stoplist', {stop!r}, '--whitelist', {white!r}, '--top', '10', "
+        f"'--out', {str(scores)!r}]) == 0\n"
+        f"assert main(['experiment', '--plan', {str(tmp_path / 'plan.json')!r}, "
+        f"'--jobs', '1', '--out-dir', {str(out)!r}]) == 0")
+    assert _fresh_modules(code) == "[]"
+    assert len(scores.read_text().splitlines()) == 1 + 20 + 2
+    assert len(list((out / "runs").glob("*.report.json"))) == 12
 
 
 class TestDispatch:

@@ -1,12 +1,13 @@
 import math
 from contextlib import nullcontext
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from priorlda import metrics
+from priorlda import _kernels, metrics
 from priorlda.corpus import (AllDocumentsEmpty, build_corpus, co_doc_counts,
                              co_doc_freq, compute_stats, delete_stopwords)
 from priorlda.metrics import (MetricConfig, codocument_appearance,
@@ -275,6 +276,19 @@ def count_cases(draw):
     return compute_stats(corpus), ids
 
 
+@st.composite
+def doc_lists(draw):
+    """Per-word document lists (sorted, unique, in [0, D)), D, and a list of
+    word ids: empty, of one id, or with repeats."""
+    n_docs = draw(st.integers(1, 12))
+    index = draw(st.lists(st.sets(st.integers(0, n_docs - 1)).map(sorted),
+                          min_size=1, max_size=10))
+    word = st.integers(0, len(index) - 1)
+    ids = draw(st.one_of(st.just([]), st.lists(word, min_size=1, max_size=1),
+                         st.lists(word, max_size=3 * len(index))))
+    return index, n_docs, ids
+
+
 class TestBatchedCounts:
     @settings(max_examples=150, deadline=None)
     @given(count_cases())
@@ -286,6 +300,31 @@ class TestBatchedCounts:
         for i, a in enumerate(ids):
             for j, b in enumerate(ids):
                 assert counts[i, j] == co_doc_freq(stats, a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(doc_lists())
+    @example(([[0, 2], [1], [0, 1, 2]], 3, []))
+    @example(([[0, 2], [1], [0, 1, 2]], 3, [2]))
+    @example(([[0, 2], [1], [0, 1, 2]], 3, [2, 0, 2, 2, 1]))
+    def test_kernel_equals_twin_and_pairwise_intersections(self, case):
+        index, n_docs, ids = case
+        stats = SimpleNamespace(doc_index=tuple(np.array(d, np.int64) for d in index),
+                                n_docs=n_docs)
+        kernel = co_doc_counts(stats, ids)
+        with python_twins():
+            twin = co_doc_counts(stats, ids)
+        for counts in (kernel, twin):
+            assert counts.dtype == np.int64 and counts.shape == (len(ids), len(ids))
+            for i, a in enumerate(ids):
+                for j, b in enumerate(ids):
+                    assert counts[i, j] == co_doc_freq(stats, a, b)
+
+    @pytest.mark.parametrize("columns,bad", [([[0, 3], [1, 2]], 3), ([[0], [-1, 5]], -1),
+                                             ([[0, 7], [-1]], 7)])
+    def test_document_index_outside_range_raises(self, backend, columns, bad):
+        # the first bad entry, in column order, is named
+        with pytest.raises(ValueError, match=f"^document index {bad} is outside D=3$"):
+            _kernels.co_doc_counts([np.array(c, np.int64) for c in columns], 3)
 
     def test_counts_shape_checked(self):
         stats = compute_stats(build_corpus(["a b", "b c"]))

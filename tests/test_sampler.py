@@ -328,7 +328,7 @@ class TestKernelsAgree:
             importlib.reload(_kernels)
         assert _kernels.BACKEND == "numpy"
         assert (_kernels._log_sum_c is _kernels._json_floats_c is _kernels._gammaln_c
-                is _kernels._gammaln_cells_c is None)
+                is _kernels._gammaln_cells_c is _kernels._co_doc_c is None)
         assert [r.levelno for r in caplog.records] == [logging.WARNING]
         save_model(fit(corpus, prior, cfg), tmp_path / "numpy.json")
         assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "c.json").read_bytes()
@@ -341,7 +341,7 @@ def test_c_kernel_loads_where_a_compiler_is_present():
         pytest.skip("no C compiler on PATH")
     assert _kernels.BACKEND == "c"
     for entry in (_kernels._sweep_c, _kernels._log_sum_c, _kernels._json_floats_c,
-                  _kernels._gammaln_c, _kernels._gammaln_cells_c):
+                  _kernels._gammaln_c, _kernels._gammaln_cells_c, _kernels._co_doc_c):
         assert entry is not None
 
 
@@ -357,8 +357,8 @@ def test_c_kernel_source_compiles_without_warnings(tmp_path, monkeypatch):
         pytest.fail(exc.stderr)
     assert lib.parent == tmp_path / "priorlda"
     loaded = ctypes.CDLL(str(lib))
-    assert loaded.sweep and loaded.log_sum and loaded.json_floats
-    assert loaded.gammaln and loaded.gammaln_cells
+    for name in _kernels._ENTRIES:  # every entry point, later ones included
+        assert getattr(loaded, name)
 
 
 @pytest.mark.parametrize("value", [0.0, -0.0, -1e-300, -math.inf, math.nan])
