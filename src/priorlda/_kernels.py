@@ -12,8 +12,8 @@ fold adds libm's ``log`` (what ``math.log`` calls) left to right. The JSON
 writer walks an array once, giving each value of a row that it has not met
 earlier in the row ``float.__repr__``'s shortest round-trip digits with
 Ryu's digit loop, exact in 128-bit integers for zeros, non-finite values and
-2^-45 <= |x| < 2^54, and copying the text of a repeat; an array with any
-finite value outside that range is written whole by ``json.dumps``. The
+2^-45 <= |x| < 2^54, and copying the text of a repeat; a block of rows with
+any finite value outside that range is written by ``json.dumps``. The
 snapshot sweep's per-document step runs ``sweep_tokens`` too, on either
 backend.
 
@@ -41,6 +41,7 @@ import operator
 import os
 import subprocess
 import tempfile
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -489,32 +490,41 @@ def _co_doc_py(rows, indptr, n_docs, counts):
     return -1
 
 
-def json_floats(a: np.ndarray) -> bytes | memoryview:
-    """``json.dumps(a.tolist(), separators=(",", ":"))`` as ASCII bytes, for a
-    1-D or 2-D float64 array.
-
-    The kernel formats each distinct bit pattern of a row once, so -0.0 and
-    every NaN keep their own text; a 1-D array is one row. If a finite nonzero
-    value lies outside the range it formats exactly, 2^-45 <= |x| < 2^54,
-    the whole array goes to the twin, ``json.dumps`` itself.
-    """
+def json_floats(a: np.ndarray) -> Iterator[bytes | memoryview]:
+    """``json.dumps(a.tolist(), separators=(",", ":"))`` as ASCII pieces, for a
+    1-D or 2-D float64 array: "[", each block of rows' text without its outer
+    brackets, "," between blocks, "]". A block is as many rows as fit in 2^14
+    values, or one row; a 1-D array is one row. The kernel formats each
+    distinct bit pattern of a row once, so -0.0 and every NaN keep their own
+    text, into one buffer all blocks reuse: write a piece before drawing the
+    next. A block with a finite nonzero value outside the range it formats
+    exactly, 2^-45 <= |x| < 2^54, goes to the twin, ``json.dumps`` itself."""
     if a.dtype != np.float64:
         raise TypeError(f"expected a float64 array, got {a.dtype}")
     if a.ndim not in (1, 2):
         raise ValueError(f"expected a 1-D or 2-D array, got {a.ndim}-D")
-    if _json_floats_c is not None:
-        x = np.ascontiguousarray(a)
-        rows, cols = a.shape if a.ndim == 2 else (1, a.size)
-        table_bits = max(1, (2 * cols - 1).bit_length())
-        table = np.empty(2 << table_bits, np.uint64)
-        # a value's text and its comma take at most 24 bytes, a row's brackets
-        # and comma 3, the outer brackets 2
-        out = np.empty(24 * a.size + 3 * rows + 2, np.uint8)
-        n = _json_floats_c(_address(x), rows, cols, a.ndim == 2,
-                           _address(table), table_bits, _address(out))
-        if n >= 0:
-            return out[:n].data
-    return json.dumps(a.tolist(), separators=(",", ":")).encode()
+    return _json_blocks(a, _json_floats_c)
+
+
+def _json_blocks(a, kernel):
+    rows, cols = a.shape if a.ndim == 2 else (1, a.size)
+    step = max(1, (1 << 14) // max(1, cols))  # rows per block: about 400 KB of text
+    table_bits = max(1, (2 * cols - 1).bit_length())
+    table = np.empty(2 << table_bits, np.uint64)
+    # a value's text and its comma take at most 24 bytes, a row's brackets and
+    # comma 3, the outer brackets 2
+    out = np.empty((24 * cols + 3) * min(step, rows) + 2, np.uint8)
+    yield b"["
+    for lo in range(0, rows, step):
+        x = np.ascontiguousarray(a[lo:lo + step] if a.ndim == 2 else a)
+        n = -1 if kernel is None else kernel(_address(x), len(x) if a.ndim == 2 else 1, cols,
+                                             a.ndim == 2, _address(table), table_bits,
+                                             _address(out))
+        if lo:
+            yield b","
+        yield (out[1:n - 1].data if n >= 0
+               else json.dumps(x.tolist(), separators=(",", ":"))[1:-1].encode())
+    yield b"]"
 
 
 def _check_sweep_args(tokens, doc_ix, z, n_dk, n_wk, n_k, eta_wk, eta_sums, uniforms):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from array import array
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from importlib import resources
@@ -67,7 +68,9 @@ class Corpus:
     each token's document, and ``documents`` are read-only views of the
     stream. Token order within documents is preserved. Empty documents are
     allowed; they simply contribute no tokens. Every vocabulary word is
-    guaranteed to occur in at least one document.
+    guaranteed to occur in at least one document. The constructor flattens
+    its documents into the stream that ``build_corpus`` and word deletion
+    hand over whole (``_from_stream``); both go through one check, ``_hold``.
     """
 
     def __init__(self, documents: Sequence[Sequence[int]], vocabulary: Vocabulary,
@@ -75,11 +78,22 @@ class Corpus:
         docs = [_id_array(doc) for doc in documents]
         flat = np.concatenate([np.zeros(0, np.int64)] + [doc for doc in docs if doc.size],
                               dtype=np.int64)
-        self.vocabulary = vocabulary
-        self._validate(flat)
-        self.tokens = _frozen(flat.astype(np.int32))
-        self.offsets = _frozen(np.cumsum([0] + [doc.size for doc in docs], dtype=np.int64))
-        self.doc_ix = _frozen(np.repeat(np.arange(len(docs), dtype=np.int32), np.diff(self.offsets)))
+        self._hold(flat, np.cumsum([0] + [doc.size for doc in docs], dtype=np.int64),
+                   vocabulary, doc_ids)
+
+    def _hold(self, flat: np.ndarray, offsets: np.ndarray, vocabulary: Vocabulary,
+              doc_ids: Sequence[str] | None):
+        """Hold ids ``flat`` cut at int64 ``offsets``: each a word's, each word used."""
+        self.vocabulary = v = vocabulary
+        if flat.size and (flat.min() < 0 or flat.max() >= v.size):
+            raise ValueError("token id outside vocabulary range")
+        unused = np.flatnonzero(np.bincount(flat, minlength=v.size) == 0)
+        if unused.size:
+            raise ValueError(f"vocabulary word never used: {v.id_to_word[unused[0]]!r}")
+        self.tokens = _frozen(flat.astype(np.int32, copy=False))
+        self.offsets = _frozen(offsets)
+        self.doc_ix = _frozen(np.repeat(np.arange(len(offsets) - 1, dtype=np.int32),
+                                        np.diff(offsets)))
         bounds = self.offsets.tolist()
         self.documents = [self.tokens[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
         self.doc_ids = list(doc_ids) if doc_ids is not None else None
@@ -95,15 +109,6 @@ class Corpus:
                 if doc_id in seen:
                     raise ValueError(f"duplicate document id: {doc_id!r}")
                 seen.add(doc_id)
-
-    def _validate(self, flat: np.ndarray):
-        v = self.vocabulary.size
-        if flat.size and (flat.min() < 0 or flat.max() >= v):
-            raise ValueError("token id outside vocabulary range")
-        unused = np.flatnonzero(np.bincount(flat, minlength=v) == 0)
-        if unused.size:
-            word = self.vocabulary.id_to_word[unused[0]]
-            raise ValueError(f"vocabulary word never used: {word!r}")
 
     @property
     def n_docs(self) -> int:
@@ -147,21 +152,28 @@ def _id_array(doc) -> np.ndarray:
     return arr
 
 
-def build_corpus(raw_docs: Sequence[str], lowercase: bool = True,
+def build_corpus(raw_docs: Iterable[str], lowercase: bool = True,
                  doc_ids: Sequence[str] | None = None) -> Corpus:
-    """Tokenize raw documents and index them into a dense-vocabulary corpus.
-    Raises AllDocumentsEmpty when no document has a token."""
-    return _index_token_docs([tokenize(doc, lowercase) for doc in raw_docs], doc_ids)
-
-
-def _index_token_docs(token_docs: list[list[str]], doc_ids: Sequence[str] | None) -> Corpus:
-    if all(len(doc) == 0 for doc in token_docs):
-        raise AllDocumentsEmpty("no tokens remain in any document")
+    """Tokenize raw documents, drawn from any iterable, and index each in turn
+    into one id stream, ids in first-occurrence order: at most one document's
+    token strings are alive. Raises AllDocumentsEmpty when no document has a token."""
     word_to_id: dict[str, int] = {}
-    # integer arrays, so that Corpus need not check the ids one by one
-    documents = [np.array([word_to_id.setdefault(w, len(word_to_id)) for w in doc], dtype=np.int64)
-                 for doc in token_docs]
-    return Corpus(documents, Vocabulary(list(word_to_id)), doc_ids)
+    tokens, offsets = array("i"), array("q", [0])
+    for doc in raw_docs:
+        tokens.extend([word_to_id.setdefault(w, len(word_to_id)) for w in tokenize(doc, lowercase)])
+        offsets.append(len(tokens))
+    return _from_stream(np.frombuffer(tokens, np.intc), np.frombuffer(offsets, np.int64),
+                        list(word_to_id), doc_ids)
+
+
+def _from_stream(tokens: np.ndarray, offsets: np.ndarray, words: list[str],
+                 doc_ids: Sequence[str] | None) -> Corpus:
+    """The corpus of id stream ``tokens`` cut at int64 ``offsets``."""
+    if not tokens.size:
+        raise AllDocumentsEmpty("no tokens remain in any document")
+    corpus = Corpus.__new__(Corpus)
+    corpus._hold(tokens, offsets, Vocabulary(words), doc_ids)
+    return corpus
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,16 +266,22 @@ def co_doc_counts(stats: CorpusStats, ids: Sequence[int]) -> np.ndarray:
 
 
 def _rebuild(corpus: Corpus, keep: np.ndarray) -> Corpus:
-    """New corpus keeping only flagged word ids, with a rebuilt dense vocabulary."""
-    words = corpus.vocabulary.id_to_word
-    token_docs = [[words[i] for i in doc if keep[i]] for doc in corpus.documents]
-    return _index_token_docs(token_docs, corpus.doc_ids)
+    """New corpus keeping only flagged word ids, the kept words renumbered by
+    first occurrence in the kept stream, as ``build_corpus`` numbers words."""
+    kept = np.concatenate([[False], keep[corpus.tokens]])
+    old = corpus.tokens[kept[1:]]
+    ids, first = np.unique(old, return_index=True)
+    ids = ids[np.argsort(first)]
+    new_id = np.zeros(corpus.vocabulary.size, np.int32)
+    new_id[ids] = np.arange(ids.size)
+    return _from_stream(new_id[old], np.cumsum(kept)[corpus.offsets],
+                        [corpus.vocabulary.id_to_word[i] for i in ids.tolist()], corpus.doc_ids)
 
 
 def delete_stopwords(corpus: Corpus, stoplist: Iterable[str]) -> Corpus:
     """Remove every stoplist word and rebuild dense ids."""
     stop = set(stoplist)
-    return _rebuild(corpus, np.array([w not in stop for w in corpus.vocabulary.id_to_word]))
+    return _rebuild(corpus, np.array([w not in stop for w in corpus.vocabulary.id_to_word], bool))
 
 
 def delete_low_tfidf(corpus: Corpus, percentile: float = 0.05) -> Corpus:
@@ -282,7 +300,8 @@ def delete_low_tfidf(corpus: Corpus, percentile: float = 0.05) -> Corpus:
 def write_json(path: str | Path, fields: dict, arrays: dict[str, np.ndarray]) -> None:
     """Write ``json.dumps({**fields, **lists}, separators=(",", ":")) + "\\n"``
     byte for byte, where ``lists`` maps each name in ``arrays`` to its array's
-    ``tolist()``; the arrays are written by ``_kernels.json_floats``.
+    ``tolist()``. ``_kernels.json_floats`` writes each array a block of rows
+    at a time, through one buffer of a few hundred KB, not the whole text.
 
     Raises ValueError, writing nothing, if an array name is not a str or is
     also a field name: the file would hold an invalid or a repeated key.
@@ -296,7 +315,7 @@ def write_json(path: str | Path, fields: dict, arrays: dict[str, np.ndarray]) ->
         f.write(json.dumps(fields, separators=(",", ":"))[:-1].encode())
         for i, (name, a) in enumerate(arrays.items()):
             f.write((("," if fields or i else "") + json.dumps(name) + ":").encode())
-            f.write(_kernels.json_floats(a))
+            f.writelines(_kernels.json_floats(a))
         f.write(b"}\n")
 
 
@@ -310,17 +329,24 @@ def load_corpus(path: str | Path) -> Corpus:
 
 def load_raw_documents(path: str | Path, fmt: str = "text") -> tuple[list[str], list[str] | None]:
     """Read raw documents: ``text`` is one document per line, ``jsonl`` is one
-    {"id": ..., "text": ...} object per line. Returns (texts, doc_ids).
+    {"id": ..., "text": ...} object per line, blank lines skipped; a line that
+    is not one raises ValueError naming its 1-based number. Returns (texts, doc_ids).
     """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if fmt == "text":
         return list(lines), None
     if fmt == "jsonl":
         texts, ids = [], []
-        for line in lines:
+        for number, line in enumerate(lines, 1):
             if not line.strip():
                 continue
-            obj = json.loads(line)
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path} line {number}: {exc}") from None
+            if not isinstance(obj, dict) or "id" not in obj or not isinstance(obj.get("text"), str):
+                raise ValueError(f"{path} line {number}: expected an object with an \"id\" "
+                                 f"and a string \"text\", got {line[:60]!r}")
             texts.append(obj["text"])
             ids.append(str(obj["id"]))
         return texts, ids

@@ -407,14 +407,9 @@ def heldout_perplexity(model: FittedModel, corpus: Corpus,
 
 def save_model(model: FittedModel, path: str | Path) -> None:
     """Write ``json.dumps(model.to_json(), separators=(",", ":")) + "\\n"``,
-    byte for byte: compact separators, shortest-repr floats.
-
-    ``_kernels.json_floats`` writes each array in one C pass: it formats each
-    distinct value of a row once, exactly for 2^-45 <= |x| < 2^54 (and zeros
-    and non-finite values), and copies the text of its repeats in the row; an
-    array with a finite value outside that range is written whole by
-    ``json.dumps``.
-    """
+    byte for byte, through ``write_json``: each array a block of rows at a
+    time, each block in one C pass or, with a value it cannot format exactly,
+    by ``json.dumps``."""
     write_json(path, *model._parts())
 
 

@@ -1,7 +1,10 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately naive and self-contained: plain loops over
-plain data structures, no imports from the package under test.
+plain data structures, no imports from the package under test. The one
+exception is the corpus-pipeline reference below: the string-level corpus
+build and word deletion that the flat-array versions replaced, kept as they
+were, so they build ``Corpus`` objects through its per-document constructor.
 """
 
 import math
@@ -243,3 +246,43 @@ def greedy_align_cosine(beta, planted):
         used.add(best_k)
         sims.append(best)
     return sims
+
+
+# --- corpus pipeline reference: every document tokenized before any is
+# --- indexed, and deletion by mapping each kept token back to its word ------
+
+def reference_build_corpus(raw_docs, lowercase=True, doc_ids=None):
+    """``build_corpus`` as it was: all documents tokenized into lists of
+    strings first, then indexed by first occurrence."""
+    from priorlda.corpus import tokenize
+
+    return _reference_index_token_docs([tokenize(doc, lowercase) for doc in raw_docs], doc_ids)
+
+
+def _reference_index_token_docs(token_docs, doc_ids):
+    from priorlda.corpus import AllDocumentsEmpty, Corpus, Vocabulary
+
+    if all(len(doc) == 0 for doc in token_docs):
+        raise AllDocumentsEmpty("no tokens remain in any document")
+    word_to_id = {}
+    documents = [np.array([word_to_id.setdefault(w, len(word_to_id)) for w in doc], dtype=np.int64)
+                 for doc in token_docs]
+    return Corpus(documents, Vocabulary(list(word_to_id)), doc_ids)
+
+
+def _reference_rebuild(corpus, keep):
+    words = corpus.vocabulary.id_to_word
+    token_docs = [[words[i] for i in doc if keep[i]] for doc in corpus.documents]
+    return _reference_index_token_docs(token_docs, corpus.doc_ids)
+
+
+def reference_delete_stopwords(corpus, stoplist):
+    stop = set(stoplist)
+    return _reference_rebuild(corpus, np.array([w not in stop for w in corpus.vocabulary.id_to_word]))
+
+
+def reference_delete_low_tfidf(corpus, percentile=0.05):
+    from priorlda.corpus import compute_stats
+
+    stats = compute_stats(corpus)
+    return _reference_rebuild(corpus, stats.avg_tfidf >= np.quantile(stats.avg_tfidf, percentile))

@@ -79,6 +79,23 @@ class TestIngest:
         vocab = json.loads(out.read_text())["vocabulary"]
         assert "common" not in vocab  # in every document: lowest average TF-IDF
 
+    @pytest.mark.parametrize("bad,message", [
+        ('["a b"]', "expected an object with"),  # not an object
+        ('{"text": "a b"}', "expected an object with"),  # no id
+        ('{"id": 2, "text": 7}', "expected an object with"),  # a text that is not a str
+        ('{"id": 2}', "expected an object with"),
+        ('{"id": 2, "text": "a}', "Unterminated string"),  # not JSON
+    ])
+    def test_bad_jsonl_line_is_named(self, tmp_path, capsys, bad, message):
+        src = tmp_path / "docs.jsonl"
+        src.write_text('{"id": 1, "text": "a b"}\n\n' + bad + '\n{"id": 3, "text": "c"}\n')
+        code = main(["ingest", "--input", str(src), "--format", "jsonl",
+                     "--out", str(tmp_path / "x.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: value-error: {src} line 3: {message}")
+        assert not (tmp_path / "x.json").exists()
+
     def test_missing_input_is_usage_error(self, tmp_path, capsys):
         code = main(["ingest", "--out", str(tmp_path / "x.json")])
         assert code == 2

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from contextlib import nullcontext
 from unittest import mock
 
@@ -15,6 +16,7 @@ from priorlda.corpus import (AllDocumentsEmpty, Corpus, Vocabulary, build_corpus
                              load_corpus, load_raw_documents, load_word_list,
                              save_corpus, tokenize, write_json)
 
+from . import oracles
 from .conftest import python_twins
 from .oracles import per_document_stats, reference_prior_data
 
@@ -345,6 +347,119 @@ class TestDeleteLowTfidf:
             delete_low_tfidf(corpus, 1.0)
 
 
+def _outcome(make):
+    """A corpus's vocabulary, token stream, offsets and document ids, or
+    AllDocumentsEmpty where ``make`` raises it."""
+    try:
+        corpus = make()
+    except AllDocumentsEmpty as exc:
+        return type(exc), str(exc)
+    assert corpus.tokens.dtype == np.int32 and corpus.offsets.dtype == np.int64
+    return (corpus.vocabulary.id_to_word, corpus.tokens.tolist(), corpus.offsets.tolist(),
+            corpus.doc_ids)
+
+
+@st.composite
+def word_documents(draw):
+    """Raw texts over a vocabulary of one to five words, in either case,
+    empty documents allowed, with document ids or without; and a stoplist of
+    those words, a TF-IDF cut and a seed to permute the vocabulary with."""
+    alphabet = draw(st.lists(st.sampled_from(["a", "B", "b", "cc", "dd"]), min_size=1,
+                             max_size=5, unique=True))
+    docs = draw(st.lists(st.lists(st.sampled_from(alphabet), max_size=6), max_size=8))
+    texts = [" ".join(doc) for doc in docs]
+    ids = draw(st.none() | st.just([f"d{i}" for i in range(len(texts))]))
+    stop = draw(st.lists(st.sampled_from(alphabet), unique=True))
+    return texts, ids, stop, draw(st.floats(0.01, 0.99)), draw(st.integers(0, 2**32 - 1))
+
+
+class TestStreamedPipeline:
+    """build_corpus, delete_stopwords and delete_low_tfidf give the arrays the
+    string-level versions in ``oracles`` give, and raise AllDocumentsEmpty
+    exactly where they raise it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(word_documents(), st.booleans())
+    @example(case=([], None, [], 0.5, 0), lowercase=True)
+    @example(case=(["", " ", ""], ["x", "y", "z"], [], 0.5, 0), lowercase=True)
+    @example(case=(["a a", "", "a"], None, [], 0.5, 0), lowercase=False)
+    def test_build_corpus(self, case, lowercase):
+        texts, ids = case[:2]
+        want = _outcome(lambda: oracles.reference_build_corpus(texts, lowercase, ids))
+        assert _outcome(lambda: build_corpus(texts, lowercase, ids)) == want
+        assert _outcome(lambda: build_corpus((t for t in texts), lowercase, ids)) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(word_documents())
+    @example(case=(["a a", "", "a"], None, ["a"], 0.5, 0))  # every word removed
+    @example(case=(["cc a b", "b dd", "", "a"], ["p", "q", "r", "s"], ["b"], 0.3, 1))
+    def test_delete_words(self, case):
+        texts, ids, stop, cut, seed = case
+        try:
+            base = build_corpus(texts, doc_ids=ids)
+        except AllDocumentsEmpty:
+            return
+        # the same corpus with its vocabulary permuted, as load_corpus allows:
+        # its ids are then not in first-occurrence order
+        perm = np.random.default_rng(seed).permutation(base.vocabulary.size)
+        rank = np.argsort(perm)
+        permuted = Corpus([rank[doc] for doc in base.documents],
+                          Vocabulary([base.vocabulary.id_to_word[i] for i in perm]), ids)
+        for corpus in (base, permuted):
+            assert (_outcome(lambda: delete_stopwords(corpus, stop))
+                    == _outcome(lambda: oracles.reference_delete_stopwords(corpus, stop)))
+            assert (_outcome(lambda: delete_low_tfidf(corpus, cut))
+                    == _outcome(lambda: oracles.reference_delete_low_tfidf(corpus, cut)))
+
+    def test_empty_vocabulary(self):
+        # its keep mask is empty too, and must still index as a boolean mask
+        corpus = Corpus([[], []], Vocabulary([]))
+        assert (_outcome(lambda: delete_stopwords(corpus, ["a"]))
+                == _outcome(lambda: oracles.reference_delete_stopwords(corpus, ["a"])))
+
+
+def _peak_bytes(call) -> int:
+    """tracemalloc's peak of the memory ``call`` allocates beyond what was
+    held before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryBounds:
+    def test_build_corpus_holds_one_document_of_strings(self):
+        # 600 documents of 100 tokens over 3,000 words
+        rng = np.random.default_rng(7)
+        words = [f"word{i}" for i in range(3000)]
+        texts = [" ".join(words[i] for i in rng.zipf(1.3, 100) % 3000) for _ in range(600)]
+        want = _outcome(lambda: oracles.reference_build_corpus(texts))
+        assert len(want[1]) >= 50_000
+        assert _outcome(lambda: build_corpus(texts)) == want
+        streamed = _peak_bytes(lambda: build_corpus(texts))
+        reference = _peak_bytes(lambda: oracles.reference_build_corpus(texts))
+        assert streamed < reference / 2, (streamed, reference)
+
+    def test_save_model_writes_through_a_small_buffer(self, tmp_path):
+        if _kernels.BACKEND != "c":
+            pytest.skip("C kernel not built: the twin formats through json.dumps")
+        from priorlda.priors import TopicKind
+        from priorlda.sampler import FittedModel, save_model
+
+        rng = np.random.default_rng(8)
+        beta, theta = rng.random((50, 4500)), rng.random((300, 50))
+        model = FittedModel(beta / beta.sum(axis=1, keepdims=True),
+                            theta / theta.sum(axis=1, keepdims=True), (TopicKind.SYMMETRIC,) * 50,
+                            rng.random(40), vocabulary=Vocabulary([f"w{i}" for i in range(4500)]))
+        path = tmp_path / "model.json"
+        peak = _peak_bytes(lambda: save_model(model, path))
+        assert path.read_bytes() == (_dumps(model.to_json()) + "\n").encode()
+        assert peak < 2**20, peak
+
+
 class TestSerialization:
     def test_round_trip(self, alice_corpus, tmp_path):
         path = tmp_path / "corpus.json"
@@ -416,6 +531,12 @@ def _want(a: np.ndarray) -> bytes:
     return _dumps(a.tolist()).encode()
 
 
+def _text(a: np.ndarray) -> bytes:
+    """_kernels.json_floats(a)'s pieces joined, each copied as it is drawn:
+    a block's piece is a view of a buffer the next block reuses."""
+    return b"".join(map(bytes, _kernels.json_floats(a)))
+
+
 # values whose text is easy to get wrong: signed zeros, the smallest
 # subnormal, the smallest normal, exponent switch-overs, non-finite values
 SPECIAL_FLOATS = [0.0, -0.0, 1.0, 1e-05, 1e16, 5e-324, 2.2250738585072014e-308,
@@ -444,19 +565,20 @@ def _home_slots(bits: np.ndarray, n: int) -> np.ndarray:
 
 
 def _on_both_backends(a: np.ndarray) -> list[bytes]:
-    """_kernels.json_floats(a) from the C kernels and from its json.dumps twin."""
+    """_kernels.json_floats(a)'s text from the C kernels and from its
+    json.dumps twin."""
     texts = []
     for twins in (nullcontext, python_twins):
         with twins():
-            texts.append(bytes(_kernels.json_floats(a)))
+            texts.append(_text(a))
     return texts
 
 
 def _without_the_twin(a: np.ndarray) -> bytes:
-    """_kernels.json_floats(a) with json.dumps switched off, so that only the
+    """_kernels.json_floats(a)'s text with json.dumps switched off, so that only the
     C kernel can write it."""
     with mock.patch.object(json, "dumps", side_effect=AssertionError("the twin ran")):
-        return bytes(_kernels.json_floats(a))
+        return _text(a)
 
 
 def _in_exact_range(a: np.ndarray) -> np.ndarray:
@@ -470,7 +592,7 @@ def _assert_dumps_text(a: np.ndarray, backend: str) -> None:
     """json_floats(a) is json.dumps's text, and on the C backend the values
     in the exact range, the whole array if they are all, are written without
     the twin."""
-    assert _kernels.json_floats(a) == _want(a)
+    assert _text(a) == _want(a)
     if backend == "c":
         inside = a if _in_exact_range(a).all() else a[_in_exact_range(a)]
         assert _without_the_twin(inside) == _want(inside)
@@ -564,7 +686,7 @@ class TestJsonFloatArray:
         values = np.concatenate([values, -values])
         _assert_dumps_text(values, backend)
         for x in values:  # alone, each in or out of the exact range
-            assert _kernels.json_floats(x[None]) == _want(x[None])
+            assert _text(x[None]) == _want(x[None])
 
     def test_both_sides_of_the_exact_range(self, backend):
         low, high = 2.0**-45, 2.0**54
@@ -638,3 +760,41 @@ class TestJsonFloatArray:
         with pytest.raises(ValueError, match=message):
             write_json(path, fields, arrays)
         assert not path.exists()
+
+
+def _block_arrays():
+    """Arrays whose rows are written in several blocks of 2^14 values, or
+    wider than one block, and the edge shapes."""
+    rng = np.random.default_rng(9)
+    several = rng.random((10, 5000))  # three rows to a block: four blocks
+    several[[0, 4, 9], [3, 4999, 0]] = [np.nan, -0.0, np.nan]
+    wide = rng.random((3, 20000))  # one row to a block
+    wide[1, 19999] = -0.0
+    return {"several": several, "wide": wide, "flat_wide": rng.random(40000),
+            "empty_rows": np.empty((0, 7)), "empty_cols": np.empty((7, 0)),
+            "one_row": rng.random((1, 300)), "many_short": rng.random((20000, 2))}
+
+
+class TestWriterBlocks:
+    @pytest.mark.parametrize("name", list(_block_arrays()))
+    def test_write_json_matches_dumps(self, tmp_path, backend, name):
+        a = _block_arrays()[name]
+        path = tmp_path / "out.json"
+        write_json(path, {"version": 1}, {name: a, "t": a[:1].ravel()})
+        want = _dumps({"version": 1, name: a.tolist(), "t": a[:1].ravel().tolist()}) + "\n"
+        assert path.read_bytes() == want.encode()
+
+    def test_a_block_with_a_huge_value_alone_goes_to_the_twin(self, tmp_path, backend):
+        # rows 3-5 are the second of four blocks; 2^60 is outside the range
+        # the kernel formats exactly, so only that block is json.dumps's
+        a = np.random.default_rng(10).random((10, 5000))
+        a[4, 17] = 2.0**60
+        with mock.patch.object(json, "dumps", wraps=json.dumps) as dumps:
+            text = _text(a)
+        assert text == _want(a)
+        if backend == "c":
+            assert dumps.call_count == 1
+            assert np.array_equal(np.array(dumps.call_args.args[0]), a[3:6])
+        path = tmp_path / "out.json"
+        write_json(path, {}, {"a": a})
+        assert path.read_bytes() == (_dumps({"a": a.tolist()}) + "\n").encode()
