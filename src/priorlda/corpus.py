@@ -118,9 +118,6 @@ class Corpus:
     def n_tokens(self) -> int:
         return self.tokens.size
 
-    def doc_words(self, d: int) -> list[str]:
-        return [self.vocabulary.id_to_word[i] for i in self.documents[d]]
-
     def to_json(self) -> dict:
         data = {
             "version": CORPUS_FORMAT_VERSION,
@@ -248,13 +245,8 @@ def compute_stats(corpus: Corpus) -> CorpusStats:
     )
 
 
-def co_doc_freq(stats: CorpusStats, w1: int, w2: int) -> int:
-    """Number of documents where both words appear. Symmetric in arguments."""
-    return int(np.intersect1d(stats.doc_index[w1], stats.doc_index[w2], assume_unique=True).size)
-
-
 def co_doc_counts(stats: CorpusStats, ids: Sequence[int]) -> np.ndarray:
-    """All co_doc_freq values among the given word ids, from one kernel call.
+    """The co-document counts among the given word ids, from one kernel call.
 
     Entry (i, j) is the number of documents holding both ids[i] and ids[j];
     the diagonal is each word's document frequency. Repeated ids give
@@ -291,8 +283,10 @@ def delete_low_tfidf(corpus: Corpus, percentile: float = 0.05) -> Corpus:
     """
     if not 0.0 < percentile < 1.0:
         raise ValueError("percentile must be in (0, 1)")
-    stats = compute_stats(corpus)
-    return _rebuild(corpus, stats.avg_tfidf >= np.quantile(stats.avg_tfidf, percentile))
+    tfidf = compute_stats(corpus).avg_tfidf
+    if not tfidf.size:  # an empty vocabulary: no quantile, and nothing to keep
+        raise AllDocumentsEmpty("no tokens remain in any document")
+    return _rebuild(corpus, tfidf >= np.quantile(tfidf, percentile))
 
 
 # --- file I/O -------------------------------------------------------------

@@ -119,18 +119,6 @@ GRID_DIMS = {"topics": int, "iterations": int, "c1": float, "c2": float,
 PLAN_LIST_FIELDS = {"variants": str, **GRID_DIMS, "seeds": int,
                     "hyper_alphas": float, "hyper_etas": float}
 
-# The full search grid the default settings were selected from.
-FULL_SEARCH_GRID = {
-    "topics": [5, 10, 15, 20, 25, 30, 35, 40, 45, 50],
-    "c1": [100.0, 10.0, 1.0, 0.1, 0.01],
-    "c2": [100.0, 10.0, 1.0, 0.1, 0.01],
-    "tfidf_topics": [1, 5, 10, 19],
-    "keyword_topics": [1, 5, 10, 18, 19],
-    "keyword_boost": [10.0, 50.0, 100.0, 1000.0],
-    "iterations": [100, 200, 500, 1000],
-}
-
-
 @dataclass(frozen=True)
 class RunSettings:
     """One fully resolved configuration for a single run."""
@@ -506,12 +494,6 @@ class CorrelationData:
 
     def correlations_csv(self) -> str:
         return table_csv(self.correlations, ("metric", "axis", "spearman", "n"))
-
-    def correlation(self, metric: str, axis: str) -> float | None:
-        for c in self.correlations:
-            if c["metric"] == metric and c["axis"] == axis:
-                return c["spearman"]
-        raise KeyError((metric, axis))
 
 
 def _spearman(x: list[float], y: list[float]) -> float | None:

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
-from .corpus import Corpus, CorpusStats, co_doc_counts, compute_stats, write_json
+from .corpus import CorpusStats, co_doc_counts, write_json
 from .priors import TopicKind
 from .sampler import FittedModel, top_words
 
@@ -126,13 +126,6 @@ def pmi_score(top: Sequence[str], stats: CorpusStats,
     return math.log(np.partition(args, k)[k]) if args.size else float("nan")
 
 
-def lift_of_words(words: Sequence[str], beta_row: np.ndarray, stats: CorpusStats) -> float:
-    """Mean ln(beta_w / b_w) over the given words; ``beta_row`` is indexed by
-    the statistics vocabulary's ids."""
-    ids = _word_ids(words, stats)
-    return float(np.mean(np.log(beta_row[ids] / stats.word_freq[ids])))
-
-
 def log_lift(model: FittedModel, topic: int, stats: CorpusStats,
              n_lift: int = 30) -> float:
     """Mean log lift of the topic's top n_lift words: ``beta_hat`` read at the
@@ -142,35 +135,12 @@ def log_lift(model: FittedModel, topic: int, stats: CorpusStats,
     return float(np.mean(np.log(beta / stats.word_freq[_word_ids(top, stats)])))
 
 
-def stopword_rate(top: Sequence[str], stoplist: Iterable[str]) -> float:
-    """Share of the top words found on the stoplist."""
-    stop = set(stoplist)
-    return sum(1 for w in top if w in stop) / len(top)
-
-
-def expert_word_rate(top: Sequence[str], whitelist: Iterable[str]) -> float:
-    """Share of the top words found on the expert whitelist."""
-    white = set(whitelist)
-    return sum(1 for w in top if w in white) / len(top)
-
-
 def _touches_whitelist(ids: list[int], white_ids: list[int], stats: CorpusStats) -> np.ndarray:
     """Whether each word id shares a document with a whitelist word, as bools."""
     white_docs = np.zeros(stats.n_docs, dtype=bool)
     for w in white_ids:
         white_docs[stats.doc_index[w]] = True
     return np.array([white_docs[stats.doc_index[w]].any() for w in ids], dtype=bool)
-
-
-def codocument_appearance(top: Sequence[str], whitelist: Iterable[str],
-                          corpus: Corpus) -> float:
-    """Share of top words that share at least one document with some
-    whitelist word. One of several defensible aggregations; this per-top-word
-    any-document-overlap form is the one the report uses."""
-    stats = compute_stats(corpus)
-    touches = _touches_whitelist(_word_ids(top, stats), stats.vocabulary.ids(set(whitelist)),
-                                 stats)
-    return float(touches.mean()) if touches.size else 0.0
 
 
 def _rows_csv(header: Sequence, rows: Iterable[Sequence]) -> str:

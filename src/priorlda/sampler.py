@@ -219,6 +219,9 @@ def log_likelihood(state: ModelState, prior: PriorMatrix, alpha: float) -> float
 
 
 def _point_estimates(state: ModelState, prior: PriorMatrix, alpha: float):
+    """beta_hat[k,w] = (n_kw + eta_kw) / (n_k + sum_v eta_kv) and theta_hat[d,k] =
+    (n_dk + alpha) / (len_d + K alpha) of the current sample. A topic with no
+    counts comes out as exactly its normalized prior row."""
     beta = (state.n_kw + prior.weights) / (state.n_k + prior.row_sums)[:, None]
     k_total = state.n_topics
     theta = (state.n_dk + alpha) / (state.doc_lengths + k_total * alpha)[:, None]
@@ -276,20 +279,6 @@ class FittedModel:
             config=ModelConfig.from_json(data["config"]) if data.get("config") else None,
             vocabulary=vocabulary,
         )
-
-
-def estimate(state: ModelState, prior: PriorMatrix, alpha: float,
-             vocabulary: Vocabulary) -> FittedModel:
-    """Point estimates from the current sample.
-
-    beta_hat[k,w] = (n_kw + eta_kw) / (n_k + sum_v eta_kv)
-    theta_hat[d,k] = (n_dk + alpha) / (len_d + K alpha)
-
-    A topic with no counts comes out as exactly its normalized prior row.
-    """
-    beta, theta = _point_estimates(state, prior, alpha)
-    return FittedModel(beta_hat=beta, theta_hat=theta, kinds=prior.kinds,
-                       loglik_trace=np.empty(0), vocabulary=vocabulary)
 
 
 def fit(corpus: Corpus, prior: PriorMatrix, config: ModelConfig) -> FittedModel:

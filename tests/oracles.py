@@ -135,6 +135,11 @@ def naive_log_lift(top, probs, token_docs):
     return sum(math.log(probs[w] / (counts[w] / total)) for w in top) / len(top)
 
 
+def naive_rate(top, words):
+    """Share of the top words found among ``words`` (the stopword and expert rates)."""
+    return sum(1 for w in top if w in words) / len(top)
+
+
 def naive_codoc(top, whitelist, token_docs):
     white = set(whitelist)
     hits = 0

@@ -110,3 +110,9 @@ def random_corpus(seed: int = 0, n_docs: int = 100, vocab_size: int = 50,
         length = int(rng.integers(min_len, max_len + 1))
         docs.append(" ".join(rng.choice(words, size=length)))
     return build_corpus(docs)
+
+
+def texts(corpus: Corpus) -> list[str]:
+    """Each document of ``corpus`` as its words joined by single spaces."""
+    words = corpus.vocabulary.id_to_word
+    return [" ".join(words[i] for i in doc.tolist()) for doc in corpus.documents]

@@ -13,20 +13,20 @@ import numpy as np
 from priorlda.corpus import build_corpus, compute_stats
 from priorlda.experiments import (ExperimentPlan, PlanResources, Variant,
                                   correlation_data, run_grid)
-from priorlda.metrics import (MetricConfig, coherence, lift_of_words, log_lift,
-                              pmi_score)
+from priorlda.metrics import MetricConfig, coherence, log_lift, pmi_score, report
 from priorlda.priors import (PriorMatrix, TopicKind, keyword_prior,
                              stopword_prior, symmetric_prior, tfidf_prior,
                              wordfreq_prior)
-from priorlda.sampler import (FittedModel, ModelConfig, estimate, fit, init,
-                              sweep, tabulate, top_words)
+from priorlda.sampler import (FittedModel, ModelConfig, fit, init, sweep, tabulate,
+                              top_words)
 
 from .conftest import ALICE_KEYWORDS, ALICE_TEXTS
+from .helpers import correlation, estimate, row_model
 from .oracles import (enumerate_posterior, greedy_align_cosine, naive_coherence,
                       naive_log_lift, naive_pmi, reference_prior_data,
                       reference_prior_rows)
 from .synthetic import (pathology_corpus, planted_stopword_corpus,
-                        random_corpus, two_topic_corpus)
+                        random_corpus, texts, two_topic_corpus)
 
 # fitted models collected by the criteria below; criterion 9 audits them all
 FITTED_MODELS: list[FittedModel] = []
@@ -191,8 +191,8 @@ def test_criterion_5_directional_stopword_drop():
 def _write_planted(tmp_path, **corpus_kwargs):
     planted = planted_stopword_corpus(seed=0, **corpus_kwargs)
     corpus_path = tmp_path / "corpus.jsonl"
-    lines = [json.dumps({"id": f"d{i}", "text": " ".join(planted.corpus.doc_words(i))})
-             for i in range(planted.corpus.n_docs)]
+    lines = [json.dumps({"id": f"d{i}", "text": text})
+             for i, text in enumerate(texts(planted.corpus))]
     corpus_path.write_text("\n".join(lines) + "\n")
     stop_path = tmp_path / "stop.txt"
     stop_path.write_text("\n".join(planted.stopwords) + "\n")
@@ -227,9 +227,9 @@ def test_criterion_6_correlation_directions(tmp_path):
     assert not result.failures, [f.error for f in result.failures]
     FITTED_MODELS.extend(r.model for r in records)
     data = correlation_data(records)
-    lift_vs_stop = data.correlation("log_lift", "stopword_rate")
-    lift_vs_expert = data.correlation("log_lift", "expert_rate")
-    coh_vs_stop = data.correlation("coherence_10", "stopword_rate")
+    lift_vs_stop = correlation(data, "log_lift", "stopword_rate")
+    lift_vs_expert = correlation(data, "log_lift", "expert_rate")
+    coh_vs_stop = correlation(data, "coherence_10", "stopword_rate")
     passed = (lift_vs_stop is not None and lift_vs_stop < 0
               and lift_vs_expert is not None and lift_vs_expert > 0
               and coh_vs_stop is not None and coh_vs_stop >= 0)
@@ -242,7 +242,8 @@ def test_criterion_6_correlation_directions(tmp_path):
 
 def test_criterion_7_metric_oracles():
     """Optimized metric implementations equal naive double-loop references
-    within 1e-12 on 50 random corpora."""
+    within 1e-12 on 50 random corpora. Lift is ``report``'s own column, for a
+    one-topic model of the random row, over that model's top m words."""
     rng = np.random.default_rng(4242)
     worst = 0.0
     for _ in range(50):
@@ -258,11 +259,15 @@ def test_criterion_7_metric_oracles():
         top = list(rng.choice(corpus.vocabulary.id_to_word, size=m, replace=False))
         row = rng.uniform(1e-4, 1.0, size=corpus.vocabulary.size)
         row /= row.sum()
-        probs = {w: row[corpus.vocabulary.word_to_id[w]] for w in top}
+        model = row_model([row], corpus.vocabulary)
+        lift_top = top_words(model, 0, m)
+        probs = {w: row[corpus.vocabulary.word_to_id[w]] for w in lift_top}
+        lift = report(model, stats, (), (),
+                      MetricConfig(m_small=m, m_large=m)).per_topic[0].log_lift
         diffs = (
             abs(coherence(top, stats) - naive_coherence(top, token_docs)),
             abs(pmi_score(top, stats) - naive_pmi(top, token_docs)),
-            abs(lift_of_words(top, row, stats) - naive_log_lift(top, probs, token_docs)),
+            abs(lift - naive_log_lift(lift_top, probs, token_docs)),
         )
         worst = max(worst, *diffs)
     _criterion(7, "coherence/PMI/lift match naive references on 50 corpora",

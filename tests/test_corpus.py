@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from priorlda import _kernels
 from priorlda.corpus import (AllDocumentsEmpty, Corpus, Vocabulary, build_corpus,
-                             co_doc_freq, compute_stats, default_stoplist,
+                             co_doc_counts, compute_stats, default_stoplist,
                              delete_low_tfidf, delete_stopwords,
                              load_corpus, load_raw_documents, load_word_list,
                              save_corpus, tokenize, write_json)
@@ -247,35 +247,32 @@ class TestComputeStats:
 class TestCoDocFreq:
     def test_self_intersection(self, alice_stats):
         book = alice_stats.vocabulary.word_to_id["book"]
-        assert co_doc_freq(alice_stats, book, book) == alice_stats.doc_freq[book]
+        assert (co_doc_counts(alice_stats, [book, book]) == alice_stats.doc_freq[book]).all()
 
     def test_disjoint(self):
         stats = compute_stats(build_corpus(["a x", "b y"]))
         a, b = stats.vocabulary.word_to_id["a"], stats.vocabulary.word_to_id["b"]
-        assert co_doc_freq(stats, a, b) == 0
+        assert co_doc_counts(stats, [a, b])[0, 1] == 0
 
     def test_three_doc_brute_force(self):
         docs = ["a b", "a c", "b c"]
         stats = compute_stats(build_corpus(docs))
         token_docs = [d.split() for d in docs]
-        wid = stats.vocabulary.word_to_id
-        for w1 in "abc":
-            for w2 in "abc":
+        counts = co_doc_counts(stats, stats.vocabulary.ids("abc"))
+        for i, w1 in enumerate("abc"):
+            for j, w2 in enumerate("abc"):
                 expected = sum(1 for d in token_docs if w1 in d and w2 in d)
-                assert co_doc_freq(stats, wid[w1], wid[w2]) == expected
-        assert co_doc_freq(stats, wid["a"], wid["b"]) == 1
+                assert counts[i, j] == expected
+        assert counts[0, 1] == 1
 
     def test_bounded_by_doc_freq(self):
         rng = np.random.default_rng(5)
         words = [f"w{i}" for i in range(12)]
         docs = [" ".join(rng.choice(words, size=rng.integers(2, 8))) for _ in range(30)]
         stats = compute_stats(build_corpus(docs))
-        v = stats.vocabulary.size
-        for w1 in range(v):
-            for w2 in range(v):
-                co = co_doc_freq(stats, w1, w2)
-                assert co == co_doc_freq(stats, w2, w1)
-                assert co <= min(stats.doc_freq[w1], stats.doc_freq[w2])
+        counts = co_doc_counts(stats, range(stats.vocabulary.size))
+        assert (counts == counts.T).all()
+        assert (counts <= np.minimum.outer(stats.doc_freq, stats.doc_freq)).all()
 
 
 class TestDeleteStopwords:
@@ -288,7 +285,8 @@ class TestDeleteStopwords:
     def test_removes_words(self):
         out = delete_stopwords(build_corpus(["the cat", "the dog"]), {"the"})
         assert out.vocabulary.size == 2
-        assert [out.doc_words(d) for d in range(2)] == [["cat"], ["dog"]]
+        assert out.vocabulary.id_to_word == ["cat", "dog"]
+        assert [doc.tolist() for doc in out.documents] == [[0], [1]]
 
     def test_remove_set(self):
         corpus = delete_stopwords(build_corpus(["a b", "b c"]), {"b"})
@@ -414,8 +412,10 @@ class TestStreamedPipeline:
     def test_empty_vocabulary(self):
         # its keep mask is empty too, and must still index as a boolean mask
         corpus = Corpus([[], []], Vocabulary([]))
-        assert (_outcome(lambda: delete_stopwords(corpus, ["a"]))
-                == _outcome(lambda: oracles.reference_delete_stopwords(corpus, ["a"])))
+        want = _outcome(lambda: oracles.reference_delete_stopwords(corpus, ["a"]))
+        assert _outcome(lambda: delete_stopwords(corpus, ["a"])) == want
+        # the TF-IDF reference fails there on np.quantile of no values
+        assert _outcome(lambda: delete_low_tfidf(corpus)) == want
 
 
 def _peak_bytes(call) -> int:

@@ -13,7 +13,7 @@ from scipy import stats as scipy_stats
 
 from priorlda import _kernels, experiments
 from priorlda.corpus import compute_stats, delete_stopwords
-from priorlda.experiments import (FULL_SEARCH_GRID, GRID_DIMS, PLAN_LIST_FIELDS,
+from priorlda.experiments import (GRID_DIMS, PLAN_LIST_FIELDS,
                                   ExperimentPlan, FailedRun, RunRecord, RunSettings,
                                   Variant, comparison_csv, comparison_table,
                                   correlation_data, corpus_hash, enumerate_runs,
@@ -22,7 +22,8 @@ from priorlda.metrics import MetricConfig, ModelReport, report
 from priorlda.priors import PriorConfig, TopicKind, assemble, symmetric_prior
 from priorlda.sampler import ModelConfig, fit
 
-from .synthetic import planted_stopword_corpus
+from .helpers import correlation
+from .synthetic import planted_stopword_corpus, texts
 
 
 @pytest.fixture(scope="module")
@@ -31,8 +32,7 @@ def planted_on_disk(tmp_path_factory):
     root = tmp_path_factory.mktemp("plan")
     planted = planted_stopword_corpus(seed=0)
     corpus = planted.corpus
-    lines = [json.dumps({"id": f"d{i}", "text": " ".join(corpus.doc_words(i))})
-             for i in range(corpus.n_docs)]
+    lines = [json.dumps({"id": f"d{i}", "text": text}) for i, text in enumerate(texts(corpus))]
     corpus_path = root / "corpus.jsonl"
     corpus_path.write_text("\n".join(lines) + "\n")
     stoplist_path = root / "stoplist.txt"
@@ -85,18 +85,24 @@ class TestEnumerateRuns:
         assert len(enumerate_runs(plan)) == 4
 
     def test_full_grid_products(self):
-        plan = ExperimentPlan(corpus="unused", variants=list(Variant),
-                              seeds=[1], **FULL_SEARCH_GRID)
+        grid = {  # a search grid over every dimension
+            "topics": [5, 10, 15, 20, 25, 30, 35, 40, 45, 50],
+            "c1": [100.0, 10.0, 1.0, 0.1, 0.01],
+            "c2": [100.0, 10.0, 1.0, 0.1, 0.01],
+            "tfidf_topics": [1, 5, 10, 19],
+            "keyword_topics": [1, 5, 10, 18, 19],
+            "keyword_boost": [10.0, 50.0, 100.0, 1000.0],
+            "iterations": [100, 200, 500, 1000],
+        }
+        plan = ExperimentPlan(corpus="unused", variants=list(Variant), seeds=[1], **grid)
         specs = enumerate_runs(plan)
-        base = len(FULL_SEARCH_GRID["topics"]) * len(FULL_SEARCH_GRID["iterations"])
+        base = len(grid["topics"]) * len(grid["iterations"])
         want = 0
         want += base * 6  # variants with no extra applicable dimensions
-        want += base * len(FULL_SEARCH_GRID["c2"]) * len(FULL_SEARCH_GRID["keyword_boost"])
-        want += base * len(FULL_SEARCH_GRID["c1"])
-        want += (base * len(FULL_SEARCH_GRID["c1"]) * len(FULL_SEARCH_GRID["c2"])
-                 * len(FULL_SEARCH_GRID["tfidf_topics"])
-                 * len(FULL_SEARCH_GRID["keyword_topics"])
-                 * len(FULL_SEARCH_GRID["keyword_boost"]))
+        want += base * len(grid["c2"]) * len(grid["keyword_boost"])
+        want += base * len(grid["c1"])
+        want += (base * len(grid["c1"]) * len(grid["c2"]) * len(grid["tfidf_topics"])
+                 * len(grid["keyword_topics"]) * len(grid["keyword_boost"]))
         assert len(specs) == want
 
     def test_inapplicable_dims_pinned_to_first_value(self):
@@ -416,7 +422,7 @@ class TestCorrelationData:
         recs = [_fake_record(Variant.NO_DELETION, s, _means(1.0, 0.5, 0.1, 0.3))
                 for s in (1, 2)]
         data = correlation_data(recs)
-        assert data.correlation("log_lift", "stopword_rate") is None
+        assert correlation(data, "log_lift", "stopword_rate") is None
 
     def test_monotone_lift_expert_rate_is_perfect_rank_correlation(self):
         recs = [
@@ -425,8 +431,8 @@ class TestCorrelationData:
             _fake_record(Variant.TFIDF_PRIOR, 1, _means(3.0, 0.1, 0.35, 0.5)),
         ]
         data = correlation_data(recs)
-        assert data.correlation("log_lift", "expert_rate") == pytest.approx(1.0)
-        assert data.correlation("log_lift", "stopword_rate") == pytest.approx(-1.0)
+        assert correlation(data, "log_lift", "expert_rate") == pytest.approx(1.0)
+        assert correlation(data, "log_lift", "stopword_rate") == pytest.approx(-1.0)
 
     def test_vocab_altered_records_excluded_from_coherence(self):
         recs = [

@@ -9,20 +9,34 @@ from hypothesis import strategies as st
 
 from priorlda import _kernels, metrics
 from priorlda.corpus import (AllDocumentsEmpty, build_corpus, co_doc_counts,
-                             co_doc_freq, compute_stats, delete_stopwords)
-from priorlda.metrics import (MetricConfig, codocument_appearance,
-                              coherence, expert_word_rate, lift_of_words,
-                              log_lift, pmi_score, report, stopword_rate)
+                             compute_stats, delete_stopwords)
+from priorlda.metrics import MetricConfig, coherence, log_lift, pmi_score, report
 from priorlda.priors import TopicKind, symmetric_prior
 from priorlda.sampler import ModelConfig, fit, top_words
 
 from .conftest import python_twins
-from .oracles import (naive_codoc, naive_coherence, naive_log_lift, naive_pmi)
-from .synthetic import pathology_corpus, planted_stopword_corpus
+from .helpers import row_model
+from .oracles import (doc_sets, naive_codoc, naive_coherence, naive_log_lift, naive_pmi,
+                      naive_rate)
+from .synthetic import pathology_corpus, planted_stopword_corpus, texts
 
 
 def token_docs_of(corpus):
-    return [corpus.doc_words(d) for d in range(corpus.n_docs)]
+    return [text.split() for text in texts(corpus)]
+
+
+def _window_score(top, stoplist=(), whitelist=(), docs=None):
+    """report's score of a one-topic model whose top words are ``top``, in that
+    order, scored over those words alone; the corpus is ``docs``, or one
+    document of ``top``."""
+    corpus = build_corpus(docs or [" ".join(top)])
+    vocab = corpus.vocabulary
+    row = np.full(vocab.size, 1e-6)
+    for rank, w in enumerate(top):
+        row[vocab.word_to_id[w]] = len(top) - rank
+    model = row_model([row / row.sum()], vocab)
+    cfg = MetricConfig(m_small=2, m_large=len(top))
+    return report(model, compute_stats(corpus), stoplist, whitelist, cfg).per_topic[0]
 
 
 class TestCoherence:
@@ -105,26 +119,27 @@ class TestLogLift:
     def test_topic_equal_to_corpus_distribution(self):
         corpus = build_corpus(["a a b", "b c c c"])
         stats = compute_stats(corpus)
-        words = list(stats.vocabulary.id_to_word)
-        assert abs(lift_of_words(words, stats.word_freq, stats)) < 1e-6
+        model = row_model([stats.word_freq], corpus.vocabulary)
+        assert abs(log_lift(model, 0, stats, n_lift=3)) < 1e-6
 
     def test_single_word_degenerate(self):
-        stats = compute_stats(build_corpus(["solo solo"]))
-        assert lift_of_words(["solo"], np.array([1.0]), stats) == 0.0
+        corpus = build_corpus(["solo solo"])
+        model = row_model([[1.0]], corpus.vocabulary)
+        assert log_lift(model, 0, compute_stats(corpus), n_lift=1) == 0.0
 
     def test_hand_values(self):
         # corpus probabilities 0.2 / 0.3 / 0.5 against topic 0.5 / 0.3 / 0.2
         corpus = build_corpus(["x x y y y z z z z z"])
         stats = compute_stats(corpus)
-        beta_row = np.array([0.5, 0.3, 0.2])
+        model = row_model([[0.5, 0.3, 0.2]], corpus.vocabulary)
         want = (math.log(0.5 / 0.2) + math.log(0.3 / 0.3) + math.log(0.2 / 0.5)) / 3
-        assert lift_of_words(["x", "y", "z"], beta_row, stats) == pytest.approx(want)
+        assert log_lift(model, 0, stats, n_lift=3) == pytest.approx(want)
 
     def test_statistics_vocabulary_in_another_order(self):
         # the same documents in reverse order number the same words differently,
         # so lift must read beta_hat at the model's ids, word_freq at the stats'
         planted = planted_stopword_corpus(seed=1)
-        docs = [" ".join(planted.corpus.doc_words(d)) for d in range(planted.corpus.n_docs)]
+        docs = texts(planted.corpus)
         own = compute_stats(planted.corpus)
         reversed_stats = compute_stats(build_corpus(docs[::-1]))
         assert reversed_stats.vocabulary != own.vocabulary
@@ -142,42 +157,42 @@ class TestLogLift:
         prior = symmetric_prior(3, planted.corpus.vocabulary.size, 1.0)
         model = fit(planted.corpus, prior, ModelConfig(topics=3, iterations=20, seed=0))
         top = top_words(model, 1, 8)
+        probs = {w: model.beta_hat[1][model.vocabulary.word_to_id[w]] for w in top}
         assert log_lift(model, 1, stats, 8) == pytest.approx(
-            lift_of_words(top, model.beta_hat[1], stats))
+            naive_log_lift(top, probs, token_docs_of(planted.corpus)), abs=1e-12)
 
 
 class TestRates:
     def test_stopword_rate(self):
-        assert stopword_rate(["a", "b", "c"], {"x"}) == 0.0
-        assert stopword_rate(["a", "b"], {"a", "b"}) == 1.0
-        assert stopword_rate(["a", "b", "c", "d"], {"a", "c", "q"}) == 0.5
+        assert _window_score(["a", "b", "c"], stoplist={"x"}).stopword_rate == 0.0
+        assert _window_score(["a", "b"], stoplist={"a", "b"}).stopword_rate == 1.0
+        assert _window_score(["a", "b", "c", "d"],
+                             stoplist={"a", "c", "q"}).stopword_rate == 0.5
 
     def test_stopword_rate_thirty_word_list(self):
         words = [f"w{i}" for i in range(30)]
-        assert stopword_rate(words, set(words[:23])) == pytest.approx(23 / 30)
+        score = _window_score(words, stoplist=set(words[:23]))
+        assert score.stopword_rate == pytest.approx(23 / 30)
 
     def test_expert_rate(self):
-        assert expert_word_rate(["a", "b"], {"a", "b", "c"}) == 1.0
-        assert expert_word_rate(["a", "b"], set()) == 0.0
+        assert _window_score(["a", "b"], whitelist={"a", "b", "c"}).expert_rate == 1.0
+        assert _window_score(["a", "b"], whitelist=set()).expert_rate == 0.0
 
 
 class TestCodocumentAppearance:
     def test_full_whitelist_everything_hits(self):
-        corpus = build_corpus(["a b", "c d", "a d"])
-        vocab = set(corpus.vocabulary.id_to_word)
-        assert codocument_appearance(["a", "c"], vocab, corpus) == 1.0
+        docs = ["a b", "c d", "a d"]
+        assert _window_score(["a", "c"], whitelist=set("abcd"), docs=docs).codoc == 1.0
 
     def test_empty_whitelist(self):
-        corpus = build_corpus(["a b", "c d"])
-        assert codocument_appearance(["a", "c"], set(), corpus) == 0.0
+        assert _window_score(["a", "c"], whitelist=set(), docs=["a b", "c d"]).codoc == 0.0
 
     def test_controlled_overlaps_vs_oracle(self):
         docs = ["a w1 b", "c d", "e w2", "f a"]
-        corpus = build_corpus(docs)
         top = ["a", "c", "e", "f"]
         whitelist = {"w1", "w2"}
         want = naive_codoc(top, whitelist, [d.split() for d in docs])
-        assert codocument_appearance(top, whitelist, corpus) == want
+        assert _window_score(top, whitelist=whitelist, docs=docs).codoc == want
         # a shares doc 0 with w1; e shares doc 2 with w2; c and f never do
         assert want == 0.5
 
@@ -273,7 +288,7 @@ def count_cases(draw):
             assume(False)
     v = corpus.vocabulary.size
     ids = draw(st.lists(st.integers(0, v - 1), max_size=2 * v + 2))
-    return compute_stats(corpus), ids
+    return corpus, ids
 
 
 @st.composite
@@ -293,13 +308,15 @@ class TestBatchedCounts:
     @settings(max_examples=150, deadline=None)
     @given(count_cases())
     def test_blocks_equal_pairwise_intersections(self, case):
-        stats, ids = case
+        corpus, ids = case
+        sets = doc_sets(token_docs_of(corpus))
+        words = corpus.vocabulary.id_to_word
         # repeated ids within one list get repeated rows and columns
-        counts = co_doc_counts(stats, ids)
+        counts = co_doc_counts(compute_stats(corpus), ids)
         assert counts.shape == (len(ids), len(ids))
         for i, a in enumerate(ids):
             for j, b in enumerate(ids):
-                assert counts[i, j] == co_doc_freq(stats, a, b)
+                assert counts[i, j] == len(sets[words[a]] & sets[words[b]])
 
     @settings(max_examples=200, deadline=None)
     @given(doc_lists())
@@ -317,7 +334,7 @@ class TestBatchedCounts:
             assert counts.dtype == np.int64 and counts.shape == (len(ids), len(ids))
             for i, a in enumerate(ids):
                 for j, b in enumerate(ids):
-                    assert counts[i, j] == co_doc_freq(stats, a, b)
+                    assert counts[i, j] == len(set(index[a]) & set(index[b]))
 
     @pytest.mark.parametrize("columns,bad", [([[0, 3], [1, 2]], 3), ([[0], [-1, 5]], -1),
                                              ([[0, 7], [-1]], 7)])
@@ -349,11 +366,13 @@ def zipf_corpus(seed, n_docs=300, doc_len=60, max_rank=2000):
 
 class TestBatchedReport:
     """report's one-product counts and all-topic array passes give exactly
-    what the public per-topic functions give when each makes its own counts."""
+    what the public per-topic functions give when each makes its own counts,
+    and the rate and co-document columns exactly what the naive oracles give."""
 
     @staticmethod
     def _assert_equal_to_per_topic_calls(corpus, model, stoplist, whitelist, cfg):
         stats = compute_stats(corpus)
+        token_docs = token_docs_of(corpus)
         rep = report(model, stats, stoplist, whitelist, cfg)
         for t, score in enumerate(rep.per_topic):
             small = top_words(model, t, cfg.m_small)
@@ -362,9 +381,9 @@ class TestBatchedReport:
             assert score.coherence_30 == coherence(large, stats)
             assert _same(score.pmi, pmi_score(large, stats, cfg))
             assert score.log_lift == log_lift(model, t, stats, cfg.m_large)
-            assert score.stopword_rate == stopword_rate(large, stoplist)
-            assert score.expert_rate == expert_word_rate(large, whitelist)
-            assert score.codoc == codocument_appearance(large, whitelist, corpus)
+            assert score.stopword_rate == naive_rate(large, stoplist)
+            assert score.expert_rate == naive_rate(large, whitelist)
+            assert score.codoc == naive_codoc(large, whitelist, token_docs)
             assert all(type(v) is float for v in score.metric_values().values())
 
     @pytest.mark.parametrize("cfg", [
@@ -506,9 +525,11 @@ class TestNaiveEquivalenceFuzz:
                 naive_pmi(top, token_docs), abs=1e-12)
             row = rng.uniform(0.01, 1.0, size=len(vocab_words))
             row /= row.sum()
-            probs = {w: row[corpus.vocabulary.word_to_id[w]] for w in top}
-            assert lift_of_words(top, row, stats) == pytest.approx(
-                naive_log_lift(top, probs, token_docs), abs=1e-12)
+            model = row_model([row], corpus.vocabulary)
+            lift_top = top_words(model, 0, m)
+            probs = {w: row[corpus.vocabulary.word_to_id[w]] for w in lift_top}
+            assert log_lift(model, 0, stats, m) == pytest.approx(
+                naive_log_lift(lift_top, probs, token_docs), abs=1e-12)
 
 
 class TestStopwordPathology:
@@ -516,15 +537,18 @@ class TestStopwordPathology:
         planted = pathology_corpus(n_docs=500)
         stats = compute_stats(planted.corpus)
         stop_list = list(planted.stopwords)
+        # one topic per word list, each putting its mass on that list alone,
+        # so a topic's top len(list) words are its list
+        model = row_model([_concentrated_row(stats, words)
+                           for words in [stop_list, *planted.clusters]], stats.vocabulary)
         stop_coh = coherence(stop_list, stats)
         stop_pmi = pmi_score(stop_list, stats)
-        stop_lift = lift_of_words(stop_list,
-                                  _concentrated_row(stats, stop_list), stats)
-        for cluster in planted.clusters:
-            cluster_row = _concentrated_row(stats, cluster)
+        stop_lift = log_lift(model, 0, stats, n_lift=len(stop_list))
+        for t, cluster in enumerate(planted.clusters, start=1):
+            assert set(top_words(model, t, len(cluster))) == set(cluster)
             assert stop_coh > coherence(cluster, stats)
             assert stop_pmi > pmi_score(cluster, stats)
-            assert stop_lift < lift_of_words(cluster, cluster_row, stats)
+            assert stop_lift < log_lift(model, t, stats, n_lift=len(cluster))
 
 
 def _concentrated_row(stats, support, mass=1.0 - 1e-6):

@@ -19,15 +19,16 @@ from priorlda import _kernels
 from priorlda.corpus import Vocabulary, build_corpus, compute_stats
 from priorlda.priors import PriorConfig, PriorMatrix, TopicKind, assemble, symmetric_prior
 from priorlda.sampler import (DimensionMismatch, FittedModel, ModelConfig, ModelState,
-                              _doc_generators, estimate, fit, heldout_perplexity,
+                              _doc_generators, fit, heldout_perplexity,
                               hyperparameter_search, init, load_model,
                               log_likelihood, save_model, sweep, sweep_snapshot,
                               tabulate, top_words)
 
 from .conftest import python_twins
+from .helpers import estimate
 from .oracles import (enumerate_posterior, greedy_align_cosine, snapshot_sweeps,
                       urn_log_joint)
-from .synthetic import random_corpus, two_topic_corpus
+from .synthetic import random_corpus, texts, two_topic_corpus
 
 
 def counts_match_assignments(state):
@@ -688,7 +689,7 @@ class TestSaveModel:
     def _fit_with_ids(config):
         """A fit on a corpus with document ids and a random TF-IDF prior."""
         base = random_corpus(seed=9, n_docs=25)
-        corpus = build_corpus([" ".join(base.doc_words(d)) for d in range(25)],
+        corpus = build_corpus(texts(base),
                               doc_ids=[f"d{i}" for i in range(25)])
         rng = np.random.default_rng(config.seed)
         prior = PriorMatrix(rng.uniform(0.05, 2.0, size=(config.topics, corpus.vocabulary.size)),
