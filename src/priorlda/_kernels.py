@@ -457,22 +457,29 @@ def _gammaln_cells_py(n_wk, eta, cells):
     return -1
 
 
-def co_doc_counts(columns: list[np.ndarray], n_docs: int) -> np.ndarray:
-    """X.T @ X, exactly, as an int64 (m, m) array, where X is the n_docs x m
-    matrix whose column j counts each document index in ``columns[j]``.
-
-    For columns of distinct indices, entry (i, j) is the number of documents
-    in both columns and the diagonal each column's size. An index outside
-    [0, n_docs) raises ValueError.
+def co_doc_counts(index, lengths, ids, n_docs: int) -> np.ndarray:
+    """X.T @ X, exactly, as an int64 (m, m) array, where column j of the n_docs x m
+    matrix X counts each document index in word ids[j]'s run of the int64 ``index``,
+    the lengths[ids[j]] entries after the runs of words 0..ids[j]-1: for runs of
+    distinct indices, entry (i, j) is the number of documents in both runs. The first id
+    not an integer in [0, len(lengths)), else index outside [0, n_docs), raises ValueError.
     """
-    indptr = np.cumsum([0, *map(len, columns)], dtype=np.int64)
-    rows = np.concatenate([np.zeros(0, np.int64), *columns], dtype=np.int64)
-    counts = np.zeros((len(columns), len(columns)), np.int64)
+    _check_array("index", index, np.int64, 1)
+    v, a = len(lengths), np.asarray(ids)
+    if a.size and not (a.ndim == 1 and a.dtype.kind in "iu" and 0 <= a.min() <= a.max() < v):
+        for i in ids:  # types before the cast, which would cut 1.5 to 1
+            if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < v:
+                raise ValueError(f"word id {i} is not an integer in [0, {v})")
+    ids = a.astype(np.int64)
+    indptr = np.concatenate([[0], np.cumsum(lengths[ids])])
+    starts = (np.cumsum(lengths) - lengths)[ids]  # where each id's run starts in index
+    rows = index[np.repeat(starts - indptr[:-1], lengths[ids]) + np.arange(indptr[-1])]
+    counts = np.zeros((ids.size, ids.size), np.int64)
     if _co_doc_c is None:
         bad = _co_doc_py(rows, indptr, n_docs, counts)
     else:
         ends, cols = np.zeros(n_docs + 1, np.int64), np.empty_like(rows)
-        bad = _co_doc_c(_address(rows), _address(indptr), len(columns), n_docs,
+        bad = _co_doc_c(_address(rows), _address(indptr), ids.size, n_docs,
                         _address(ends), _address(cols), _address(counts))
     if bad >= 0:
         raise ValueError(f"document index {rows[bad]} is outside D={n_docs}")

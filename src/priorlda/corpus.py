@@ -22,6 +22,8 @@ class AllDocumentsEmpty(ValueError):
 
 def check_version(data: dict, expected: int, what: str) -> None:
     """Raise ValueError unless ``data`` is version ``expected`` of the ``what`` format."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a {what} file must hold a JSON object, not {type(data).__name__}")
     found = data.get("version")
     if type(found) is not int or found != expected:  # true and 1.0 equal 1
         raise ValueError(f"unsupported {what} format version: expected {expected}, found {found!r}")
@@ -38,12 +40,12 @@ class Vocabulary:
 
     def __init__(self, words: Sequence[str]):
         self.id_to_word: list[str] = list(words)
+        for w in self.id_to_word:
+            if not isinstance(w, str) or not w or w != w.strip() or any(ch.isspace() for ch in w):
+                raise ValueError(f"invalid vocabulary token: {w!r}")
         self.word_to_id: dict[str, int] = {w: i for i, w in enumerate(self.id_to_word)}
         if len(self.word_to_id) != len(self.id_to_word):
             raise ValueError("vocabulary contains duplicate words")
-        for w in self.id_to_word:
-            if not w or w != w.strip() or any(ch.isspace() for ch in w):
-                raise ValueError(f"invalid vocabulary token: {w!r}")
 
     @property
     def size(self) -> int:
@@ -75,10 +77,11 @@ class Corpus:
 
     def __init__(self, documents: Sequence[Sequence[int]], vocabulary: Vocabulary,
                  doc_ids: Sequence[str] | None = None):
-        docs = [_id_array(doc) for doc in documents]
-        flat = np.concatenate([np.zeros(0, np.int64)] + [doc for doc in docs if doc.size],
-                              dtype=np.int64)
-        self._hold(flat, np.cumsum([0] + [doc.size for doc in docs], dtype=np.int64),
+        flat, offsets = array("q"), array("q", [0])
+        for doc in documents:  # one stream, as build_corpus fills it: no array per document stays
+            flat.frombytes(_id_array(doc).astype(np.int64).tobytes())  # checked before the cast
+            offsets.append(len(flat))
+        self._hold(np.frombuffer(flat, np.int64), np.frombuffer(offsets, np.int64),
                    vocabulary, doc_ids)
 
     def _hold(self, flat: np.ndarray, offsets: np.ndarray, vocabulary: Vocabulary,
@@ -180,14 +183,14 @@ class CorpusStats:
     word_freq  empirical corpus probability of each word (token share)
     doc_freq   number of documents each word appears in
     avg_tfidf  mean over containing documents of TF(w,d) * ln(n_docs / doc_freq(w))
-    doc_index  sorted array of document indices per word
+    doc_index  one int64 array of each word's doc_freq documents, ascending, word after word
     """
 
     vocabulary: Vocabulary
     word_freq: np.ndarray
     doc_freq: np.ndarray
     avg_tfidf: np.ndarray
-    doc_index: tuple[np.ndarray, ...]
+    doc_index: np.ndarray
     n_docs: int
     n_tokens: int
 
@@ -198,7 +201,7 @@ class CorpusStats:
             "word_freq": self.word_freq.tolist(),
             "doc_freq": self.doc_freq.tolist(),
             "avg_tfidf": self.avg_tfidf.tolist(),
-            "doc_index": [ix.tolist() for ix in self.doc_index],
+            "doc_index": [r.tolist() for r in np.split(self.doc_index, self.doc_freq.cumsum())[:-1]],
             "n_docs": self.n_docs,
             "n_tokens": self.n_tokens,
         }
@@ -231,15 +234,12 @@ def compute_stats(corpus: Corpus) -> CorpusStats:
     np.add.at(tf_sum, cell_word, per_cell / np.diff(corpus.offsets)[cell_doc])
     word_freq = counts / corpus.n_tokens
     avg_tfidf = (tf_sum / doc_freq) * np.log(n_docs / doc_freq)
-    # each word's documents in ascending order, one word after another
-    by_word = cell_doc[np.argsort(cell_word, kind="stable")]
-    bounds = np.concatenate([[0], np.cumsum(doc_freq)]).tolist()
     return CorpusStats(
         vocabulary=corpus.vocabulary,
         word_freq=_frozen(word_freq),
         doc_freq=_frozen(doc_freq),
         avg_tfidf=_frozen(avg_tfidf),
-        doc_index=tuple(_frozen(by_word[lo:hi]) for lo, hi in zip(bounds, bounds[1:])),
+        doc_index=_frozen(cell_doc[np.argsort(cell_word, kind="stable")]),
         n_docs=n_docs,
         n_tokens=corpus.n_tokens,
     )
@@ -249,12 +249,11 @@ def co_doc_counts(stats: CorpusStats, ids: Sequence[int]) -> np.ndarray:
     """The co-document counts among the given word ids, from one kernel call.
 
     Entry (i, j) is the number of documents holding both ids[i] and ids[j];
-    the diagonal is each word's document frequency. Repeated ids give
-    repeated rows and columns. The result is X.T @ X for the document x word
-    incidence matrix X of the ids, whose columns are their ``doc_index``
-    lists (``_kernels.co_doc_counts``).
+    the diagonal is each word's document frequency. Repeated ids give repeated
+    rows and columns; an id that is not an integer in [0, V) raises ValueError.
+    The kernel (``_kernels.co_doc_counts``) gathers the ids' runs of ``doc_index``.
     """
-    return _kernels.co_doc_counts([stats.doc_index[w] for w in ids], stats.n_docs)
+    return _kernels.co_doc_counts(stats.doc_index, stats.doc_freq, ids, stats.n_docs)
 
 
 def _rebuild(corpus: Corpus, keep: np.ndarray) -> Corpus:

@@ -137,10 +137,10 @@ def log_lift(model: FittedModel, topic: int, stats: CorpusStats,
 
 def _touches_whitelist(ids: list[int], white_ids: list[int], stats: CorpusStats) -> np.ndarray:
     """Whether each word id shares a document with a whitelist word, as bools."""
-    white_docs = np.zeros(stats.n_docs, dtype=bool)
-    for w in white_ids:
-        white_docs[stats.doc_index[w]] = True
-    return np.array([white_docs[stats.doc_index[w]].any() for w in ids], dtype=bool)
+    word = np.repeat(np.arange(stats.vocabulary.size), stats.doc_freq)  # each entry's word
+    white_docs = np.zeros(stats.n_docs, bool)
+    white_docs[stats.doc_index[np.isin(word, white_ids)]] = True
+    return np.bincount(word, white_docs[stats.doc_index], stats.vocabulary.size)[ids] > 0
 
 
 def _rows_csv(header: Sequence, rows: Iterable[Sequence]) -> str:

@@ -110,6 +110,14 @@ class TestStats:
         assert set(data) >= {"word_freq", "doc_freq", "avg_tfidf", "n_docs", "n_tokens"}
         assert data["n_docs"] == 100
 
+    def test_non_string_vocabulary_word_is_an_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"version": 1, "vocabulary": [1, 2], "documents": [[0, 1]]}')
+        out = tmp_path / "stats.json"
+        assert main(["stats", "--corpus", str(bad), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: value-error: invalid vocabulary token: 1\n"
+        assert not out.exists()
+
 
 class TestFit:
     def test_fit_tfidf_prior(self, tmp_path, ingested, capsys):
@@ -195,6 +203,20 @@ class TestFit:
 
 
 class TestScore:
+    @pytest.mark.parametrize("what", ["corpus", "model"])
+    def test_json_array_file_is_an_error(self, tmp_path, ingested, capsys, what):
+        # the corpus is read first, so the model path is not read in the corpus case
+        bad = tmp_path / "bad.json"
+        bad.write_text("[1, 2]\n")
+        paths = {"corpus": ingested, "model": tmp_path / "unread.json", what: bad}
+        out = tmp_path / "scores.csv"
+        code = main(["score", "--model", str(paths["model"]), "--corpus", str(paths["corpus"]),
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: value-error: a {what} file must hold a JSON object, not list\n")
+        assert not out.exists()
+
     def test_score_csv(self, tmp_path, ingested, demo_lists):
         stop_path, white_path = demo_lists
         model_path = tmp_path / "model.json"

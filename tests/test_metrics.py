@@ -1,6 +1,5 @@
 import math
 from contextlib import nullcontext
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -325,11 +324,12 @@ class TestBatchedCounts:
     @example(([[0, 2], [1], [0, 1, 2]], 3, [2, 0, 2, 2, 1]))
     def test_kernel_equals_twin_and_pairwise_intersections(self, case):
         index, n_docs, ids = case
-        stats = SimpleNamespace(doc_index=tuple(np.array(d, np.int64) for d in index),
-                                n_docs=n_docs)
-        kernel = co_doc_counts(stats, ids)
+        # the CSR form: every run in one array, and each run's length
+        flat = np.array([d for run in index for d in run], np.int64)
+        lengths = np.array([len(run) for run in index], np.int64)
+        kernel = _kernels.co_doc_counts(flat, lengths, ids, n_docs)
         with python_twins():
-            twin = co_doc_counts(stats, ids)
+            twin = _kernels.co_doc_counts(flat, lengths, ids, n_docs)
         for counts in (kernel, twin):
             assert counts.dtype == np.int64 and counts.shape == (len(ids), len(ids))
             for i, a in enumerate(ids):
@@ -341,7 +341,17 @@ class TestBatchedCounts:
     def test_document_index_outside_range_raises(self, backend, columns, bad):
         # the first bad entry, in column order, is named
         with pytest.raises(ValueError, match=f"^document index {bad} is outside D=3$"):
-            _kernels.co_doc_counts([np.array(c, np.int64) for c in columns], 3)
+            _kernels.co_doc_counts(np.array(sum(columns, []), np.int64),
+                                   np.array([len(c) for c in columns]), range(len(columns)), 3)
+
+    @pytest.mark.parametrize("ids,bad", [([-1], "-1"), ([3], "3"), ([1.0], "1.0"),
+                                         ([0, 1.5], "1.5"), ([True], "True"),
+                                         (np.array([2, 0, 7]), "7")])
+    def test_word_id_outside_vocabulary_raises(self, ids, bad):
+        # a negative id must not wrap to the last word, nor a float be cut to an int
+        stats = compute_stats(build_corpus(["a b", "b c", "c"]))
+        with pytest.raises(ValueError, match=rf"^word id {bad} is not an integer in \[0, 3\)$"):
+            co_doc_counts(stats, ids)
 
     def test_counts_shape_checked(self):
         stats = compute_stats(build_corpus(["a b", "b c"]))
