@@ -29,10 +29,9 @@ def check_version(data: dict, expected: int, what: str) -> None:
         raise ValueError(f"unsupported {what} format version: expected {expected}, found {found!r}")
 
 
-def tokenize(raw_text: str, lowercase: bool = True) -> list[str]:
-    """Split on whitespace runs; punctuation stays attached to its token."""
-    text = raw_text.lower() if lowercase else raw_text
-    return text.split()
+def tokenize(raw_text: str) -> list[str]:
+    """Lowercase, then split on whitespace runs; punctuation stays attached to its token."""
+    return raw_text.lower().split()
 
 
 class Vocabulary:
@@ -152,15 +151,14 @@ def _id_array(doc) -> np.ndarray:
     return arr
 
 
-def build_corpus(raw_docs: Iterable[str], lowercase: bool = True,
-                 doc_ids: Sequence[str] | None = None) -> Corpus:
+def build_corpus(raw_docs: Iterable[str], doc_ids: Sequence[str] | None = None) -> Corpus:
     """Tokenize raw documents, drawn from any iterable, and index each in turn
     into one id stream, ids in first-occurrence order: at most one document's
     token strings are alive. Raises AllDocumentsEmpty when no document has a token."""
     word_to_id: dict[str, int] = {}
     tokens, offsets = array("i"), array("q", [0])
     for doc in raw_docs:
-        tokens.extend([word_to_id.setdefault(w, len(word_to_id)) for w in tokenize(doc, lowercase)])
+        tokens.extend([word_to_id.setdefault(w, len(word_to_id)) for w in tokenize(doc)])
         offsets.append(len(tokens))
     return _from_stream(np.frombuffer(tokens, np.intc), np.frombuffer(offsets, np.int64),
                         list(word_to_id), doc_ids)

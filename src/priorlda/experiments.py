@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import logging
 import math
 import time
 import traceback
@@ -29,10 +28,7 @@ from .corpus import (Corpus, CorpusStats, build_corpus, compute_stats,
                      load_corpus, load_raw_documents, load_word_list)
 from .metrics import METRIC_COLUMNS, MetricConfig, ModelReport, _rows_csv, report
 from .priors import PriorConfig, PriorMatrix, TopicKind, assemble
-from .sampler import (DEFAULT_HYPER_GRID, FittedModel, ModelConfig, SearchPoint,
-                      fit, hyperparameter_search)
-
-log = logging.getLogger(__name__)
+from .sampler import FittedModel, ModelConfig, fit, hyperparameter_search
 
 MANIFEST_FORMAT_VERSION = 1
 
@@ -165,8 +161,8 @@ class ExperimentPlan:
     metric_top_words: int = 30
     stoplist: str | None = None
     whitelist: str | None = None
-    hyper_alphas: list[float] = field(default_factory=lambda: sorted({a for a, _ in DEFAULT_HYPER_GRID}))
-    hyper_etas: list[float] = field(default_factory=lambda: sorted({e for _, e in DEFAULT_HYPER_GRID}))
+    hyper_alphas: list[float] = field(default_factory=lambda: [0.01, 0.1, 1.0, 10.0])
+    hyper_etas: list[float] = field(default_factory=lambda: [0.01, 0.1, 1.0, 10.0])
 
     def metric_config(self) -> MetricConfig:
         n = self.metric_top_words
@@ -241,11 +237,11 @@ class RunRecord:
     model: FittedModel
     report: ModelReport
     duration: float  # fit plus score; the shared preprocessing is not included
-    search: SearchPoint | None = None  # the grid point a hyperparameter search chose
+    eta: float | None = None  # the symmetric eta a hyperparameter search chose
 
     def fit_settings(self) -> dict:
         """``settings`` with the alpha the fit used and a search's chosen eta."""
-        eta = {} if self.search is None else {"eta": self.search.eta}
+        eta = {} if self.eta is None else {"eta": self.eta}
         return {**self.settings.to_json(), "alpha": self.model.config.alpha, **eta}
 
     @property
@@ -327,17 +323,14 @@ def _run(plan: ExperimentPlan, spec: RunSpec, working: Corpus, stats: CorpusStat
     config = ModelConfig(topics=settings.topics, alpha=settings.alpha,
                          iterations=settings.iterations, seed=spec.seed)
     if vspec.model == SEARCH:
-        grid = [(a, e) for a in plan.hyper_alphas for e in plan.hyper_etas]
-        result = hyperparameter_search(working, grid, config)
-        model, search = result.model, result.chosen
+        model, eta = hyperparameter_search(working, plan.hyper_alphas, plan.hyper_etas, config)
     else:
         model = fit(working, vspec.prior(settings, stats, resources.whitelist or ()), config)
-        search = None
+        eta = None
     rep = report(model, stats, resources.stoplist, resources.whitelist or (),
                  metric_config)
     return RunRecord(variant=spec.variant, settings=settings, seed=spec.seed,
-                     model=model, report=rep, duration=time.perf_counter() - t0,
-                     search=search)
+                     model=model, report=rep, duration=time.perf_counter() - t0, eta=eta)
 
 
 @dataclass(eq=False)
@@ -352,7 +345,8 @@ def run_grid(plan: ExperimentPlan, jobs: int = 1,
     """Run every spec the plan enumerates, in plan order, on ``resources`` (None
     loads the plan's). ``jobs`` > 1 forks ``min(jobs, runs) - 1`` children;
     they and the caller each draw the next spec when free. Failures are
-    recorded; a dead child raises BrokenProcessPool."""
+    recorded, not logged: the caller reports them. A dead child raises
+    BrokenProcessPool."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     resources = resources or load_resources(plan)
@@ -401,11 +395,8 @@ def run_grid(plan: ExperimentPlan, jobs: int = 1,
             child.terminate()  # a no-op once joined
             child.join()
     outcomes = [outcome for _, outcome in sorted(done, key=lambda pair: pair[0])]
-    records = [o for o in outcomes if isinstance(o, RunRecord)]
-    failures = [o for o in outcomes if isinstance(o, FailedRun)]
-    for failure in failures:
-        log.warning("run failed: %s", failure)
-    return GridResult(records=records, failures=failures)
+    return GridResult(records=[o for o in outcomes if isinstance(o, RunRecord)],
+                      failures=[o for o in outcomes if isinstance(o, FailedRun)])
 
 
 def _drain(take: Callable[[], int], grid: tuple) -> list[tuple[int, RunRecord | FailedRun]]:
@@ -432,7 +423,7 @@ def _drain(take: Callable[[], int], grid: tuple) -> list[tuple[int, RunRecord | 
 
 _SETTING_COLUMNS = ("topics", "iterations", "alpha", "c1", "c2", "keyword_boost",
                     "stopword_topics", "tfidf_topics", "keyword_topics")
-_DOMAIN_COLUMNS = ("stopword_rate", "expert_rate", "codoc")
+_PROXY_AXES = ("stopword_rate", "expert_rate", "codoc")  # the list-based metrics
 
 
 def comparison_table(records: list[RunRecord]) -> list[dict]:
@@ -449,7 +440,7 @@ def comparison_table(records: list[RunRecord]) -> list[dict]:
         has_stopword_topics = (rec.report.domain_means is not None
                                and any(s.kind is TopicKind.STOPWORD
                                        for s in rec.report.per_topic))
-        for name in _DOMAIN_COLUMNS:
+        for name in _PROXY_AXES:
             row[f"domain_{name}"] = rec.report.domain_means[name] if has_stopword_topics else None
         row["vocabulary_altered"] = rec.vocabulary_altered
         rows.append(row)
@@ -467,7 +458,7 @@ def _csv_cell(value) -> str:
 
 
 COMPARISON_COLUMNS = ("variant", "seed", *_SETTING_COLUMNS, *METRIC_COLUMNS,
-                      *(f"domain_{c}" for c in _DOMAIN_COLUMNS), "vocabulary_altered")
+                      *(f"domain_{c}" for c in _PROXY_AXES), "vocabulary_altered")
 
 
 def table_csv(rows: list[dict], header: Sequence[str] = COMPARISON_COLUMNS) -> str:
@@ -481,7 +472,6 @@ def comparison_csv(records: list[RunRecord]) -> str:
 # --- scatter + correlations -------------------------------------------------
 
 _SCATTER_METRICS = ("coherence_10", "coherence_30", "pmi", "log_lift")
-_PROXY_AXES = ("stopword_rate", "expert_rate", "codoc")
 
 
 @dataclass(eq=False)
@@ -530,9 +520,7 @@ def correlation_data(records: list[RunRecord]) -> CorrelationData:
                 "seed": rec.seed,
                 "metric": metric,
                 "metric_value": means[metric],
-                "stopword_rate": means["stopword_rate"],
-                "expert_rate": means["expert_rate"],
-                "codoc": means["codoc"],
+                **{axis: means[axis] for axis in _PROXY_AXES},
                 "_forced_zero": rec.forced_zero_stopword_rate(),
             })
     correlations = []

@@ -1,8 +1,8 @@
 """Topic quality scores: co-document coherence, PMI, log lift, and list rates.
 
-Coherence and PMI are computed from in-corpus document co-occurrence counts.
-Both are known to reward topics full of words that appear in every document,
-which is exactly what the lift score is here to counterbalance.
+Coherence and PMI are computed from add-one smoothed in-corpus document
+co-occurrence counts. Both are known to reward topics full of words that
+appear in every document, which the lift score is here to counterbalance.
 
 The counts come from one kernel call (``corpus.co_doc_counts``), which
 ``report`` makes once over every topic's top words; it passes each topic's
@@ -43,11 +43,10 @@ class MetricConfig:
     and 30-word columns), m_large for PMI, log lift and the rate metrics.
     ``report`` cuts them all from one head of max(m_small, m_large) words per
     topic and looks the heads' union up once; lift reads ``beta_hat`` at model
-    ids, ``word_freq`` at statistics ids. Joint counts are add-one smoothed by default."""
+    ids, ``word_freq`` at statistics ids."""
 
     m_small: int = 10
     m_large: int = 30
-    pmi_smoothing: bool = True
 
     def __post_init__(self):
         if self.m_small < 2 or self.m_large < 2:
@@ -98,15 +97,13 @@ def coherence(top: Sequence[str], stats: CorpusStats, *,
     return _kernels.log_sum((joint + 1) / stats.doc_freq[ids][rows])
 
 
-def pmi_score(top: Sequence[str], stats: CorpusStats,
-              config: MetricConfig = MetricConfig(), *,
+def pmi_score(top: Sequence[str], stats: CorpusStats, *,
               counts: np.ndarray | None = None) -> float:
     """Median over word pairs of ln(p(x,y) / (p(x) p(y))).
 
-    Probabilities are document-level: p(x) = D(x)/n_docs. With smoothing on,
-    the joint gets an add-one count; with smoothing off, never-co-occurring
-    pairs are dropped from the median, and the result is NaN when no pair
-    remains. Even pair counts use the lower median. ``counts`` is as for
+    Probabilities are document-level: p(x) = D(x)/n_docs, and the joint gets
+    an add-one count, so a never-co-occurring pair still has a finite score.
+    Even pair counts use the lower median. ``counts`` is as for
     ``coherence``. The one log taken is of the lower-median argument: the log
     is monotone, so that is the lower median of the pairs' logs, bit for bit.
     """
@@ -114,16 +111,11 @@ def pmi_score(top: Sequence[str], stats: CorpusStats,
     if len(ids) < 2:
         raise ValueError("pmi needs at least 2 words")
     joint, rows, cols = _pair_counts(ids, stats, counts)
-    if config.pmi_smoothing:
-        joint = joint + 1
-    else:
-        kept = joint != 0
-        joint, rows, cols = joint[kept], rows[kept], cols[kept]
     n = stats.n_docs
     p = stats.doc_freq[ids] / n
-    args = (joint / n) / (p[rows] * p[cols])
+    args = ((joint + 1) / n) / (p[rows] * p[cols])
     k = (args.size - 1) // 2
-    return math.log(np.partition(args, k)[k]) if args.size else float("nan")
+    return math.log(np.partition(args, k)[k])
 
 
 def log_lift(model: FittedModel, topic: int, stats: CorpusStats,
@@ -243,7 +235,7 @@ def report(model: FittedModel, stats: CorpusStats, stoplist: Iterable[str],
         scores.append(TopicScore(
             coherence_10=coherence(top[small], stats, counts=block[small, small]),
             coherence_30=coherence(top[large], stats, counts=block[large, large]),
-            pmi=pmi_score(top[large], stats, config, counts=block[large, large]),
+            pmi=pmi_score(top[large], stats, counts=block[large, large]),
             log_lift=lift[t], stopword_rate=stop_rate[t], expert_rate=expert_rate[t],
             codoc=codoc[t], kind=model.kinds[t],
         ))

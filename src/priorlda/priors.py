@@ -76,11 +76,12 @@ def wordfreq_prior(stats: CorpusStats) -> np.ndarray:
     return 1.0 / stats.word_freq
 
 
-def tfidf_prior(stats: CorpusStats, c1: float = 1.0, floor: float = DEFAULT_FLOOR) -> np.ndarray:
-    """Average TF-IDF scaled by c1, clamped at ``floor`` to stay positive."""
-    if c1 <= 0 or floor <= 0:
-        raise ValueError("c1 and floor must be positive")
-    return np.maximum(c1 * stats.avg_tfidf, floor)
+def tfidf_prior(stats: CorpusStats, c1: float = 1.0) -> np.ndarray:
+    """Average TF-IDF scaled by c1. A word in every document gets exactly 0,
+    which is no Dirichlet weight: ``assemble`` clamps it to ``DEFAULT_FLOOR``."""
+    if c1 <= 0:
+        raise ValueError("c1 must be positive")
+    return c1 * stats.avg_tfidf
 
 
 def keyword_prior(vocab: Vocabulary, keywords: Iterable[str],

@@ -7,7 +7,8 @@ conditional p(z=k | rest), which is proportional to
 
 with all counts excluding the token being resampled. The per-topic eta rows
 come from a PriorMatrix, so heterogeneous priors drop in with no change to
-the inference.
+the inference. ``hyperparameter_search`` is the symmetric baseline: it fits
+an alpha x eta grid and keeps the most likely model and its eta.
 """
 
 from __future__ import annotations
@@ -24,11 +25,6 @@ from .corpus import Corpus, Vocabulary, check_version, write_json
 from .priors import PriorMatrix, TopicKind, symmetric_prior
 
 MODEL_FORMAT_VERSION = 1
-
-# Grid for the likelihood-maximizing baseline; symmetric alpha x eta.
-DEFAULT_HYPER_GRID = tuple((a, e)
-                           for a in (0.01, 0.1, 1.0, 10.0)
-                           for e in (0.01, 0.1, 1.0, 10.0))
 
 
 class DimensionMismatch(ValueError):
@@ -317,38 +313,21 @@ def top_words(model: FittedModel, topic: int, n: int = 30) -> list[str]:
     return [model.vocabulary.id_to_word[i] for i in order]
 
 
-@dataclass(frozen=True)
-class SearchPoint:
-    alpha: float
-    eta: float
-    log_likelihood: float
-
-
-@dataclass(eq=False)
-class SearchResult:
-    model: FittedModel
-    table: list[SearchPoint]
-    chosen: SearchPoint  # the grid point ``model`` was fitted at
-
-
-def hyperparameter_search(corpus: Corpus, grid, config: ModelConfig) -> SearchResult:
-    """Fit one symmetric-prior model per (alpha, eta) grid point and keep the
-    one with the highest final joint log-likelihood. Ties go to the earlier
-    grid point, so the search is deterministic."""
-    points = list(grid)
-    if not points:
+def hyperparameter_search(corpus: Corpus, alphas: list[float], etas: list[float],
+                          config: ModelConfig) -> tuple[FittedModel, float]:
+    """Fit one symmetric-prior model per (alpha, eta) point, alpha-major, and
+    return the one with the highest final joint log-likelihood and its eta.
+    Ties go to the earlier point, so the search is deterministic."""
+    if not (alphas and etas):
         raise ValueError("hyperparameter grid is empty")
-    best_model = chosen = None
-    best_ll = -np.inf
-    table = []
-    for a, e in points:
-        prior = symmetric_prior(config.topics, corpus.vocabulary.size, e)
-        model = fit(corpus, prior, replace(config, alpha=a))
-        ll = float(model.loglik_trace[-1])
-        table.append(SearchPoint(alpha=a, eta=e, log_likelihood=ll))
-        if ll > best_ll:
-            best_model, best_ll, chosen = model, ll, table[-1]
-    return SearchResult(model=best_model, table=table, chosen=chosen)
+    best, best_ll = None, -np.inf
+    for a in alphas:
+        for e in etas:
+            prior = symmetric_prior(config.topics, corpus.vocabulary.size, e)
+            model = fit(corpus, prior, replace(config, alpha=a))
+            if model.loglik_trace[-1] > best_ll:
+                best, best_ll = (model, e), model.loglik_trace[-1]
+    return best
 
 
 def heldout_perplexity(model: FittedModel, corpus: Corpus,

@@ -105,21 +105,15 @@ def naive_coherence(top, token_docs):
     return total
 
 
-def naive_pmi(top, token_docs, smoothing=True):
+def naive_pmi(top, token_docs):
     sets = doc_sets(token_docs)
     n = len(token_docs)
     values = []
     for i in range(len(top) - 1):
         for j in range(i + 1, len(top)):
-            joint = len(sets[top[i]] & sets[top[j]])
-            if smoothing:
-                joint += 1
-            elif joint == 0:
-                continue
+            joint = len(sets[top[i]] & sets[top[j]]) + 1
             values.append(math.log((joint / n)
                                    / ((len(sets[top[i]]) / n) * (len(sets[top[j]]) / n))))
-    if not values:
-        return float("nan")
     values.sort()
     return values[(len(values) - 1) // 2]
 
@@ -256,12 +250,12 @@ def greedy_align_cosine(beta, planted):
 # --- corpus pipeline reference: every document tokenized before any is
 # --- indexed, and deletion by mapping each kept token back to its word ------
 
-def reference_build_corpus(raw_docs, lowercase=True, doc_ids=None):
+def reference_build_corpus(raw_docs, doc_ids=None):
     """``build_corpus`` as it was: all documents tokenized into lists of
     strings first, then indexed by first occurrence."""
     from priorlda.corpus import tokenize
 
-    return _reference_index_token_docs([tokenize(doc, lowercase) for doc in raw_docs], doc_ids)
+    return _reference_index_token_docs([tokenize(doc) for doc in raw_docs], doc_ids)
 
 
 def _reference_index_token_docs(token_docs, doc_ids):

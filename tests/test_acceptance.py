@@ -129,14 +129,14 @@ def test_criterion_4_metric_pathology():
 
     stop_words = planted.stopwords[:10]
     stop_coherence = coherence(stop_words, stats)
-    stop_pmi = pmi_score(stop_words, stats, MetricConfig(pmi_smoothing=True))
+    stop_pmi = pmi_score(stop_words, stats)
     stop_lift = log_lift(model, 0, stats, n_lift=len(stop_words))
     passed = True
     details = [f"stop: coh={stop_coherence:.3f} pmi={stop_pmi:.3f} lift={stop_lift:.3f}"]
     for j, cluster in enumerate(planted.clusters, start=1):
         cluster_words = cluster[:10]
         c_coherence = coherence(cluster_words, stats)
-        c_pmi = pmi_score(cluster_words, stats, MetricConfig(pmi_smoothing=True))
+        c_pmi = pmi_score(cluster_words, stats)
         c_lift = log_lift(model, j, stats, n_lift=len(cluster_words))
         passed &= stop_coherence > c_coherence
         passed &= stop_pmi > c_pmi
@@ -297,7 +297,7 @@ def test_criterion_8_reference_code_conformance():
 
     stop_row = stopword_prior(corpus.vocabulary.size)
     wf_row = wordfreq_prior(stats)
-    ti_row = tfidf_prior(stats, c1=1.0, floor=1e-12)
+    ti_row = tfidf_prior(stats, c1=1.0)
     kw_row = keyword_prior(corpus.vocabulary, ALICE_KEYWORDS, c2=1.0, boost=100.0)
     ok &= np.allclose(stop_row, ref_rows["stopword"], atol=1e-9)
     ok &= np.allclose(wf_row, ref_rows["wordfreq"], atol=1e-9)

@@ -386,7 +386,7 @@ class TestExperimentAndReport:
         assert len(manifest["durations"]) == manifest["n_records"] == 4
         assert sorted(manifest["durations"]) == stems
 
-    def test_failed_run_names_its_settings(self, tmp_path, plan_path, capsys, caplog):
+    def test_failed_run_names_its_settings(self, tmp_path, plan_path, capsys):
         # K=6 hosts 1 stopword + 2 TF-IDF + 3 keyword rows, but not 9 keyword rows
         plan = {**json.loads(plan_path.read_text()), "variants": ["keyword_seeding_prior"],
                 "topics": [6], "tfidf_topics": [2], "keyword_topics": [3, 9],
@@ -403,8 +403,22 @@ class TestExperimentAndReport:
                    if ln.startswith("run failed:")]
         assert line.startswith("run failed: keyword_seeding_prior seed=1 topics=6 ")
         assert " keyword_topics=9 " in line
-        assert [r.getMessage() for r in caplog.records
-                if r.getMessage().startswith("run failed:")] == [line]
+
+    def test_each_failure_is_reported_once_in_a_fresh_process(self, tmp_path, plan_path):
+        # in a process that sets up no logging, a logged failure would print
+        # through logging.lastResort beside the CLI's own line; in-process,
+        # pytest's log capture would swallow it
+        plan = {**json.loads(plan_path.read_text()), "topics": [6], "iterations": [4],
+                "variants": ["no_deletion", "tfidf_prior", "tfidf_deletion",
+                             "keyword_seeding_prior"]}
+        plan_path.write_text(json.dumps(plan))
+        done = subprocess.run(
+            [sys.executable, "-m", "priorlda.cli", "experiment", "--plan", str(plan_path),
+             "--out-dir", str(tmp_path / "out"), "--c1", "-1"],
+            capture_output=True, text=True, env=_checkout_env())
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("ran 2 runs (2 failures) -> ")
+        assert [ln.split(":")[0] for ln in done.stderr.splitlines()] == ["run failed"] * 2
 
     def test_no_run_succeeded_exits_one_after_writing(self, tmp_path, plan_path, capsys):
         # a TF-IDF cut of 2.0 fails each run's preprocessing on its own
@@ -695,15 +709,20 @@ class TestByteContract:
                 assert out.read_bytes() == want.encode()
 
 
+def _checkout_env() -> dict:
+    """The environment of a fresh interpreter that imports priorlda from this checkout."""
+    path = [str(Path(priorlda.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+
+
 def _fresh_modules(code: str) -> str:
     """Run ``code`` in a fresh interpreter that imports priorlda from this
     checkout; the sorted list of scipy and multiprocessing modules it then
     holds, as printed."""
     code += ("\nimport sys\nprint(sorted(m for m in sys.modules "
              "if m.split('.')[0] in ('scipy', 'multiprocessing')))")
-    path = [str(Path(priorlda.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": os.pathsep.join(path)}, check=True)
+                          env=_checkout_env(), check=True)
     return done.stdout.strip().splitlines()[-1]
 
 

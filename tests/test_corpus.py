@@ -33,9 +33,6 @@ class TestTokenize:
         # produce no empty tokens
         assert tokenize("a  b\nc") == ["a", "b", "c"]
 
-    def test_lowercase_off(self):
-        assert tokenize("Alice was", lowercase=False) == ["Alice", "was"]
-
 
 class TestBuildCorpus:
     def test_two_docs(self):
@@ -382,15 +379,15 @@ class TestStreamedPipeline:
     exactly where they raise it."""
 
     @settings(max_examples=300, deadline=None)
-    @given(word_documents(), st.booleans())
-    @example(case=([], None, [], 0.5, 0), lowercase=True)
-    @example(case=(["", " ", ""], ["x", "y", "z"], [], 0.5, 0), lowercase=True)
-    @example(case=(["a a", "", "a"], None, [], 0.5, 0), lowercase=False)
-    def test_build_corpus(self, case, lowercase):
+    @given(word_documents())
+    @example(case=([], None, [], 0.5, 0))
+    @example(case=(["", " ", ""], ["x", "y", "z"], [], 0.5, 0))
+    @example(case=(["a a", "", "a"], None, [], 0.5, 0))
+    def test_build_corpus(self, case):
         texts, ids = case[:2]
-        want = _outcome(lambda: oracles.reference_build_corpus(texts, lowercase, ids))
-        assert _outcome(lambda: build_corpus(texts, lowercase, ids)) == want
-        assert _outcome(lambda: build_corpus((t for t in texts), lowercase, ids)) == want
+        want = _outcome(lambda: oracles.reference_build_corpus(texts, ids))
+        assert _outcome(lambda: build_corpus(texts, ids)) == want
+        assert _outcome(lambda: build_corpus((t for t in texts), ids)) == want
 
     @settings(max_examples=300, deadline=None)
     @given(word_documents())

@@ -370,16 +370,16 @@ class TestComparisonTable:
         resources = load_resources(plan)
         settings = RunSettings(topics=4, iterations=20, alpha=0.2)
         rec = run_one(plan, Variant.HYPERPARAM_OPT, settings, seed=1, resources=resources)
-        chosen = rec.search
-        assert rec.fit_settings() == {**settings.to_json(), "alpha": chosen.alpha,
-                                      "eta": chosen.eta}
+        alpha = rec.model.config.alpha
+        assert alpha in plan.hyper_alphas and rec.eta in plan.hyper_etas
+        assert rec.fit_settings() == {**settings.to_json(), "alpha": alpha, "eta": rec.eta}
         # the chosen pair refits to the very model the search kept
         refit = fit(resources.corpus,
-                    symmetric_prior(4, resources.corpus.vocabulary.size, chosen.eta),
-                    ModelConfig(topics=4, alpha=chosen.alpha, iterations=20, seed=1))
+                    symmetric_prior(4, resources.corpus.vocabulary.size, rec.eta),
+                    ModelConfig(topics=4, alpha=alpha, iterations=20, seed=1))
         assert np.array_equal(refit.beta_hat, rec.model.beta_hat)
         fixed = run_one(plan, Variant.NO_DELETION, settings, seed=1, resources=resources)
-        assert fixed.search is None
+        assert fixed.eta is None
         assert fixed.fit_settings() == settings.to_json()
 
     def test_deletion_rows_flagged_non_comparable(self, planted_on_disk):

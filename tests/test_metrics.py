@@ -76,35 +76,21 @@ class TestCoherence:
 
 
 class TestPmiScore:
-    def test_words_in_every_document_zero_unsmoothed(self):
+    def test_words_in_every_document_smoothed(self):
+        # p(v) = p(w) = 1 and 5 + 1 joint documents of 5: ln(6/5), not 0
         stats = compute_stats(build_corpus(["v w"] * 5))
-        cfg = MetricConfig(pmi_smoothing=False)
-        assert pmi_score(["v", "w"], stats, cfg) == pytest.approx(0.0)
+        assert pmi_score(["v", "w"], stats) == pytest.approx(math.log(6 / 5))
 
     def test_perfect_association(self):
+        # p(v) = p(w) = 1/2 and 2 + 1 joint documents of 4: ln(3/4 / 1/4)
         stats = compute_stats(build_corpus(["v w", "v w", "x y", "x y"]))
-        cfg = MetricConfig(pmi_smoothing=False)
-        assert pmi_score(["v", "w"], stats, cfg) == pytest.approx(math.log(2))
+        assert pmi_score(["v", "w"], stats) == pytest.approx(math.log(3))
 
     def test_three_doc_median_smoothed(self):
         docs = ["a b", "a c", "b c"]
         stats = compute_stats(build_corpus(docs))
-        want = naive_pmi(["a", "b", "c"], [d.split() for d in docs], smoothing=True)
+        want = naive_pmi(["a", "b", "c"], [d.split() for d in docs])
         assert pmi_score(["a", "b", "c"], stats) == pytest.approx(want, abs=1e-12)
-
-    def test_unsmoothed_drops_empty_joints(self):
-        docs = ["v w", "v w", "x q", "y q"]
-        stats = compute_stats(build_corpus(docs))
-        cfg = MetricConfig(pmi_smoothing=False)
-        # (v,w) co-occur, (v,x)/(w,x) never do and drop out of the median
-        got = pmi_score(["v", "w", "x"], stats, cfg)
-        assert got == pytest.approx(naive_pmi(["v", "w", "x"],
-                                              [d.split() for d in docs], smoothing=False))
-
-    def test_unsmoothed_all_dropped_is_nan(self):
-        stats = compute_stats(build_corpus(["v a", "w b"]))
-        cfg = MetricConfig(pmi_smoothing=False)
-        assert math.isnan(pmi_score(["v", "w"], stats, cfg))
 
     def test_lower_median_for_even_counts(self):
         # four words, six pairs; engineered so pair values are distinct
@@ -361,10 +347,6 @@ class TestBatchedCounts:
             pmi_score(["a", "b"], stats, counts=np.zeros((3, 3), dtype=np.int64))
 
 
-def _same(a, b):
-    return a == b or (math.isnan(a) and math.isnan(b))
-
-
 def zipf_corpus(seed, n_docs=300, doc_len=60, max_rank=2000):
     """Documents of words drawn by a Zipf law with exponent 1 over ranks
     1..max_rank, word ``w<rank>``."""
@@ -389,7 +371,7 @@ class TestBatchedReport:
             large = top_words(model, t, cfg.m_large)
             assert score.coherence_10 == coherence(small, stats)
             assert score.coherence_30 == coherence(large, stats)
-            assert _same(score.pmi, pmi_score(large, stats, cfg))
+            assert score.pmi == pmi_score(large, stats)
             assert score.log_lift == log_lift(model, t, stats, cfg.m_large)
             assert score.stopword_rate == naive_rate(large, stoplist)
             assert score.expert_rate == naive_rate(large, whitelist)
@@ -398,7 +380,7 @@ class TestBatchedReport:
 
     @pytest.mark.parametrize("cfg", [
         MetricConfig(m_small=5, m_large=10),
-        MetricConfig(m_small=12, m_large=6, pmi_smoothing=False),
+        MetricConfig(m_small=12, m_large=6),
         MetricConfig(m_small=10, m_large=80),
     ], ids=["default-order", "small-window-larger", "window-beyond-vocabulary"])
     @pytest.mark.parametrize("delete", [False, True], ids=["full", "stopwords-deleted"])
@@ -466,11 +448,9 @@ class TestExactScores:
             with twins():
                 assert coherence(window, stats) == want
                 assert coherence(window, stats, counts=block) == want
-        for smoothing in (True, False):
-            cfg = MetricConfig(pmi_smoothing=smoothing)
-            want = naive_pmi(window, token_docs, smoothing=smoothing)
-            assert _same(pmi_score(window, stats, cfg), want)
-            assert _same(pmi_score(window, stats, cfg, counts=block), want)
+        want = naive_pmi(window, token_docs)
+        assert pmi_score(window, stats) == want
+        assert pmi_score(window, stats, counts=block) == want
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.one_of(st.integers(-8, 8).map(lambda j: 1.0 + j * 2.0 ** -53),

@@ -59,28 +59,28 @@ class TestWordfreqPrior:
 
 class TestTfidfPrior:
     def test_universal_word_clamped_to_floor(self):
+        # a word in every document has TF-IDF 0; assemble clamps it, once
         stats = compute_stats(build_corpus(["x a", "x b"]))
-        row = tfidf_prior(stats, c1=1.0, floor=1e-6)
-        assert row[stats.vocabulary.word_to_id["x"]] == 1e-6
+        x = stats.vocabulary.word_to_id["x"]
+        assert tfidf_prior(stats, c1=1.0)[x] == 0.0
+        prior = assemble(PriorConfig(topics=1, stopword_topics=0, tfidf_topics=1), stats)
+        assert prior.weights[0, x] == DEFAULT_FLOOR
 
     def test_alice_book_value(self, alice_stats):
         # frozen from the reference statistics: TI("book") with c1=1
-        row = tfidf_prior(alice_stats, c1=1.0, floor=1e-6)
+        row = tfidf_prior(alice_stats, c1=1.0)
         book = alice_stats.vocabulary.word_to_id["book"]
         assert row[book] == pytest.approx(0.11633239394013069, abs=1e-12)
 
     def test_alice_matches_reference(self, alice_stats, alice_reference):
         ref = reference_prior_rows(alice_reference, alice_stats.vocabulary.id_to_word, c1=2.5)
-        row = tfidf_prior(alice_stats, c1=2.5, floor=1e-12)
-        # every Alice word has positive TF-IDF (no word is in all 8 docs), so
-        # the floor never engages here
+        row = tfidf_prior(alice_stats, c1=2.5)
         np.testing.assert_allclose(row, ref["tfidf"], atol=1e-9)
 
     def test_c1_scales_unclamped_entries(self, alice_stats):
-        base = tfidf_prior(alice_stats, c1=1.0, floor=1e-9)
-        scaled = tfidf_prior(alice_stats, c1=3.0, floor=1e-9)
-        mask = base > 1e-9
-        np.testing.assert_allclose(scaled[mask], 3.0 * base[mask], rtol=1e-12)
+        base = tfidf_prior(alice_stats, c1=1.0)
+        scaled = tfidf_prior(alice_stats, c1=3.0)
+        np.testing.assert_allclose(scaled, 3.0 * base, rtol=1e-12)
 
 
 class TestKeywordPrior:

@@ -849,34 +849,50 @@ class TestHyperparameterSearch:
     def test_singleton_grid_equals_fit(self):
         corpus = random_corpus(seed=10, n_docs=20)
         cfg = ModelConfig(topics=3, iterations=20, seed=6)
-        result = hyperparameter_search(corpus, [(0.5, 1.0)], cfg)
+        model, eta = hyperparameter_search(corpus, [0.5], [1.0], cfg)
         direct = fit(corpus, symmetric_prior(3, corpus.vocabulary.size, 1.0),
                      ModelConfig(topics=3, iterations=20, seed=6, alpha=0.5))
-        assert np.array_equal(result.model.beta_hat, direct.beta_hat)
-        assert len(result.table) == 1
+        assert np.array_equal(model.beta_hat, direct.beta_hat)
+        assert np.array_equal(model.loglik_trace, direct.loglik_trace)
+        assert eta == 1.0
 
     def test_pathological_alpha_loses(self):
         corpus, _ = two_topic_corpus(seed=2, docs_per_topic=20, doc_len=15)
         cfg = ModelConfig(topics=2, iterations=40, seed=1)
-        result = hyperparameter_search(corpus, [(1.0, 1.0), (1e9, 1.0)], cfg)
-        winner = max(result.table, key=lambda p: p.log_likelihood)
-        assert winner.alpha == 1.0
-        assert result.model.config.alpha == 1.0
-        assert result.chosen == winner
+        model, eta = hyperparameter_search(corpus, [1.0, 1e9], [1.0], cfg)
+        loser = fit(corpus, symmetric_prior(2, corpus.vocabulary.size, 1.0),
+                    ModelConfig(topics=2, iterations=40, seed=1, alpha=1e9))
+        assert loser.loglik_trace[-1] < model.loglik_trace[-1]
+        assert (model.config.alpha, eta) == (1.0, 1.0)
+
+    def test_alpha_major_and_first_best_kept(self):
+        corpus = random_corpus(seed=1, n_docs=5)
+        points, lls = [], {(0.1, 2.0): -1.0, (1.0, 0.5): -1.0}  # a tie for the best
+
+        def scored(corpus, prior, config):
+            points.append((config.alpha, float(prior.weights[0, 0])))
+            return mock.Mock(loglik_trace=np.array([lls.get(points[-1], -5.0)]),
+                             point=points[-1])
+        with mock.patch("priorlda.sampler.fit", side_effect=scored):
+            model, eta = hyperparameter_search(corpus, [0.1, 1.0], [0.5, 2.0],
+                                               ModelConfig(topics=2, iterations=10))
+        assert points == [(0.1, 0.5), (0.1, 2.0), (1.0, 0.5), (1.0, 2.0)]
+        assert (model.point, eta) == ((0.1, 2.0), 2.0)
 
     def test_deterministic(self):
         corpus = random_corpus(seed=12, n_docs=15)
         cfg = ModelConfig(topics=2, iterations=15, seed=8)
-        grid = [(0.1, 0.5), (1.0, 2.0)]
-        a = hyperparameter_search(corpus, grid, cfg)
-        b = hyperparameter_search(corpus, grid, cfg)
-        assert np.array_equal(a.model.beta_hat, b.model.beta_hat)
-        assert [p.log_likelihood for p in a.table] == [p.log_likelihood for p in b.table]
+        a_model, a_eta = hyperparameter_search(corpus, [0.1, 1.0], [0.5, 2.0], cfg)
+        b_model, b_eta = hyperparameter_search(corpus, [0.1, 1.0], [0.5, 2.0], cfg)
+        assert np.array_equal(a_model.beta_hat, b_model.beta_hat)
+        assert np.array_equal(a_model.loglik_trace, b_model.loglik_trace)
+        assert a_eta == b_eta
 
     def test_empty_grid_rejected(self):
         corpus = random_corpus(seed=1, n_docs=5)
-        with pytest.raises(ValueError):
-            hyperparameter_search(corpus, [], ModelConfig(topics=2, iterations=10))
+        for alphas, etas in (([], []), ([1.0], []), ([], [1.0])):
+            with pytest.raises(ValueError, match="hyperparameter grid is empty"):
+                hyperparameter_search(corpus, alphas, etas, ModelConfig(topics=2, iterations=10))
 
 
 @st.composite
@@ -901,7 +917,7 @@ class TestDocStreamSweeps:
         words = corpus.vocabulary.id_to_word
         texts = [" ".join(words[t] for t in doc) for doc in docs]
         ids = [corpus.doc_ids[i] for i in order]
-        return build_corpus(texts, doc_ids=ids, lowercase=False)
+        return build_corpus(texts, doc_ids=ids)
 
     def test_count_totals_invariant_under_permutation(self):
         corpus = random_corpus(seed=3, n_docs=12)
