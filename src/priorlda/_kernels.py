@@ -77,9 +77,10 @@ LGAM_MAX = 2.556348e305
 # most one trailing zero bit), and above it x has no more digits than its
 # bounds x +- ulp/2 and x - ulp/4 and is closer. The digits are then laid out
 # as repr lays them out, in at most 23 bytes ("-1.2345678901234567e-14").
-# gammaln and gammaln_cells (0.0 where the count is 0) return the index of
-# the first value, or occupied cell, where an argument of lgam is not > 0:
-# its shifting loops would never end on -inf or a huge negative x.
+# gammaln_cells writes cells lo..hi-1 of the word-major inputs' (K, V) grid, in
+# C order, 0.0 where the count is 0. It and gammaln return the index of the first
+# value, or occupied cell, where an argument of lgam is not > 0: its shifting
+# loops would never end on -inf or a huge negative x.
 # co_doc returns the index of the first entry of rows outside [0, D); then it
 # buckets the entries by document with a counting sort (ends[d] ends up where
 # document d's run of column numbers ends) and adds 1 to counts[cols[a]][cols[b]]
@@ -276,21 +277,22 @@ int64_t gammaln(const double *x, int64_t n, double *out)
     return -1;
 }
 
-int64_t gammaln_cells(const int32_t *n_wk, const double *eta, int64_t K, int64_t V,
-                      double *cells)
+int64_t gammaln_cells(const int32_t *n_wk, const double *eta_wk, int64_t K, int64_t V,
+                      double *cells, int64_t lo, int64_t hi)
 {
-    for (int64_t k = 0; k < K; k++)
-        for (int64_t v = 0; v < V; v++) {
-            int64_t at = k * V + v;
-            double c = n_wk[v * K + k], e = eta[at];
-            if (c == 0) {
-                cells[at] = 0.0;
-                continue;
-            }
-            if (!(e > 0 && c + e > 0))
-                return at;
-            cells[at] = lgam(c + e) - lgam(e);
-        }
+    if (lo >= hi)
+        return -1;
+    for (int64_t at = lo, k = lo / V, v = lo % V; at < hi; at++) {
+        double c = n_wk[v * K + k], e = eta_wk[v * K + k];
+        if (c == 0)
+            cells[at - lo] = 0.0;
+        else if (!(e > 0 && c + e > 0))
+            return at;
+        else
+            cells[at - lo] = lgam(c + e) - lgam(e);
+        if (++v == V)
+            v = 0, k++;
+    }
     return -1;
 }
 
@@ -364,7 +366,7 @@ _ENTRIES = {"sweep": [_ptr] * 3 + [_i64] + [_ptr] * 5 + [_f64, _ptr, _ptr, _i64,
             "log_sum": [_ptr, _i64, _ptr],
             "json_floats": [_ptr, _i64, _i64, _i64, _ptr, _i64, _ptr],
             "gammaln": [_ptr, _i64, _ptr],
-            "gammaln_cells": [_ptr, _ptr, _i64, _i64, _ptr],
+            "gammaln_cells": [_ptr, _ptr, _i64, _i64, _ptr, _i64, _i64],
             "co_doc": [_ptr, _ptr, _i64, _i64, _ptr, _ptr, _ptr]}
 _sweep_c, _log_sum_c, _json_floats_c, _gammaln_c, _gammaln_cells_c, _co_doc_c = _load()
 BACKEND = "numpy" if _sweep_c is None else "c"
@@ -425,36 +427,58 @@ def _gammaln_py(x, out):
     return -1
 
 
-def gammaln_cells(n_wk: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """The (K, V) array of ``gammaln(n_wk[v, k] + eta[k, v]) - gammaln(eta[k, v])``
-    where the word-major int32 count n_wk[v, k] is not 0, and 0.0 where it is;
-    the first occupied cell, in C order, with an argument not > 0 raises."""
+# the most word-topic cells gammaln_cell_sum writes at a time: 64 KB of float64
+CELL_LEAF = 8192
+
+
+def gammaln_cell_sum(n_wk: np.ndarray, eta_wk: np.ndarray) -> float:
+    """``np.add.reduce`` over the (K, V) grid, in C order, of ``gammaln(n_wk[v, k] +
+    eta_wk[v, k]) - gammaln(eta_wk[v, k])``, 0.0 where the count is 0, for word-major
+    int32 counts and float64 weights, bit for bit but with no K x V array. The
+    first occupied cell, in C order, with an argument not > 0 raises."""
     _check_array("n_wk", n_wk, np.int32, 2)
-    _check_array("eta", eta, np.float64, 2)
-    if n_wk.shape[::-1] != eta.shape:
-        raise ValueError(f"n_wk is {n_wk.shape}, eta is {eta.shape}")
-    cells = np.empty(eta.shape)
-    bad = (_gammaln_cells_py(n_wk, eta, cells) if _gammaln_cells_c is None
-           else _gammaln_cells_c(_address(n_wk), _address(eta), *eta.shape, _address(cells)))
-    if bad >= 0:
-        k, w = divmod(bad, eta.shape[1])
-        raise ValueError(f"cell ({k}, {w}): count {n_wk[w, k]} and weight {eta[k, w]!r} "
+    _check_array("eta_wk", eta_wk, np.float64, 2)
+    if n_wk.shape != eta_wk.shape:
+        raise ValueError(f"n_wk is {n_wk.shape}, eta_wk is {eta_wk.shape}")
+    if _gammaln_cells_c is None:
+        return _gammaln_cells_py(n_wk, eta_wk)
+    cells = np.empty(min(n_wk.size, CELL_LEAF))
+    fill = functools.partial(_gammaln_cells_c, _address(n_wk), _address(eta_wk),
+                             *n_wk.shape[::-1], _address(cells))
+    return float(_pairwise(n_wk, eta_wk, fill, cells, 0, n_wk.size))
+
+
+def _pairwise(n_wk, eta_wk, fill, cells, lo, hi):
+    """np.add.reduce of the cells lo..hi-1 that fill writes, if at most CELL_LEAF,
+    else the sum of the halves numpy's pairwise sum splits n > 128 values into:
+    the first n // 2 rounded down to a multiple of 8, and the rest. So the total
+    has np.add.reduce's bits over the whole grid."""
+    if hi - lo > CELL_LEAF:
+        mid = lo + (hi - lo) // 2 // 8 * 8
+        return (_pairwise(n_wk, eta_wk, fill, cells, lo, mid)
+                + _pairwise(n_wk, eta_wk, fill, cells, mid, hi))
+    _check_cell(n_wk, eta_wk, fill(lo, hi))
+    return np.add.reduce(cells[:hi - lo])
+
+
+def _check_cell(n_wk, eta_wk, at):
+    if at >= 0:
+        k, w = divmod(at, n_wk.shape[0])
+        raise ValueError(f"cell ({k}, {w}): count {n_wk[w, k]} and weight {eta_wk[w, k]!r} "
                          "are outside the domain of gammaln")
-    return cells
 
 
-def _gammaln_cells_py(n_wk, eta, cells):
+def _gammaln_cells_py(n_wk, eta_wk):
     from scipy.special import gammaln
-    counts = np.ravel(n_wk.T)
+    counts, eta = np.ravel(n_wk.T), np.ravel(eta_wk.T)  # the (K, V) grid in C order
     occupied = np.flatnonzero(counts != 0)  # faster on bools than on int32
-    e = eta.ravel()[occupied]
+    e = eta[occupied]
     args = counts[occupied] + e
     bad = np.flatnonzero(~((e > 0) & (args > 0)))
-    if bad.size:
-        return int(occupied[bad[0]])
-    cells.fill(0.0)
-    cells.ravel()[occupied] = gammaln(args) - gammaln(e)
-    return -1
+    _check_cell(n_wk, eta_wk, int(occupied[bad[0]]) if bad.size else -1)
+    cells = np.zeros(counts.size)
+    cells[occupied] = gammaln(args) - gammaln(e)
+    return float(cells.sum())
 
 
 def co_doc_counts(index, lengths, ids, n_docs: int) -> np.ndarray:

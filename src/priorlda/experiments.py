@@ -27,7 +27,7 @@ from .corpus import (Corpus, CorpusStats, build_corpus, compute_stats,
                      default_stoplist, delete_low_tfidf, delete_stopwords,
                      load_corpus, load_raw_documents, load_word_list)
 from .metrics import METRIC_COLUMNS, MetricConfig, ModelReport, _rows_csv, report
-from .priors import PriorConfig, PriorMatrix, TopicKind, assemble
+from .priors import PriorConfig, PriorMatrix, TopicKind, assemble, check_scale
 from .sampler import FittedModel, ModelConfig, fit, hyperparameter_search
 
 MANIFEST_FORMAT_VERSION = 1
@@ -183,6 +183,9 @@ class ExperimentPlan:
                                  f"got {getattr(self, name)!r}")
         if not 0 < self.alpha < math.inf:
             raise ValueError(f"plan field alpha must be positive and finite, got {self.alpha!r}")
+        for name in ("c1", "c2", "keyword_boost"):  # as PriorConfig checks them, before any run
+            for value in getattr(self, name):
+                check_scale(name, value)
         self.variants = [Variant(v) for v in self.variants]
 
     def to_json(self) -> dict:

@@ -5,9 +5,8 @@ from __future__ import annotations
 import logging
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -60,8 +59,15 @@ class PriorConfig:
             raise ConfigMismatch(
                 f"kind counts sum to {sum(counts)} but only {self.topics} topics requested")
         for name in ("c1", "c2", "keyword_boost"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ConfigMismatch(f"{name} must be positive and finite")
+            check_scale(name, getattr(self, name))
+
+
+def check_scale(name: str, value: float) -> None:
+    """Raise ConfigMismatch unless c1 or c2 is in (0, inf), or keyword_boost in [1, inf)."""
+    boost = name == "keyword_boost"
+    if not (1 <= value if boost else 0 < value) or not value < math.inf:
+        raise ConfigMismatch(f"{name} must be positive and finite"
+                             f"{', and at least 1' if boost else ''}, got {value!r}")
 
 
 def stopword_prior(vocab_size: int) -> np.ndarray:
@@ -79,8 +85,7 @@ def wordfreq_prior(stats: CorpusStats) -> np.ndarray:
 def tfidf_prior(stats: CorpusStats, c1: float = 1.0) -> np.ndarray:
     """Average TF-IDF scaled by c1. A word in every document gets exactly 0,
     which is no Dirichlet weight: ``assemble`` clamps it to ``DEFAULT_FLOOR``."""
-    if c1 <= 0:
-        raise ValueError("c1 must be positive")
+    check_scale("c1", c1)
     return c1 * stats.avg_tfidf
 
 
@@ -91,10 +96,8 @@ def keyword_prior(vocab: Vocabulary, keywords: Iterable[str],
     Keywords absent from the vocabulary are dropped; generic downloaded lists
     routinely contain such words, so this logs rather than fails.
     """
-    if c2 <= 0:
-        raise ValueError("c2 must be positive")
-    if boost < 1:
-        raise ValueError("keyword boost must be >= 1")
+    check_scale("c2", c2)
+    check_scale("keyword_boost", boost)
     keywords = set(keywords)
     present = [w for w in keywords if w in vocab]
     if keywords and not present:
@@ -109,24 +112,32 @@ def keyword_prior(vocab: Vocabulary, keywords: Iterable[str],
 
 @dataclass(frozen=True, eq=False)
 class PriorMatrix:
-    """K strictly positive Dirichlet weight rows with topic-kind labels."""
+    """K strictly positive Dirichlet weight rows with topic-kind labels, held
+    once: ``weights_by_word`` is a read-only C-contiguous word-major (V, K)
+    copy, as the sweep reads it, and ``weights`` its (K, V) view. That view is
+    F-ordered: ``row_sums`` are taken from the weights as given, in C order."""
 
     weights: np.ndarray
     kinds: tuple[TopicKind, ...]
+    weights_by_word: np.ndarray = field(init=False, repr=False)
+    row_sums: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.weights.ndim != 2:
+        weights = self.weights
+        if weights.ndim != 2:
             raise ValueError("weights must be a K x V matrix")
-        # a read-only copy, so the cached row sums cannot go stale; C-ordered,
-        # since row_sums, and so the chain, depend on the layout in the last bit
-        object.__setattr__(self, "weights", _frozen(np.array(self.weights, order="C")))
-        if len(self.kinds) != self.weights.shape[0]:
+        by_word = _frozen(np.array(weights.T, order="C"))
+        object.__setattr__(self, "weights_by_word", by_word)
+        object.__setattr__(self, "weights", by_word.T)
+        if len(self.kinds) != weights.shape[0]:
             raise ValueError("one kind label required per topic row")
-        if not ((self.weights > 0) & (self.weights < np.inf)).all():
+        if not ((by_word > 0) & (by_word < np.inf)).all():
             raise ValueError("Dirichlet weights must be strictly positive and finite")
+        # summed in the input itself when it is C-contiguous, else in one transient C copy
+        object.__setattr__(self, "row_sums", _frozen(np.ascontiguousarray(weights).sum(axis=1)))
         # every weight is at most its row sum, so this keeps gammaln finite on
         # every weight too, and the log-likelihood free of inf - inf
-        if self.weights.size and self.row_sums.max() > LGAM_MAX:
+        if weights.size and self.row_sums.max() > LGAM_MAX:
             raise ValueError(f"a prior row sums to {self.row_sums.max():.6g}, "
                              "too large for a finite log-gamma")
 
@@ -137,15 +148,6 @@ class PriorMatrix:
     @property
     def vocab_size(self) -> int:
         return self.weights.shape[1]
-
-    @cached_property
-    def row_sums(self) -> np.ndarray:
-        return _frozen(self.weights.sum(axis=1))
-
-    # the weights word-major (V x K), as the sweep kernel reads them
-    @cached_property
-    def weights_by_word(self) -> np.ndarray:
-        return _frozen(np.ascontiguousarray(self.weights.T))
 
 
 def symmetric_prior(topics: int, vocab_size: int, weight: float = 1.0) -> PriorMatrix:
@@ -174,9 +176,10 @@ def assemble(config: PriorConfig, stats: CorpusStats,
          lambda: keyword_prior(stats.vocabulary, keywords, config.c2, config.keyword_boost))]
     layout.append((config.topics - sum(n for n, _, _ in layout), TopicKind.SYMMETRIC,
                    lambda: np.ones(v)))
-    blocks = [np.tile(row(), (n, 1)) for n, _, row in layout if n]
+    counts, rows = zip(*[(n, row()) for n, _, row in layout if n])
+    weights = np.repeat(rows, counts, axis=0)  # one (K, V) buffer, clamped in place
     kinds = tuple(kind for n, kind, _ in layout for _ in range(n))
-    return PriorMatrix(np.maximum(np.concatenate(blocks), DEFAULT_FLOOR), kinds)
+    return PriorMatrix(np.maximum(weights, DEFAULT_FLOOR, out=weights), kinds)
 
 
 def validate(prior: PriorMatrix) -> list[str]:

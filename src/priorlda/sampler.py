@@ -193,13 +193,13 @@ def log_likelihood(state: ModelState, prior: PriorMatrix, alpha: float) -> float
     """Collapsed joint log p(w, z | alpha, eta): a product of
     Dirichlet-multinomial normalizers over documents and topics.
 
-    Two kernel calls compute every gammaln term. One takes the short
+    Two kernels compute every gammaln term. One takes the short
     arguments in one array: K alpha, alpha, the row sums, n_k plus the row
     sums, the document lengths plus K alpha, and alpha plus each count
-    0..max n_dk, so the document cells read a table by count. The other
-    writes the (K, V) word-topic cells, where an empty cell is exactly 0.0,
-    gammaln(0 + eta) - gammaln(eta), since PriorMatrix keeps gammaln(eta)
-    finite. Both are summed as full C-order arrays: the dense formula's bits.
+    0..max n_dk, so the document cells read a table by count. The other sums
+    the (K, V) word-topic cells a range at a time, with no K x V array; an
+    empty cell is exactly 0.0, gammaln(0 + eta) - gammaln(eta), since
+    PriorMatrix keeps gammaln(eta) finite. Both have the dense formula's bits.
     """
     k_total, n_docs = state.n_topics, len(state.doc_lengths)
     g = _kernels.gammaln(np.concatenate((
@@ -210,7 +210,7 @@ def log_likelihood(state: ModelState, prior: PriorMatrix, alpha: float) -> float
     by_count = g[docs_at + n_docs:] - g[1]
     doc_part += float(by_count.take(state.n_dk).sum())
     topic_part = float((g[2:2 + k_total] - g[2 + k_total:docs_at]).sum())
-    topic_part += float(_kernels.gammaln_cells(state.n_wk, prior.weights).sum())
+    topic_part += _kernels.gammaln_cell_sum(state.n_wk, prior.weights_by_word)
     return doc_part + topic_part
 
 
@@ -218,9 +218,10 @@ def _point_estimates(state: ModelState, prior: PriorMatrix, alpha: float):
     """beta_hat[k,w] = (n_kw + eta_kw) / (n_k + sum_v eta_kv) and theta_hat[d,k] =
     (n_dk + alpha) / (len_d + K alpha) of the current sample. A topic with no
     counts comes out as exactly its normalized prior row."""
-    beta = (state.n_kw + prior.weights) / (state.n_k + prior.row_sums)[:, None]
-    k_total = state.n_topics
-    theta = (state.n_dk + alpha) / (state.doc_lengths + k_total * alpha)[:, None]
+    beta = np.add(state.n_kw, prior.weights, order="C")  # divided in place, as is theta
+    beta /= (state.n_k + prior.row_sums)[:, None]
+    theta = np.add(state.n_dk, alpha)
+    theta /= (state.doc_lengths + state.n_topics * alpha)[:, None]
     return beta, theta
 
 
@@ -286,17 +287,19 @@ def fit(corpus: Corpus, prior: PriorMatrix, config: ModelConfig) -> FittedModel:
     state = init(corpus, prior, config)
     sweep_fn = sweep_snapshot if config.doc_streams else sweep
     trace = np.empty(config.iterations)
-    beta_acc = theta_acc = 0.0
+    beta = theta = 0.0  # with average_estimates, the running sums
     for i in range(config.iterations):
         sweep_fn(state, prior, config.alpha)
         trace[i] = log_likelihood(state, prior, config.alpha)
         if config.average_estimates and i >= config.burn_in:
-            beta, theta = _point_estimates(state, prior, config.alpha)
-            beta_acc += beta  # the first sum, 0.0 + beta, is beta bit for bit
-            theta_acc += theta
+            new_beta, new_theta = _point_estimates(state, prior, config.alpha)
+            new_beta += beta  # in place: x + y is y + x bit for bit, and beta + 0.0 is beta
+            new_theta += theta
+            beta, theta = new_beta, new_theta
     if config.average_estimates:
         n_averaged = config.iterations - config.burn_in
-        beta, theta = beta_acc / n_averaged, theta_acc / n_averaged
+        beta /= n_averaged
+        theta /= n_averaged
     else:
         beta, theta = _point_estimates(state, prior, config.alpha)
     return FittedModel(beta_hat=beta, theta_hat=theta, kinds=prior.kinds,

@@ -137,6 +137,18 @@ class TestFit:
         assert code == 2
         assert "requires --keywords" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("boost", ["0.5", "-1"])
+    def test_keyword_boost_below_one_is_a_config_mismatch(self, tmp_path, ingested, demo_lists,
+                                                           capsys, boost):
+        # the prior config and the keyword row share one range for the boost
+        out = tmp_path / "model.json"
+        code = main(["fit", "--corpus", str(ingested), "--prior", "keyword", "--keywords",
+                     str(demo_lists[1]), "--topics", "12", "--c", boost, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == ("error: config-mismatch: keyword_boost must be "
+                                           f"positive and finite, and at least 1, got {float(boost)}\n")
+        assert not out.exists()
+
     def test_nan_alpha_is_an_error_before_any_sweep(self, tmp_path, ingested, capsys):
         out = tmp_path / "model.json"
         code = main(["fit", "--corpus", str(ingested), "--topics", "4", "--alpha", "nan",
@@ -407,18 +419,36 @@ class TestExperimentAndReport:
     def test_each_failure_is_reported_once_in_a_fresh_process(self, tmp_path, plan_path):
         # in a process that sets up no logging, a logged failure would print
         # through logging.lastResort beside the CLI's own line; in-process,
-        # pytest's log capture would swallow it
+        # pytest's log capture would swallow it. The TF-IDF cut fails
+        # tfidf_deletion's preprocessing, and 1 + 7 prior rows do not fit
+        # keyword_seeding_prior's 6 topics
         plan = {**json.loads(plan_path.read_text()), "topics": [6], "iterations": [4],
                 "variants": ["no_deletion", "tfidf_prior", "tfidf_deletion",
                              "keyword_seeding_prior"]}
         plan_path.write_text(json.dumps(plan))
         done = subprocess.run(
             [sys.executable, "-m", "priorlda.cli", "experiment", "--plan", str(plan_path),
-             "--out-dir", str(tmp_path / "out"), "--c1", "-1"],
+             "--out-dir", str(tmp_path / "out"), "--tfidf-cut", "2.0"],
             capture_output=True, text=True, env=_checkout_env())
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith("ran 2 runs (2 failures) -> ")
         assert [ln.split(":")[0] for ln in done.stderr.splitlines()] == ["run failed"] * 2
+
+    @pytest.mark.parametrize("name,value", [("keyword_boost", 0.5), ("c1", 0.0), ("c2", -1.0)])
+    def test_out_of_range_scale_fails_the_plan_before_any_run(self, tmp_path, plan_path, capsys,
+                                                               name, value):
+        # a value every run's PriorConfig would reject fails the plan once
+        plan = {**json.loads(plan_path.read_text()), name: [value], "seeds": [1, 2],
+                "variants": ["no_deletion", "keyword_seeding_prior", "keyword_topics_baseline"]}
+        plan_path.write_text(json.dumps(plan))
+        out_dir = tmp_path / "out"
+        assert main(["experiment", "--plan", str(plan_path), "--out-dir", str(out_dir)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: config-mismatch: {name} must be positive and finite")
+        assert err.endswith(f", got {value}\n")
+        assert err.count("\n") == 1
+        assert not out_dir.exists()
 
     def test_no_run_succeeded_exits_one_after_writing(self, tmp_path, plan_path, capsys):
         # a TF-IDF cut of 2.0 fails each run's preprocessing on its own

@@ -19,7 +19,7 @@ from priorlda.experiments import (GRID_DIMS, PLAN_LIST_FIELDS,
                                   correlation_data, corpus_hash, enumerate_runs,
                                   load_resources, run_grid, run_manifest, _spearman)
 from priorlda.metrics import MetricConfig, ModelReport, report
-from priorlda.priors import PriorConfig, TopicKind, assemble, symmetric_prior
+from priorlda.priors import ConfigMismatch, PriorConfig, TopicKind, assemble, symmetric_prior
 from priorlda.sampler import ModelConfig, fit
 
 from .helpers import correlation
@@ -575,6 +575,15 @@ class TestPlanSerialization:
     def test_out_of_range_rejected(self, name, value):
         # each would fail every run on its own, one by one
         with pytest.raises(ValueError, match=f"^plan field {name} must "):
+            ExperimentPlan(**{"corpus": "x", name: value})
+
+    @pytest.mark.parametrize("name,value", [
+        ("c1", [1.0, 0.0]), ("c2", [-1.0]), ("c2", [float("nan")]),
+        ("keyword_boost", [100.0, 0.5]), ("keyword_boost", [float("inf")]),
+    ])
+    def test_out_of_range_scale_rejected(self, name, value):
+        # PriorConfig's own check, run on every listed value before any run
+        with pytest.raises(ConfigMismatch, match=f"^{name} must be positive and finite"):
             ExperimentPlan(**{"corpus": "x", name: value})
 
     def test_ints_stand_for_floats_unchanged(self):

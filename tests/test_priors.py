@@ -168,8 +168,9 @@ class TestAssemble:
         flat = symmetric_prior(topics, alice_stats.vocabulary.size, 1.0)
         assert prior.weights.tobytes() == flat.weights.tobytes()
         assert prior.kinds == flat.kinds
-        # row sums are taken along memory, so their bits need the C layout too
-        assert prior.weights.flags.c_contiguous
+        # one copy of the weights, word-major as the sweep reads them
+        assert prior.weights_by_word.flags.c_contiguous
+        assert np.shares_memory(prior.weights, prior.weights_by_word)
 
     def test_floor_enforced_everywhere(self, alice_stats):
         cfg = PriorConfig(topics=4, stopword_topics=1, tfidf_topics=3)
@@ -226,7 +227,7 @@ class TestPriorMatrix:
             PriorMatrix(edge[None, 1:], (TopicKind.SYMMETRIC,))
 
     def test_weights_are_a_read_only_copy(self, alice_stats):
-        # a write after row_sums is cached would leave the cache stale
+        # a write after row_sums is taken would leave them stale
         prior = assemble(PriorConfig(topics=3, stopword_topics=1, tfidf_topics=2),
                          alice_stats)
         row_sums = prior.row_sums.copy()
@@ -253,7 +254,9 @@ class TestPriorMatrix:
         saved = []
         for w in (weights, fortran):
             prior = PriorMatrix(w, (TopicKind.TFIDF,) * 6)
-            assert prior.weights.flags.c_contiguous
+            assert prior.weights_by_word.flags.c_contiguous
+            assert np.shares_memory(prior.weights, prior.weights_by_word)
+            assert prior.row_sums.tobytes() == weights.sum(axis=1).tobytes()
             path = tmp_path / f"model{len(saved)}.json"
             save_model(fit(corpus, prior, ModelConfig(topics=6, iterations=5, seed=1)), path)
             saved.append(path.read_bytes())

@@ -4,6 +4,7 @@ import importlib
 import json
 import logging
 import math
+import re
 import shutil
 import subprocess
 from contextlib import nullcontext
@@ -315,10 +316,9 @@ class TestKernelsAgree:
         rng = np.random.default_rng(seed)
         n_wk = (rng.integers(0, 40, (vocab_size, k_total))
                 * rng.integers(0, 2, (vocab_size, k_total))).astype(np.int32)
-        eta = np.exp(rng.uniform(np.log(1e-6), np.log(1e3), (k_total, vocab_size)))
-        want = np.empty(eta.shape)
-        assert _kernels._gammaln_cells_py(n_wk, eta, want) == -1
-        assert _kernels.gammaln_cells(n_wk, eta).tobytes() == want.tobytes()
+        eta_wk = np.exp(rng.uniform(np.log(1e-6), np.log(1e3), (vocab_size, k_total)))
+        want = _kernels._gammaln_cells_py(n_wk, eta_wk)
+        assert _kernels.gammaln_cell_sum(n_wk, eta_wk).hex() == want.hex()
 
     def test_fallback_without_compiler_gives_same_bytes(self, no_compiler, caplog, tmp_path):
         corpus = random_corpus(seed=3, n_docs=20, vocab_size=15)
@@ -373,14 +373,52 @@ def test_gammaln_cells_outside_the_domain_raise(backend, count, weight):
     # the first bad occupied cell in C order is named; the weight of an empty
     # cell, (0, 0) here, is never checked
     n_wk = np.array([[0, 1], [count, 0], [0, count]], dtype=np.int32)
-    eta = np.array([[-1.0, weight, 0.5], [0.5, 0.5, weight]])
+    eta_wk = np.array([[-1.0, 0.5], [weight, 0.5], [0.5, weight]])
     with pytest.raises(ValueError, match=r"^cell \(0, 1\): "):
-        _kernels.gammaln_cells(n_wk, eta)
+        _kernels.gammaln_cell_sum(n_wk, eta_wk)
 
 
 def test_gammaln_cells_rejects_mismatched_shapes(backend):
     with pytest.raises(ValueError, match="n_wk is"):
-        _kernels.gammaln_cells(np.zeros((3, 2), np.int32), np.ones((3, 2)))
+        _kernels.gammaln_cell_sum(np.zeros((3, 2), np.int32), np.ones((2, 3)))
+
+
+# grid sizes K * V about the bounds of the cell sum's ranges: numpy's unrolled
+# sum, its pairwise split above 128 values, and the largest range it fills
+LEAF = _kernels.CELL_LEAF
+CELL_GRID_SIZES = [7, 8, 9, 127, 128, 129, LEAF - 1, LEAF, LEAF + 1, 2 * LEAF + 8]
+
+
+@pytest.mark.parametrize("size", CELL_GRID_SIZES)
+@pytest.mark.parametrize("twins", [False, True], ids=["c", "numpy"])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_bounded_cell_sum_same_bits_as_the_dense_sum(size, twins, data):
+    if not twins and _kernels.BACKEND != "c":
+        pytest.skip("C kernel not built: no compiler")
+    k_total = data.draw(st.sampled_from([k for k in range(1, 65) if size % k == 0]), "K")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+    shape = (size // k_total, k_total)  # word-major (V, K)
+    eta_wk = np.exp(rng.uniform(np.log(1e-6), np.log(1e3), shape))
+    full = rng.integers(1, 50, shape, dtype=np.int32)
+    with python_twins() if twins else nullcontext():
+        for n_wk in (np.zeros(shape, np.int32), full, full * rng.integers(0, 2, shape, np.int32)):
+            dense = gammaln(np.ascontiguousarray(n_wk.T) + eta_wk.T) - gammaln(eta_wk.T)
+            want = np.ascontiguousarray(dense).sum()  # in C order, as the (K, V) grid lies
+            assert _kernels.gammaln_cell_sum(n_wk, eta_wk).hex() == float(want).hex()
+        # two bad occupied cells in the grid's later half, a later range than
+        # the first where it has more than one, and before both a bad empty
+        # cell: the first bad occupied cell in C order is named
+        first = data.draw(st.integers(size // 2, size - 1), "first bad")
+        counts = {data.draw(st.integers(0, first - 1), "bad empty"): 0, first: 3,
+                  data.draw(st.integers(first, size - 1), "second bad"): 3}
+        for at, count in counts.items():  # at is a C-order index of the (K, V) grid
+            k, w = divmod(at, shape[0])
+            full[w, k], eta_wk[w, k] = count, -2.0 - at
+        k, w = divmod(first, shape[0])
+        with pytest.raises(ValueError, match=rf"^cell \({k}, {w}\): count 3 and weight "
+                                             + re.escape(repr(eta_wk[w, k]))):
+            _kernels.gammaln_cell_sum(full, eta_wk)
 
 
 @pytest.mark.parametrize("doc_streams,digest", [
@@ -597,7 +635,10 @@ class TestLogLikelihood:
 def _log_likelihood_reference(state, prior, alpha):
     """log_likelihood with every gammaln term recomputed from the prior."""
     k_total = state.n_topics
-    eta, eta_sums = prior.weights, prior.weights.sum(axis=1)
+    # prior.weights is an F-ordered view, and a sum over an array made from
+    # it adds in memory order: the reference sums C-ordered arrays
+    eta = np.ascontiguousarray(prior.weights)
+    eta_sums = eta.sum(axis=1)
     doc_part = float((gammaln(k_total * alpha) - gammaln(state.doc_lengths + k_total * alpha)).sum())
     doc_part += float((gammaln(state.n_dk + alpha) - gammaln(alpha)).sum())
     topic_part = float((gammaln(eta_sums) - gammaln(state.n_k + eta_sums)).sum())
