@@ -7,10 +7,10 @@ and skipped, never fatal to the sweep.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
+import sys
 import time
 import traceback
 import typing
@@ -554,12 +554,6 @@ def run_stem(index: int, record: RunRecord) -> str:
     return f"{index:04d}_{record.variant.value}_seed{record.seed}"
 
 
-@functools.cache
-def _scipy_version() -> str:
-    import importlib.metadata  # scipy itself stays unloaded
-    return importlib.metadata.version("scipy")
-
-
 def run_manifest(plan: ExperimentPlan, result: GridResult, corpus: Corpus) -> dict:
     from . import __version__
 
@@ -574,5 +568,7 @@ def run_manifest(plan: ExperimentPlan, result: GridResult, corpus: Corpus) -> di
         "settings": {run_stem(i, r): r.fit_settings()
                      for i, r in enumerate(result.records)},
         "versions": {"priorlda": __version__, "numpy": np.__version__,
-                     "scipy": _scipy_version(), "kernel_backend": _kernels.BACKEND},
+                     # the scipy a Python twin loaded, if one ran
+                     "scipy": getattr(sys.modules.get("scipy"), "__version__", None),
+                     "kernel_backend": _kernels.BACKEND},
     }

@@ -10,7 +10,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._kernels import LGAM_MAX
+from ._kernels import LGAM_MAX, gammaln
 from .corpus import CorpusStats, Vocabulary, _frozen
 
 log = logging.getLogger(__name__)
@@ -110,57 +110,86 @@ def keyword_prior(vocab: Vocabulary, keywords: Iterable[str],
     return row
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class PriorMatrix:
     """K strictly positive Dirichlet weight rows with topic-kind labels, held
-    once: ``weights_by_word`` is a read-only C-contiguous word-major (V, K)
-    copy, as the sweep reads it, and ``weights`` its (K, V) view. That view is
-    F-ordered: ``row_sums`` are taken from the weights as given, in C order."""
+    as their R distinct rows: ``rows_by_word`` is a read-only C-contiguous
+    word-major (V, R) array of them, in order of first use, as the sweep reads
+    it, ``gammaln_by_word`` its ``gammaln``, and ``topic_rows`` the read-only
+    (K,) index of each topic's row. ``PriorMatrix(weights, kinds)`` folds the
+    repeated rows of a (K, V) array; ``weights`` builds that array again for a
+    caller that asks. ``row_sums`` are the distinct rows' sums in C order, so
+    they have the bits of the (K, V) weights' sums in C order."""
 
-    weights: np.ndarray
+    rows_by_word: np.ndarray
+    topic_rows: np.ndarray
     kinds: tuple[TopicKind, ...]
-    weights_by_word: np.ndarray = field(init=False, repr=False)
-    row_sums: np.ndarray = field(init=False, repr=False)
+    row_sums: np.ndarray = field(repr=False)
+    gammaln_by_word: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        weights = self.weights
+    def __init__(self, weights: np.ndarray, kinds: tuple[TopicKind, ...]):
         if weights.ndim != 2:
             raise ValueError("weights must be a K x V matrix")
-        by_word = _frozen(np.array(weights.T, order="C"))
-        object.__setattr__(self, "weights_by_word", by_word)
-        object.__setattr__(self, "weights", by_word.T)
-        if len(self.kinds) != weights.shape[0]:
+        self._fold(weights, np.arange(len(weights)), kinds)
+
+    @classmethod
+    def from_rows(cls, rows: np.ndarray, topic_rows, kinds: tuple[TopicKind, ...]
+                  ) -> PriorMatrix:
+        """The prior whose topic k has the weights ``rows[topic_rows[k]]``, with
+        no (K, V) array; repeated rows are folded."""
+        prior = cls.__new__(cls)
+        prior._fold(rows, np.asarray(topic_rows, np.int64), kinds)
+        return prior
+
+    def _fold(self, rows, topic_rows, kinds):
+        if len(kinds) != len(topic_rows):
             raise ValueError("one kind label required per topic row")
-        if not ((by_word > 0) & (by_word < np.inf)).all():
+        seen = {}  # each distinct row's bytes, in C order, and its place among them
+        places = [seen.setdefault(row.tobytes(), len(seen)) for row in rows]
+        # the first use of each, in C order, so sums add as over the (K, V) weights
+        distinct = np.ascontiguousarray(rows[[places.index(r) for r in range(len(seen))]])
+        if not ((distinct > 0) & (distinct < np.inf)).all():
             raise ValueError("Dirichlet weights must be strictly positive and finite")
-        # summed in the input itself when it is C-contiguous, else in one transient C copy
-        object.__setattr__(self, "row_sums", _frozen(np.ascontiguousarray(weights).sum(axis=1)))
+        topic_rows = np.array(places, np.int64)[topic_rows]
+        row_sums = distinct.sum(axis=1)[topic_rows]
         # every weight is at most its row sum, so this keeps gammaln finite on
         # every weight too, and the log-likelihood free of inf - inf
-        if weights.size and self.row_sums.max() > LGAM_MAX:
-            raise ValueError(f"a prior row sums to {self.row_sums.max():.6g}, "
+        if distinct.size and row_sums.max() > LGAM_MAX:
+            raise ValueError(f"a prior row sums to {row_sums.max():.6g}, "
                              "too large for a finite log-gamma")
+        by_word = np.ascontiguousarray(distinct.T)
+        by_word_gammaln = gammaln(by_word.ravel()).reshape(by_word.shape)
+        for name, value in (("rows_by_word", by_word), ("topic_rows", topic_rows),
+                            ("row_sums", row_sums), ("gammaln_by_word", by_word_gammaln)):
+            object.__setattr__(self, name, _frozen(value))
+        object.__setattr__(self, "kinds", tuple(kinds))
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The (K, V) weights, a new read-only C-contiguous array on each call."""
+        return _frozen(self.rows_by_word.T.take(self.topic_rows, axis=0))
 
     @property
     def n_topics(self) -> int:
-        return self.weights.shape[0]
+        return len(self.topic_rows)
 
     @property
     def vocab_size(self) -> int:
-        return self.weights.shape[1]
+        return len(self.rows_by_word)
 
 
 def symmetric_prior(topics: int, vocab_size: int, weight: float = 1.0) -> PriorMatrix:
     """Plain symmetric prior; the baseline models use this."""
     if weight <= 0:
         raise ValueError("weight must be positive")
-    return PriorMatrix(np.full((topics, vocab_size), float(weight)),
-                       (TopicKind.SYMMETRIC,) * topics)
+    return PriorMatrix.from_rows(np.full((1, vocab_size), float(weight)),
+                                 np.zeros(topics, np.int64),
+                                 (TopicKind.SYMMETRIC,) * topics)
 
 
 def assemble(config: PriorConfig, stats: CorpusStats,
              keywords: Iterable[str] = ()) -> PriorMatrix:
-    """Build the full K x V prior matrix for ``config``.
+    """Build the prior for ``config`` from one row per kind, with no K x V array.
 
     Unclaimed rows beyond the explicit kind counts are padded with symmetric
     rows. Every entry is clamped at ``DEFAULT_FLOOR``.
@@ -177,9 +206,9 @@ def assemble(config: PriorConfig, stats: CorpusStats,
     layout.append((config.topics - sum(n for n, _, _ in layout), TopicKind.SYMMETRIC,
                    lambda: np.ones(v)))
     counts, rows = zip(*[(n, row()) for n, _, row in layout if n])
-    weights = np.repeat(rows, counts, axis=0)  # one (K, V) buffer, clamped in place
     kinds = tuple(kind for n, kind, _ in layout for _ in range(n))
-    return PriorMatrix(np.maximum(weights, DEFAULT_FLOOR, out=weights), kinds)
+    return PriorMatrix.from_rows(np.maximum(rows, DEFAULT_FLOOR),
+                                 np.repeat(np.arange(len(rows)), counts), kinds)
 
 
 def validate(prior: PriorMatrix) -> list[str]:

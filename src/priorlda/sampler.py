@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
+from ._kernels import tabulate
 from .corpus import Corpus, Vocabulary, check_version, write_json
 from .priors import PriorMatrix, TopicKind, symmetric_prior
 
@@ -115,22 +116,6 @@ def _doc_generators(corpus: Corpus, seed: int) -> list[np.random.Generator]:
     return gens
 
 
-def tabulate(tokens: np.ndarray, doc_ix: np.ndarray, z: np.ndarray,
-             n_docs: int, n_topics: int, vocab_size: int):
-    """Recount n_dk, n_wk, n_k directly from the assignments; n_wk is the
-    C-contiguous word-major (V, K) table the sweep kernel takes."""
-    # one bincount per table over flat cell indices, taken in int64 so that
-    # D*K and V*K cannot overflow
-    z = z.astype(np.int64)
-
-    def count(cells, shape):
-        return np.bincount(cells, minlength=int(np.prod(shape))).astype(np.int32).reshape(shape)
-
-    return (count(doc_ix.astype(np.int64) * n_topics + z, (n_docs, n_topics)),
-            count(tokens.astype(np.int64) * n_topics + z, (vocab_size, n_topics)),
-            count(z, (n_topics,)))
-
-
 def init(corpus: Corpus, prior: PriorMatrix, config: ModelConfig) -> ModelState:
     """Assign every token a uniformly random topic and tabulate counts."""
     if prior.vocab_size != corpus.vocabulary.size:
@@ -161,7 +146,7 @@ def sweep(state: ModelState, prior: PriorMatrix, alpha: float) -> ModelState:
     uniforms = state.rng.random(state.tokens.shape[0])
     _kernels.sweep_tokens(state.tokens, state.doc_ix, state.z,
                           state.n_dk, state.n_wk, state.n_k,
-                          prior.weights_by_word, prior.row_sums, alpha, uniforms)
+                          prior.rows_by_word, prior.topic_rows, prior.row_sums, alpha, uniforms)
     return state
 
 
@@ -183,7 +168,8 @@ def sweep_snapshot(state: ModelState, prior: PriorMatrix, alpha: float) -> Model
         uniforms = state.doc_rngs[d].random(int(hi - lo))
         _kernels.sweep_doc_snapshot(state.tokens[lo:hi], state.z[lo:hi], state.n_dk[d],
                                     state.n_wk, state.n_k, wk_snap, k_snap,
-                                    prior.weights_by_word, prior.row_sums, alpha, uniforms)
+                                    prior.rows_by_word, prior.topic_rows, prior.row_sums,
+                                    alpha, uniforms)
     state.n_dk, state.n_wk, state.n_k = tabulate(
         state.tokens, state.doc_ix, state.z, len(state.doc_lengths), state.n_topics, len(wk_snap))
     return state
@@ -196,10 +182,13 @@ def log_likelihood(state: ModelState, prior: PriorMatrix, alpha: float) -> float
     Two kernels compute every gammaln term. One takes the short
     arguments in one array: K alpha, alpha, the row sums, n_k plus the row
     sums, the document lengths plus K alpha, and alpha plus each count
-    0..max n_dk, so the document cells read a table by count. The other sums
-    the (K, V) word-topic cells a range at a time, with no K x V array; an
-    empty cell is exactly 0.0, gammaln(0 + eta) - gammaln(eta), since
-    PriorMatrix keeps gammaln(eta) finite. Both have the dense formula's bits.
+    0..max n_dk, so the document cells read a table by count, a bounded range
+    of the (D, K) cells at a time. The other sums the (K, V) word-topic cells a
+    range at a time, with no K x V array, taking gammaln(eta) from the prior's
+    table of its distinct rows; an empty cell is exactly 0.0, gammaln(0 + eta)
+    - gammaln(eta), since PriorMatrix keeps gammaln(eta) finite. Both sums
+    split their cells as numpy's pairwise sum does, so they have the dense
+    formula's bits.
     """
     k_total, n_docs = state.n_topics, len(state.doc_lengths)
     g = _kernels.gammaln(np.concatenate((
@@ -207,10 +196,10 @@ def log_likelihood(state: ModelState, prior: PriorMatrix, alpha: float) -> float
         state.doc_lengths + k_total * alpha, np.arange(state.n_dk.max(initial=0) + 1) + alpha)))
     docs_at = 2 + 2 * k_total
     doc_part = float((g[0] - g[docs_at:docs_at + n_docs]).sum())
-    by_count = g[docs_at + n_docs:] - g[1]
-    doc_part += float(by_count.take(state.n_dk).sum())
+    doc_part += _kernels.take_sum(g[docs_at + n_docs:] - g[1], state.n_dk)
     topic_part = float((g[2:2 + k_total] - g[2 + k_total:docs_at]).sum())
-    topic_part += _kernels.gammaln_cell_sum(state.n_wk, prior.weights_by_word)
+    topic_part += _kernels.gammaln_cell_sum(state.n_wk, prior.rows_by_word,
+                                            prior.gammaln_by_word, prior.topic_rows)
     return doc_part + topic_part
 
 
@@ -218,7 +207,11 @@ def _point_estimates(state: ModelState, prior: PriorMatrix, alpha: float):
     """beta_hat[k,w] = (n_kw + eta_kw) / (n_k + sum_v eta_kv) and theta_hat[d,k] =
     (n_dk + alpha) / (len_d + K alpha) of the current sample. A topic with no
     counts comes out as exactly its normalized prior row."""
-    beta = np.add(state.n_kw, prior.weights, order="C")  # divided in place, as is theta
+    beta = np.empty(state.n_kw.shape)  # written in place, then divided, as is theta
+    rows = prior.topic_rows.tolist()
+    starts = [k for k in range(len(rows)) if k == 0 or rows[k] != rows[k - 1]] + [len(rows)]
+    for lo, hi in zip(starts, starts[1:]):  # topics lo..hi-1 share a prior row
+        np.add(state.n_kw[lo:hi], prior.rows_by_word[:, rows[lo]], out=beta[lo:hi])
     beta /= (state.n_k + prior.row_sums)[:, None]
     theta = np.add(state.n_dk, alpha)
     theta /= (state.doc_lengths + state.n_topics * alpha)[:, None]

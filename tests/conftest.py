@@ -72,7 +72,8 @@ def python_twins():
     """Switch every C entry point off, so the sweep, the log fold, the JSON
     float writer, both log-gamma kernels and the co-document counts run on
     their Python twins, as they do where no compiler is present."""
-    return mock.patch.multiple(_kernels, _sweep_c=None, _log_sum_c=None, _json_floats_c=None,
+    return mock.patch.multiple(_kernels, _sweep_c=None, _tabulate_c=None, _log_sum_c=None,
+                               _json_floats_c=None,
                                _gammaln_c=None, _gammaln_cells_c=None, _co_doc_c=None)
 
 

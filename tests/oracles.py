@@ -189,9 +189,10 @@ def snapshot_sweeps(resample, token_docs, z_docs, eta, alpha, uniforms):
     table is recounted from the assignments.
 
     ``resample`` is a sequential token sweep taking (tokens, doc_ix, z,
-    n_dk, n_wk, n_k, eta_wk, eta_sums, alpha, uniforms), as the package's
-    numpy kernel does, with n_wk and eta_wk word-major (V, K): the (K, V)
-    tables kept here are transposed at the call. ``uniforms[s][d]`` holds
+    n_dk, n_wk, n_k, eta_wk, topic_rows, eta_sums, alpha, uniforms), as the
+    package's numpy kernel does, with n_wk and eta_wk word-major (V, K): the
+    (K, V) tables kept here are transposed at the call, and topic k takes
+    row k. ``uniforms[s][d]`` holds
     document d's draws in sweep s. Returns the assignments per document and
     n_dk, n_kw, n_k.
     """
@@ -204,7 +205,7 @@ def snapshot_sweeps(resample, token_docs, z_docs, eta, alpha, uniforms):
         for d, words in enumerate(token_docs):
             resample(np.array(words, dtype=np.int32), np.zeros(len(words), dtype=np.int32),
                      z_docs[d], n_dk[d:d + 1].copy(), n_kw.T.copy(), n_k.copy(),
-                     eta_wk, eta_sums, alpha, sweep_uniforms[d])
+                     eta_wk, np.arange(k_total), eta_sums, alpha, sweep_uniforms[d])
         n_dk, n_kw, n_k = _recount(token_docs, z_docs, k_total, v_total)
     return z_docs, n_dk, n_kw, n_k
 

@@ -747,10 +747,11 @@ def _checkout_env() -> dict:
 
 def _fresh_modules(code: str) -> str:
     """Run ``code`` in a fresh interpreter that imports priorlda from this
-    checkout; the sorted list of scipy and multiprocessing modules it then
-    holds, as printed."""
+    checkout; the sorted list of scipy, multiprocessing, importlib.metadata
+    and email modules it then holds, as printed."""
     code += ("\nimport sys\nprint(sorted(m for m in sys.modules "
-             "if m.split('.')[0] in ('scipy', 'multiprocessing')))")
+             "if m.split('.')[0] in ('scipy', 'multiprocessing', 'email') "
+             "or m.startswith('importlib.metadata')))")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=_checkout_env(), check=True)
     return done.stdout.strip().splitlines()[-1]
@@ -786,7 +787,9 @@ def test_readme_ingest_and_fit_load_no_scipy(tmp_path):
 @pytest.mark.skipif(_kernels.BACKEND != "c", reason="the Python twins load scipy")
 def test_readme_score_and_experiment_load_no_scipy(tmp_path):
     # the co-document counts of every report come from a C kernel, not from
-    # scipy.sparse, whose import cost the first report in a process about 14 MB
+    # scipy.sparse, whose import cost the first report in a process about 14 MB;
+    # the manifest names no scipy, and reads no package metadata (which loads
+    # importlib.metadata, email and more) to name one
     data = resources.files("priorlda.data")
     stop, white = str(data / "demo_stoplist.txt"), str(data / "demo_whitelist.txt")
     plan = {"corpus": str(data / "demo_corpus.jsonl"),
@@ -806,6 +809,7 @@ def test_readme_score_and_experiment_load_no_scipy(tmp_path):
     assert _fresh_modules(code) == "[]"
     assert len(scores.read_text().splitlines()) == 1 + 20 + 2
     assert len(list((out / "runs").glob("*.report.json"))) == 12
+    assert json.loads((out / "manifest.json").read_text())["versions"]["scipy"] is None
 
 
 class TestDispatch:

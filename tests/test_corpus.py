@@ -664,13 +664,19 @@ class TestJsonFloatArray:
         pairs = np.stack([colliding[:-1], colliding[1:]], axis=1)
         _assert_dumps_text(np.hstack([pairs, pairs[:, ::-1]]).view(np.float64), backend)
 
-    @pytest.mark.parametrize("shape", [(60,), (60, 1), (60, 0)])
+    @pytest.mark.parametrize("shape", [(60,), (60, 1), (60, 0), (1, 1), (1, 60), (3, 20)])
     def test_longest_texts(self, backend, shape):
         # every text takes 23 bytes, the most the output buffer leaves a value
         values = -np.random.default_rng(5).uniform(3, 10, 400) * 1e-14
         values = values[[len(repr(v)) == 23 for v in values.tolist()]]
         assert len(values) >= 60
-        _assert_dumps_text(np.resize(values, shape), backend)
+        a = np.resize(values, shape)
+        _assert_dumps_text(a, backend)
+        if a.ndim == 1 or a.shape[1] > 3:
+            # each row ends in repeats of its first values, so the writer's
+            # fixed 24-byte copy of a repeat's text meets the end of the buffer
+            a[..., -3:] = a[..., :3]
+            _assert_dumps_text(a, backend)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_zeros_and_nan_payloads_mixed(self, backend, seed):
@@ -727,6 +733,8 @@ class TestJsonFloatArray:
     @given(st.lists(st.tuples(st.integers(0, 1), st.integers(978, 1076),
                               st.integers(0, 2**52 - 1)), max_size=60))
     @example(fields=[(0, 1023, 0), (1, 1076, 2**52 - 1), (0, 978, 0), (0, 1076, 0)])
+    # a value at each binary exponent of 2^-45 <= |x| < 2^54: every power of 5 repr reads
+    @example(fields=[(e % 2, e, 0x5A5A5A5A5A5A5 * (e - 977) % 2**52) for e in range(978, 1077)])
     def test_bit_patterns_in_the_exact_range(self, backend, fields):
         a = _bit_patterns(*np.array(fields, dtype=np.uint64).reshape(-1, 3).T)
         assert _in_exact_range(a).all()

@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import signal
+import sys
 import time
 import warnings
 from dataclasses import replace
@@ -527,6 +528,8 @@ class TestReproducibility:
         assert "priorlda" in manifest["versions"]
         assert manifest["versions"]["kernel_backend"] == _kernels.BACKEND
         assert manifest["versions"]["kernel_backend"] in ("c", "numpy")
+        # this process has loaded scipy, as a Python twin would
+        assert manifest["versions"]["scipy"] == sys.modules["scipy"].__version__
 
 
 class TestMetricWindow:

@@ -168,9 +168,11 @@ class TestAssemble:
         flat = symmetric_prior(topics, alice_stats.vocabulary.size, 1.0)
         assert prior.weights.tobytes() == flat.weights.tobytes()
         assert prior.kinds == flat.kinds
-        # one copy of the weights, word-major as the sweep reads them
-        assert prior.weights_by_word.flags.c_contiguous
-        assert np.shares_memory(prior.weights, prior.weights_by_word)
+        # one all-ones row, word-major as the sweep reads it, that every topic takes
+        for p in (prior, flat):
+            assert p.rows_by_word.shape == (alice_stats.vocabulary.size, 1)
+            assert p.rows_by_word.flags.c_contiguous
+            assert p.topic_rows.tolist() == [0] * topics
 
     def test_floor_enforced_everywhere(self, alice_stats):
         cfg = PriorConfig(topics=4, stopword_topics=1, tfidf_topics=3)
@@ -231,7 +233,8 @@ class TestPriorMatrix:
         prior = assemble(PriorConfig(topics=3, stopword_topics=1, tfidf_topics=2),
                          alice_stats)
         row_sums = prior.row_sums.copy()
-        for arr in (prior.weights, prior.row_sums, prior.weights_by_word):
+        for arr in (prior.weights, prior.row_sums, prior.rows_by_word, prior.topic_rows,
+                    prior.gammaln_by_word):
             with pytest.raises(ValueError, match="read-only"):
                 arr[1:] *= 3
         weights = np.ones((2, 3))
@@ -239,6 +242,33 @@ class TestPriorMatrix:
         weights[1:] *= 3
         assert (flat.weights == 1.0).all()
         assert (prior.row_sums == row_sums).all()
+
+    def test_repeated_rows_are_held_once(self, backend):
+        # rows 0 and 3 are the same, as are rows 1, 2 and 4; row 5 differs from
+        # row 1 in its last bit. The distinct rows keep their first use's order
+        base = np.random.default_rng(4).uniform(0.1, 3.0, (2, 7))
+        odd = base[1].copy()
+        odd[-1] = np.nextafter(odd[-1], np.inf)
+        weights = np.array([base[0], base[1], base[1], base[0], base[1], odd])
+        prior = PriorMatrix(weights, (TopicKind.TFIDF,) * 6)
+        assert prior.topic_rows.tolist() == [0, 1, 1, 0, 1, 2]
+        assert prior.rows_by_word.tobytes() == np.ascontiguousarray(weights[[0, 1, 5]].T).tobytes()
+        assert prior.gammaln_by_word.tobytes() == gammaln(prior.rows_by_word).tobytes()
+        assert prior.weights.tobytes() == weights.tobytes()
+        assert prior.row_sums.tobytes() == weights.sum(axis=1).tobytes()
+        assert (prior.n_topics, prior.vocab_size) == (6, 7)
+
+    def test_assembled_kinds_share_their_rows(self, alice_stats):
+        # the stopword row and the symmetric padding are both all ones: the
+        # 20 topics hold three distinct rows, and no (K, V) array
+        cfg = PriorConfig(topics=20, stopword_topics=1, tfidf_topics=9, keyword_topics=6)
+        prior = assemble(cfg, alice_stats, ALICE_KEYWORDS)
+        assert prior.topic_rows.tolist() == [0] + [1] * 9 + [2] * 6 + [0] * 4
+        assert prior.rows_by_word.shape == (alice_stats.vocabulary.size, 3)
+        rows = prior.rows_by_word.T
+        assert (rows[0] == 1.0).all()
+        assert rows[1].tobytes() == np.maximum(tfidf_prior(alice_stats), DEFAULT_FLOOR).tobytes()
+        assert prior.row_sums.tobytes() == prior.weights.sum(axis=1).tobytes()
 
     def test_kind_count_must_match(self):
         with pytest.raises(ValueError):
@@ -254,8 +284,9 @@ class TestPriorMatrix:
         saved = []
         for w in (weights, fortran):
             prior = PriorMatrix(w, (TopicKind.TFIDF,) * 6)
-            assert prior.weights_by_word.flags.c_contiguous
-            assert np.shares_memory(prior.weights, prior.weights_by_word)
+            assert prior.rows_by_word.flags.c_contiguous
+            assert prior.topic_rows.tolist() == list(range(6))
+            assert prior.weights.tobytes() == weights.tobytes()
             assert prior.row_sums.tobytes() == weights.sum(axis=1).tobytes()
             path = tmp_path / f"model{len(saved)}.json"
             save_model(fit(corpus, prior, ModelConfig(topics=6, iterations=5, seed=1)), path)

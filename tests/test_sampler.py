@@ -161,15 +161,18 @@ class TestSweep:
         assert abs(hits / n - 0.5) < 0.05
 
 
-def _sweep_args(tokens, doc_lengths, n_topics, vocab_size, z, eta):
-    """Kernel arguments for a state given by its assignments and (K, V) eta
-    rows: n_wk and eta_wk come word-major, as the kernel takes them."""
+def _sweep_args(tokens, doc_lengths, n_topics, vocab_size, z, eta, rows=None):
+    """Kernel arguments for a state given by its assignments, (R, V) eta rows
+    and each topic's row (topic k takes row k when rows is None): n_wk and
+    eta_wk come word-major, as the kernel takes them."""
     tokens = np.asarray(tokens, dtype=np.int32)
     doc_ix = np.repeat(np.arange(len(doc_lengths), dtype=np.int32), doc_lengths)
     z = np.asarray(z, dtype=np.int32)
     n_dk, n_wk, n_k = tabulate(tokens, doc_ix, z, len(doc_lengths), n_topics, vocab_size)
     eta = np.asarray(eta, dtype=np.float64)
-    return [tokens, doc_ix, z, n_dk, n_wk, n_k, np.ascontiguousarray(eta.T), eta.sum(axis=1)]
+    rows = np.arange(n_topics) if rows is None else np.asarray(rows, dtype=np.int64)
+    return [tokens, doc_ix, z, n_dk, n_wk, n_k, np.ascontiguousarray(eta.T), rows,
+            eta.sum(axis=1)[rows]]
 
 
 def _copy(args):
@@ -185,14 +188,17 @@ def kernel_cases(draw):
     tokens = draw(st.lists(st.integers(0, vocab_size - 1),
                            min_size=n_tokens, max_size=n_tokens))
     z = draw(st.lists(st.integers(0, n_topics - 1), min_size=n_tokens, max_size=n_tokens))
+    # R distinct prior rows, R < K included, and each topic's row among them
+    n_rows = draw(st.integers(1, n_topics))
+    rows = draw(st.lists(st.integers(0, n_rows - 1), min_size=n_topics, max_size=n_topics))
     eta = draw(st.lists(st.lists(st.floats(1e-3, 10.0), min_size=vocab_size,
                                  max_size=vocab_size),
-                        min_size=n_topics, max_size=n_topics))
+                        min_size=n_rows, max_size=n_rows))
     alpha = draw(st.floats(1e-3, 10.0))
     uniforms = draw(st.lists(st.lists(st.floats(0.0, 1.0, exclude_max=True),
                                       min_size=n_tokens, max_size=n_tokens),
                              min_size=1, max_size=3))
-    args = _sweep_args(tokens, doc_lengths, n_topics, vocab_size, z, eta)
+    args = _sweep_args(tokens, doc_lengths, n_topics, vocab_size, z, eta, rows)
     return args, alpha, [np.array(u) for u in uniforms]
 
 
@@ -217,10 +223,12 @@ class TestKernelsAgree:
         rng = np.random.default_rng(0)
         for _ in range(5):
             uniforms = rng.random(s1.tokens.shape[0])
-            _kernels.sweep_tokens(s1.tokens, s1.doc_ix, s1.z, s1.n_dk, s1.n_wk,
-                                  s1.n_k, prior.weights_by_word, prior.row_sums, 0.4, uniforms)
-            _kernels._sweep_py(s2.tokens, s2.doc_ix, s2.z, s2.n_dk, s2.n_wk,
-                               s2.n_k, prior.weights_by_word, prior.row_sums, 0.4, uniforms)
+            _kernels.sweep_tokens(s1.tokens, s1.doc_ix, s1.z, s1.n_dk, s1.n_wk, s1.n_k,
+                                  prior.rows_by_word, prior.topic_rows, prior.row_sums, 0.4,
+                                  uniforms)
+            _kernels._sweep_py(s2.tokens, s2.doc_ix, s2.z, s2.n_dk, s2.n_wk, s2.n_k,
+                               prior.rows_by_word, prior.topic_rows, prior.row_sums, 0.4,
+                               uniforms)
         assert (s1.z == s2.z).all()
         assert (s1.n_dk == s2.n_dk).all()
         assert (s1.n_kw == s2.n_kw).all()
@@ -250,22 +258,49 @@ class TestKernelsAgree:
         # a decision flips only when u falls near a boundary, so compare the
         # kernel's running totals themselves, one token at a time: a
         # reordered product or sum shows here even when z does not change
-        (tokens, doc_ix, z, n_dk, n_wk, n_k, eta_wk, eta_sums), alpha, sweeps = case
+        (tokens, doc_ix, z, n_dk, n_wk, n_k, eta_wk, rows, eta_sums), alpha, sweeps = case
         uniforms = sweeps[0]
-        cum = np.empty(len(n_k))
+        cum = np.empty(3 * len(n_k))  # the running totals, then the kernel's cached terms
         for t in range(len(tokens)):
             w, d, k_old = tokens[t], doc_ix[t], z[t]
             dk, wk, k = n_dk[d].copy(), n_wk[w].copy(), n_k.copy()
             dk[k_old] -= 1
             wk[k_old] -= 1
             k[k_old] -= 1
-            want = np.cumsum((dk + alpha) * (wk + eta_wk[w]) / (k + eta_sums))
+            want = np.cumsum((dk + alpha) * (wk + eta_wk[w, rows]) / (k + eta_sums))
             assert _kernels._sweep_c(
                 tokens[t:].ctypes.data, doc_ix[t:].ctypes.data, z[t:].ctypes.data, 1,
                 n_dk.ctypes.data, n_wk.ctypes.data, n_k.ctypes.data, eta_wk.ctypes.data,
-                eta_sums.ctypes.data, alpha, uniforms[t:].ctypes.data, cum.ctypes.data,
-                *n_dk.shape, n_wk.shape[0]) == -1
-            assert cum.tobytes() == want.tobytes()
+                rows.ctypes.data, eta_sums.ctypes.data, alpha, uniforms[t:].ctypes.data,
+                cum.ctypes.data, *n_dk.shape, n_wk.shape[0], eta_wk.shape[1]) == -1
+            assert cum[:len(n_k)].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rows", [[0], [0, 1], [0, 1, 2], [0, 0, 1], [1, 0, 0, 1, 0],
+                                      [0, 1, 2, 3, 4, 5, 6], [2, 0, 1, 1, 0, 2, 1]],
+                             ids=["K1", "K2", "K3", "K3-R2", "K5-R2", "K7", "K7-R3"])
+    def test_agree_on_interleaved_documents(self, rows):
+        # odd K leaves the kernel's pairs of topics a last one; document 0's
+        # tokens come back after document 1's and 2's, so the document terms
+        # the kernel keeps must be refilled; uniforms of 1.0 draw u equal to
+        # the total, which no running total exceeds, so the cap picks K-1
+        k_total, n_rows, vocab_size = len(rows), max(rows) + 1, 4
+        rng = np.random.default_rng(k_total + n_rows)
+        doc_ix = np.array([0, 0, 1, 1, 1, 0, 0, 2, 1, 0, 2, 0], np.int32)
+        tokens = rng.integers(0, vocab_size, len(doc_ix)).astype(np.int32)
+        z = rng.integers(0, k_total, len(doc_ix)).astype(np.int32)
+        eta = rng.uniform(0.1, 2.0, (n_rows, vocab_size))
+        rows = np.array(rows, np.int64)
+        args = [tokens, doc_ix, z, *tabulate(tokens, doc_ix, z, 3, k_total, vocab_size),
+                np.ascontiguousarray(eta.T), rows, eta.sum(axis=1)[rows]]
+        c_args, py_args = _copy(args), _copy(args)
+        for _ in range(3):
+            uniforms = rng.random(len(tokens))
+            uniforms[[3, 9]] = 1.0
+            _kernels.sweep_tokens(*c_args, 0.3, uniforms)
+            _kernels._sweep_py(*py_args, 0.3, uniforms)
+            assert c_args[2][[3, 9]].tolist() == [k_total - 1] * 2
+            for got, want in zip(c_args, py_args):
+                assert (got == want).all()
 
     def test_exact_tie_takes_the_later_topic(self):
         # one token, two topics, symmetric counts once it is removed: the
@@ -316,9 +351,15 @@ class TestKernelsAgree:
         rng = np.random.default_rng(seed)
         n_wk = (rng.integers(0, 40, (vocab_size, k_total))
                 * rng.integers(0, 2, (vocab_size, k_total))).astype(np.int32)
-        eta_wk = np.exp(rng.uniform(np.log(1e-6), np.log(1e3), (vocab_size, k_total)))
-        want = _kernels._gammaln_cells_py(n_wk, eta_wk)
-        assert _kernels.gammaln_cell_sum(n_wk, eta_wk).hex() == want.hex()
+        # R <= K distinct rows, each topic taking one of them
+        n_rows = int(rng.integers(1, k_total + 1))
+        rows = rng.integers(0, n_rows, k_total)
+        eta_wk = np.exp(rng.uniform(np.log(1e-6), np.log(1e3), (vocab_size, n_rows)))
+        args = n_wk, eta_wk, gammaln(eta_wk), rows
+        want = _kernels._gammaln_cells_py(*args)
+        assert _kernels.gammaln_cell_sum(*args).hex() == want.hex()
+        dense = gammaln(n_wk.T + eta_wk.T[rows]) - gammaln(eta_wk.T[rows])
+        assert want == np.ascontiguousarray(np.where(n_wk.T == 0, 0.0, dense)).sum()
 
     def test_fallback_without_compiler_gives_same_bytes(self, no_compiler, caplog, tmp_path):
         corpus = random_corpus(seed=3, n_docs=20, vocab_size=15)
@@ -328,8 +369,9 @@ class TestKernelsAgree:
         with caplog.at_level(logging.WARNING, logger=_kernels.__name__):
             importlib.reload(_kernels)
         assert _kernels.BACKEND == "numpy"
-        assert (_kernels._log_sum_c is _kernels._json_floats_c is _kernels._gammaln_c
-                is _kernels._gammaln_cells_c is _kernels._co_doc_c is None)
+        assert (_kernels._tabulate_c is _kernels._log_sum_c is _kernels._json_floats_c
+                is _kernels._gammaln_c is _kernels._gammaln_cells_c is _kernels._co_doc_c
+                is None)
         assert [r.levelno for r in caplog.records] == [logging.WARNING]
         save_model(fit(corpus, prior, cfg), tmp_path / "numpy.json")
         assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "c.json").read_bytes()
@@ -341,7 +383,8 @@ def test_c_kernel_loads_where_a_compiler_is_present():
     if shutil.which("cc") is None:
         pytest.skip("no C compiler on PATH")
     assert _kernels.BACKEND == "c"
-    for entry in (_kernels._sweep_c, _kernels._log_sum_c, _kernels._json_floats_c,
+    for entry in (_kernels._sweep_c, _kernels._tabulate_c, _kernels._log_sum_c,
+                  _kernels._json_floats_c,
                   _kernels._gammaln_c, _kernels._gammaln_cells_c, _kernels._co_doc_c):
         assert entry is not None
 
@@ -375,12 +418,17 @@ def test_gammaln_cells_outside_the_domain_raise(backend, count, weight):
     n_wk = np.array([[0, 1], [count, 0], [0, count]], dtype=np.int32)
     eta_wk = np.array([[-1.0, 0.5], [weight, 0.5], [0.5, weight]])
     with pytest.raises(ValueError, match=r"^cell \(0, 1\): "):
-        _kernels.gammaln_cell_sum(n_wk, eta_wk)
+        _kernels.gammaln_cell_sum(n_wk, eta_wk, gammaln(eta_wk), np.arange(2))
 
 
 def test_gammaln_cells_rejects_mismatched_shapes(backend):
     with pytest.raises(ValueError, match="n_wk is"):
-        _kernels.gammaln_cell_sum(np.zeros((3, 2), np.int32), np.ones((2, 3)))
+        _kernels.gammaln_cell_sum(np.zeros((3, 2), np.int32), np.ones((2, 3)),
+                                  np.zeros((2, 3)), np.arange(2))
+    for row in (-1, 1):  # one prior row, two topics
+        with pytest.raises(ValueError, match=r"topic_rows has a row outside \[0, 1\)"):
+            _kernels.gammaln_cell_sum(np.zeros((3, 2), np.int32), np.ones((3, 1)),
+                                      np.zeros((3, 1)), np.array([0, row]))
 
 
 # grid sizes K * V about the bounds of the cell sum's ranges: numpy's unrolled
@@ -401,11 +449,17 @@ def test_bounded_cell_sum_same_bits_as_the_dense_sum(size, twins, data):
     shape = (size // k_total, k_total)  # word-major (V, K)
     eta_wk = np.exp(rng.uniform(np.log(1e-6), np.log(1e3), shape))
     full = rng.integers(1, 50, shape, dtype=np.int32)
+    rows = np.arange(k_total)
     with python_twins() if twins else nullcontext():
         for n_wk in (np.zeros(shape, np.int32), full, full * rng.integers(0, 2, shape, np.int32)):
             dense = gammaln(np.ascontiguousarray(n_wk.T) + eta_wk.T) - gammaln(eta_wk.T)
             want = np.ascontiguousarray(dense).sum()  # in C order, as the (K, V) grid lies
-            assert _kernels.gammaln_cell_sum(n_wk, eta_wk).hex() == float(want).hex()
+            got = _kernels.gammaln_cell_sum(n_wk, eta_wk, gammaln(eta_wk), rows)
+            assert got.hex() == float(want).hex()
+            # the document cells: a table read by count over a (D, K) grid
+            by_count = rng.standard_normal(50) * 10.0 ** rng.integers(-3, 4, 50)
+            want = by_count.take(n_wk).sum()
+            assert _kernels.take_sum(by_count, n_wk).hex() == float(want).hex()
         # two bad occupied cells in the grid's later half, a later range than
         # the first where it has more than one, and before both a bad empty
         # cell: the first bad occupied cell in C order is named
@@ -418,7 +472,7 @@ def test_bounded_cell_sum_same_bits_as_the_dense_sum(size, twins, data):
         k, w = divmod(first, shape[0])
         with pytest.raises(ValueError, match=rf"^cell \({k}, {w}\): count 3 and weight "
                                              + re.escape(repr(eta_wk[w, k]))):
-            _kernels.gammaln_cell_sum(full, eta_wk)
+            _kernels.gammaln_cell_sum(full, eta_wk, gammaln(eta_wk), rows)
 
 
 @pytest.mark.parametrize("doc_streams,digest", [
@@ -473,7 +527,8 @@ class TestKernelInputValidation:
         assert args[5].sum() == 4
 
     @pytest.mark.parametrize("position,dtype", [(0, np.int64), (4, np.int64),
-                                                (6, np.float32), (9, np.float32)])
+                                                (6, np.float32), (7, np.int32),
+                                                (10, np.float32)])
     def test_wrong_dtype(self, backend, position, dtype):
         args = self._args()
         args[position] = args[position].astype(dtype)
@@ -488,7 +543,7 @@ class TestKernelInputValidation:
 
     def test_shape_disagreement(self, backend):
         args = self._args()
-        args[9] = args[9][:3]
+        args[10] = args[10][:3]
         self._assert_rejected(args)
 
     @pytest.mark.parametrize("moved", [(4,), (4, 6)], ids=["n_wk", "n_wk_and_eta_wk"])
@@ -508,9 +563,15 @@ class TestKernelInputValidation:
         rng = np.random.default_rng(2)
         for _ in range(3):
             _kernels.sweep_tokens(state.tokens, state.doc_ix, state.z, state.n_dk,
-                                  state.n_wk, state.n_k, prior.weights_by_word,
+                                  state.n_wk, state.n_k, prior.rows_by_word, prior.topic_rows,
                                   prior.row_sums, 0.5, rng.random(corpus.n_tokens))
             assert counts_match_assignments(state)
+
+    @pytest.mark.parametrize("row", [-1, 3])
+    def test_topic_row_outside_the_prior(self, backend, row):
+        args = self._args()
+        args[7][1] = row  # R = 3 prior rows
+        self._assert_rejected(args)
 
     @pytest.mark.parametrize("position,value", [(0, 3), (0, -1), (1, 2), (2, 3)])
     def test_out_of_range_index(self, backend, position, value):
@@ -1028,9 +1089,9 @@ class TestDocStreamSweeps:
         docs, z_docs, eta, alpha, seed = case
         eta = np.array(eta)
         n_topics, vocab_size = eta.shape
-        tokens, doc_ix, z, n_dk, n_wk, n_k, _, _ = _sweep_args(
+        tokens, doc_ix, z, n_dk, n_wk, n_k = _sweep_args(
             [w for doc in docs for w in doc], [len(doc) for doc in docs],
-            n_topics, vocab_size, [k for zs in z_docs for k in zs], eta)
+            n_topics, vocab_size, [k for zs in z_docs for k in zs], eta)[:6]
         lengths = np.array([len(doc) for doc in docs], dtype=np.int64)
         state = ModelState(tokens=tokens, doc_ix=doc_ix, doc_lengths=lengths, z=z,
                            n_dk=n_dk, n_wk=n_wk, n_k=n_k, rng=np.random.default_rng(0),
