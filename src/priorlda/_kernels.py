@@ -1,15 +1,18 @@
-"""Hot loops: the collapsed Gibbs sweep and its count tables, coherence's log
-fold, the JSON text of float arrays, the log-likelihood's log-gamma terms and
-the co-document counts of coherence and PMI.
+"""Hot loops: the collapsed Gibbs sweep and its count tables, the JSON text
+of float arrays, the log-gamma terms of the log-likelihood, and coherence,
+PMI and their co-document counts.
 
 All are small C functions, compiled on first import into a cache
-directory and called through one ctypes handle. Without a C compiler their
-twins run instead: ``_sweep_py``, ``_tabulate_py``, ``_log_sum_py``,
-``json.dumps(a.tolist())``, ``_gammaln_py``, ``_gammaln_cells_py`` and
-``_co_doc_py``, the ``scipy.sparse`` product X.T @ X. Each pair gives the
-same bits: the sweep does the same arithmetic in the same order on pre-drawn
-uniforms, and the fold adds libm's ``log`` (what ``math.log`` calls) left to
-right. The JSON
+directory and called through one ctypes handle, one call per job. Without a
+C compiler their twins run instead: ``_sweep_py``, ``_tabulate_py``,
+``json.dumps(a.tolist())``, ``_gammaln_py``, ``_loglik_py``,
+``_coherence_py``, ``_pmi_py`` and ``_co_doc_py``, the ``scipy.sparse``
+product X.T @ X. Each pair gives the same bits: the sweep does the same
+arithmetic in the same order on pre-drawn uniforms; the log-likelihood's
+twin is the dense formula and ``.sum()``, whose pairwise splits the kernel
+follows; coherence adds libm's ``log`` (what ``math.log`` calls) left to
+right; and PMI's lower median is an order statistic, which any selection
+finds exactly. The JSON
 writer walks an array once, giving each value of a row that it has not met
 earlier in the row ``float.__repr__``'s shortest round-trip digits with
 Ryu's digit loop, exact in 128-bit integers for zeros, non-finite values and
@@ -69,7 +72,6 @@ LGAM_MAX = 2.556348e305
 # left-to-right chain, as np.cumsum adds. These are the operations of the plain
 # formula on the same values, so every bit is as it was; -ffp-contract=off
 # keeps the compiler from fusing a multiply and an add.
-# log_sum returns the index of its first entry <= 0, where math.log raises.
 # json_floats writes json.dumps's text of rows lists of cols values, one list
 # if not nested, in one pass into out, and returns its length. A value seen
 # earlier in the same row is copied from where its text was first written, as
@@ -94,11 +96,14 @@ LGAM_MAX = 2.556348e305
 # bounds x +- ulp/2 and x - ulp/4 and is closer. The digits, written two at a
 # time from DIGIT_PAIRS, are then laid out as repr lays them out, in at most 23
 # bytes ("-1.2345678901234567e-14").
-# gammaln_cells writes cells lo..hi-1 of the (K, V) grid of the word-major
-# counts, in C order, 0.0 where the count is 0, taking lgam of each weight from
-# the table lgam_eta laid out as eta. It and gammaln return the index of the
-# first value, or occupied cell, where an argument of lgam is not > 0: its
-# shifting loops would never end on -inf or a huge negative x.
+# gammaln returns the index of the first value where an argument of lgam is
+# not > 0, and loglik the index of the first such term, counted across its
+# four parts: lgam's shifting loops would never end on -inf or a huge negative
+# x. loglik computes each term as it adds it, in numpy's pairwise order, so it
+# holds no cells; a term it met before is looked up, with the same bits.
+# coherence returns the index of its first pair with x <= 0, where math.log
+# raises, and pmi -2 if it gets no memory for its arguments. Both read the
+# counts block at its byte strides, so a view is read in place.
 # co_doc returns the index of the first entry of rows outside [0, D); then it
 # buckets the entries by document with a counting sort (ends[d] ends up where
 # document d's run of column numbers ends) and adds 1 to counts[cols[a]][cols[b]]
@@ -112,6 +117,7 @@ _C_SOURCE = (f"#define LGAM_MAX {LGAM_MAX!r}\n#define POW5 {{{_POW5}}}\n"
              f'#define DIGIT_PAIRS "{_DIGIT_PAIRS}"\n') + r"""
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 typedef double pair __attribute__((vector_size(16)));
@@ -175,16 +181,6 @@ int64_t sweep(const int32_t *tokens, const int32_t *doc_ix, int32_t *z, int64_t 
         z[t] = (int32_t)k;
         dk[k]++; wk[k]++; n_k[k]++;
         dterm[k] = dk[k] + alpha, den[k] = n_k[k] + eta_sums[k];
-    }
-    return -1;
-}
-
-int64_t log_sum(const double *x, int64_t n, double *total)
-{
-    for (int64_t i = 0; i < n; i++) {
-        if (x[i] <= 0)
-            return i;
-        *total += log(x[i]);
     }
     return -1;
 }
@@ -348,24 +344,182 @@ int64_t gammaln(const double *x, int64_t n, double *out)
     return -1;
 }
 
-int64_t gammaln_cells(const int32_t *n_wk, const double *eta, const double *lgam_eta,
-                      const int64_t *rows, int64_t K, int64_t V, int64_t R,
-                      double *cells, int64_t lo, int64_t hi)
+/* f(x), kept in a direct-mapped table of 256 slots: a slot holds the last x
+   whose bits hashed to it and f(x). Slots start at 0 bits, x = +0.0, which no
+   caller asks for. */
+struct memo { uint64_t arg[256]; double value[256]; };
+
+static inline double seen(struct memo *m, double (*f)(double), double x)
 {
-    if (lo >= hi)
-        return -1;
-    for (int64_t at = lo, k = lo / V, v = lo % V; at < hi; at++) {
-        double c = n_wk[v * K + k];
-        int64_t e_at = v * R + rows[k];
-        if (c == 0)
-            cells[at - lo] = 0.0;
-        else if (!(eta[e_at] > 0 && c + eta[e_at] > 0))
-            return at;
-        else
-            cells[at - lo] = lgam(c + eta[e_at]) - lgam_eta[e_at];
-        if (++v == V)
-            v = 0, k++;
+    uint64_t bits, slot;
+    memcpy(&bits, &x, sizeof bits);
+    slot = (bits * UINT64_C(0x9E3779B97F4A7C15)) >> 56;
+    if (m->arg[slot] != bits)
+        m->arg[slot] = bits, m->value[slot] = f(x);
+    return m->value[slot];
+}
+
+/* The log-likelihood's parts: 0 the documents, 1 the (D, K) document cells,
+   read by count below 256, 2 the topics and 3 the (K, V) word-topic cells. */
+struct terms {
+    const int32_t *n_dk, *n_wk, *n_k;
+    const int64_t *lengths, *rows;
+    const double *eta, *lgam_eta, *eta_sums;
+    double alpha, k_alpha, lgam_alpha, lgam_k_alpha, by_count[256];
+    struct memo lgam_of;
+    int64_t start, filled, bad, K, V, R;
+};
+
+/* term at of a part; in part 3 that is cell (k, v), and k and v step to the
+   next cell. A term whose argument is not > 0 counts as 0.0, and the first
+   such term's index across the parts is kept in bad. */
+static inline __attribute__((always_inline)) double term(struct terms *t, int part, int64_t at,
+                                                     int64_t *k, int64_t *v)
+{
+    double x, c = part == 1 ? t->n_dk[at] : 0;
+    if (part == 0 && (x = t->lengths[at] + t->k_alpha) > 0)
+        return t->lgam_k_alpha - seen(&t->lgam_of, lgam, x);
+    if (part == 1 && c >= 0 && c < 256) {
+        for (; t->filled <= c; t->filled++)
+            t->by_count[t->filled] = lgam(t->filled + t->alpha) - t->lgam_alpha;
+        return t->by_count[(int)c];
     }
+    if (part == 1 && (x = c + t->alpha) > 0)
+        return seen(&t->lgam_of, lgam, x) - t->lgam_alpha;
+    if (part == 2 && t->eta_sums[at] > 0 && (x = t->n_k[at] + t->eta_sums[at]) > 0)
+        return seen(&t->lgam_of, lgam, t->eta_sums[at]) - seen(&t->lgam_of, lgam, x);
+    if (part == 3) {
+        int64_t e = *v * t->R + t->rows[*k];
+        c = t->n_wk[*v * t->K + *k];
+        if (++*v == t->V)
+            *v = 0, ++*k;
+        if (c == 0 || (t->eta[e] > 0 && c + t->eta[e] > 0))
+            return c ? seen(&t->lgam_of, lgam, c + t->eta[e]) - t->lgam_eta[e] : 0.0;
+    }
+    t->bad = t->bad < 0 ? t->start + at : t->bad;
+    return 0.0;
+}
+
+/* numpy's pairwise sum of terms at..at+n-1: a split at n / 2 rounded down to
+   a multiple of 8 above 128, eight accumulators below; a leaf per part keeps
+   them in registers */
+static inline __attribute__((always_inline)) double leaf(struct terms *t, int part, int64_t at,
+                                                     int64_t n)
+{
+    double r[8] = {0}, res;
+    int64_t i = 0, k = part == 3 ? at / t->V : 0, v = part == 3 ? at % t->V : 0;
+    for (; i < n - n % 8; i += 8)
+#pragma GCC unroll 8
+        for (int j = 0; j < 8; j++)
+            r[j] += term(t, part, at + i + j, &k, &v);
+    res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+    for (; i < n; i++)
+        res += term(t, part, at + i, &k, &v);
+    return res;
+}
+
+static double pairwise(struct terms *t, int part, int64_t at, int64_t n)
+{
+    int64_t half = n / 2 - n / 2 % 8;
+    if (n > 128) {
+        double left = pairwise(t, part, at, half);
+        return left + pairwise(t, part, at + half, n - half);
+    }
+    switch (part) {
+    case 0: return leaf(t, 0, at, n);
+    case 1: return leaf(t, 1, at, n);
+    case 2: return leaf(t, 2, at, n);
+    default: return leaf(t, 3, at, n);
+    }
+}
+
+static double part_sum(struct terms *t, int part, int64_t n)
+{
+    double sum = 0.0 + (n ? pairwise(t, part, 0, n) : 0.0);  /* as np.add.reduce starts */
+    t->start += n;
+    return sum;
+}
+
+int64_t loglik(const int32_t *n_dk, const int32_t *n_wk, const int32_t *n_k,
+               const int64_t *lengths, const double *eta, const double *lgam_eta,
+               const int64_t *rows, const double *eta_sums, double alpha,
+               int64_t D, int64_t K, int64_t V, int64_t R, double *total)
+{
+    struct terms t = {.n_dk = n_dk, .n_wk = n_wk, .n_k = n_k, .lengths = lengths,
+                      .rows = rows, .eta = eta, .lgam_eta = lgam_eta, .eta_sums = eta_sums,
+                      .alpha = alpha, .k_alpha = K * alpha, .lgam_alpha = lgam(alpha),
+                      .lgam_k_alpha = lgam(K * alpha), .bad = -1, .K = K, .V = V, .R = R};
+    double docs = part_sum(&t, 0, D);
+    docs += part_sum(&t, 1, D * K);
+    double topics = part_sum(&t, 2, K);
+    *total = docs + (topics + part_sum(&t, 3, K * V));
+    return t.bad;
+}
+
+/* D(v_i, v_j) of an m x m block of counts at byte strides rs and cs */
+static int64_t pair_count(const char *counts, int64_t rs, int64_t cs, int64_t i, int64_t j)
+{
+    int64_t c;
+    memcpy(&c, counts + i * rs + j * cs, sizeof c);
+    return c;
+}
+
+int64_t coherence(const char *counts, int64_t rs, int64_t cs, const int64_t *df, int64_t m,
+                  double *total)
+{
+    struct memo log_of;
+    double sum = 0.0;
+    memset(log_of.arg, 0, sizeof log_of.arg);
+    for (int64_t i = 0, at = 0; i < m; i++)
+        for (int64_t j = i + 1; j < m; j++, at++) {
+            double x = (double)(pair_count(counts, rs, cs, i, j) + 1) / (double)df[i];
+            if (x <= 0)
+                return at;
+            sum += seen(&log_of, log, x);
+        }
+    *total = sum;
+    return -1;
+}
+
+/* Hoare's quickselect of the lower median, with the NaNs, which np.partition
+   puts last, set aside; -2 where there is no memory for the arguments */
+int64_t pmi(const char *counts, int64_t rs, int64_t cs, const int64_t *df, int64_t m,
+            int64_t n_docs, double *median)
+{
+    int64_t pairs = m * (m - 1) / 2, kept = 0, lo = 0, hi, k = (pairs - 1) / 2, i, j;
+    double n = (double)n_docs, *args = malloc(sizeof(double) * (pairs + m)), *p = args + pairs;
+    if (!args)
+        return -2;
+    for (i = 0; i < m; i++)
+        p[i] = (double)df[i] / n;
+    for (i = 0; i < m; i++)
+        for (j = i + 1; j < m; j++) {
+            double x = ((double)(pair_count(counts, rs, cs, i, j) + 1) / n) / (p[i] * p[j]);
+            if (x == x)
+                args[kept++] = x;
+            else
+                *median = x;
+        }
+    for (hi = kept - 1; k < kept && lo < hi;) {
+        double pivot = args[lo + (hi - lo) / 2], swap;
+        for (i = lo, j = hi; i <= j;) {
+            while (args[i] < pivot)
+                i++;
+            while (pivot < args[j])
+                j--;
+            if (i <= j)
+                swap = args[i], args[i++] = args[j], args[j--] = swap;
+        }
+        if (k <= j)
+            hi = j;
+        else if (k >= i)
+            lo = i;
+        else
+            break;
+    }
+    if (k < kept)
+        *median = args[k];
+    free(args);
     return -1;
 }
 
@@ -437,14 +591,21 @@ def _load():
 _ptr, _i64, _f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
 _ENTRIES = {"sweep": [_ptr] * 3 + [_i64] + [_ptr] * 6 + [_f64, _ptr, _ptr] + [_i64] * 4,
             "tabulate": [_ptr] * 3 + [_i64] + [_ptr] * 3 + [_i64] * 3,
-            "log_sum": [_ptr, _i64, _ptr],
             "json_floats": [_ptr, _i64, _i64, _i64, _ptr, _i64, _ptr],
             "gammaln": [_ptr, _i64, _ptr],
-            "gammaln_cells": [_ptr] * 4 + [_i64] * 3 + [_ptr, _i64, _i64],
+            "loglik": [_ptr] * 8 + [_f64] + [_i64] * 4 + [_ptr],
+            "coherence": [_ptr, _i64, _i64, _ptr, _i64, _ptr],
+            "pmi": [_ptr, _i64, _i64, _ptr, _i64, _i64, _ptr],
             "co_doc": [_ptr, _ptr, _i64, _i64, _ptr, _ptr, _ptr]}
-(_sweep_c, _tabulate_c, _log_sum_c, _json_floats_c, _gammaln_c, _gammaln_cells_c,
+(_sweep_c, _tabulate_c, _json_floats_c, _gammaln_c, _loglik_c, _coherence_c, _pmi_c,
  _co_doc_c) = _load()
 BACKEND = "numpy" if _sweep_c is None else "c"
+
+
+def check_alpha(alpha) -> None:
+    """The one range check of the documents' Dirichlet weight alpha."""
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, not {alpha}")
 
 
 def _check_array(name, arr, dtype, ndim):
@@ -455,30 +616,14 @@ def _check_array(name, arr, dtype, ndim):
 
 def _address(a: np.ndarray):
     """a's data pointer for a C call: through the buffer protocol, 4x cheaper
-    than ``a.ctypes.data``, where a is writable and not empty."""
-    return (ctypes.byref(ctypes.c_char.from_buffer(a)) if a.flags.writeable and a.size
-            else a.ctypes.data)
-
-
-def log_sum(x: np.ndarray) -> float:
-    """0.0 + log(x[0]) + log(x[1]) + ... for a 1-D C-contiguous float64 x, added left
-    to right with ``math.log``'s bits: NaN and +inf pass through, entries <= 0 raise."""
-    _check_array("x", x, np.float64, 1)
-    total = ctypes.c_double(0.0)
-    bad = (_log_sum_py(x, total) if _log_sum_c is None
-           else _log_sum_c(_address(x), len(x), ctypes.byref(total)))
-    if bad >= 0:
-        raise ValueError(f"x[{bad}] = {float(x[bad])!r} is outside the domain of log")
-    return total.value
-
-
-def _log_sum_py(x, total):
-    bad = np.flatnonzero(x <= 0)
-    if bad.size:
-        return int(bad[0])
-    # a strict left fold: sum() compensates from Python 3.12, np.sum is pairwise
-    total.value = functools.reduce(operator.add, map(math.log, x.tolist()), 0.0)
-    return -1
+    than ``a.ctypes.data``, where a is writable, C-contiguous and not empty."""
+    flags = a.flags
+    if flags.writeable and flags.c_contiguous:
+        try:
+            return ctypes.byref(ctypes.c_char.from_buffer(a))
+        except ValueError:  # empty
+            pass
+    return a.ctypes.data
 
 
 def gammaln(x: np.ndarray) -> np.ndarray:
@@ -502,54 +647,74 @@ def _gammaln_py(x, out):
     return -1
 
 
-# the most cells gammaln_cell_sum and take_sum fill at a time: 64 KB of float64
-CELL_LEAF = 8192
+def loglik(n_dk, n_wk, n_k, doc_lengths, prior, alpha) -> float:
+    """The collapsed joint log-likelihood of the int32 counts n_dk (D, K), n_wk
+    (V, K) and n_k, the int64 document lengths, alpha and a ``PriorMatrix``:
 
+        sum_d [gammaln(K alpha) - gammaln(len_d + K alpha)]
+        + sum_dk [gammaln(n_dk + alpha) - gammaln(alpha)]
+        + sum_k [gammaln(row_sums_k) - gammaln(n_k + row_sums_k)]
+        + sum_kw [gammaln(n_kw + eta_kw) - gammaln(eta_kw)],
 
-def gammaln_cell_sum(n_wk: np.ndarray, eta_wk: np.ndarray, gammaln_wk: np.ndarray,
-                     topic_rows: np.ndarray) -> float:
-    """``np.add.reduce`` over the (K, V) grid, in C order, of ``gammaln(n_wk[v, k] +
-    eta) - gammaln(eta)``, eta = ``eta_wk[v, topic_rows[k]]``, 0.0 where the count
-    is 0, for word-major int32 counts, the word-major (V, R) float64 weights of R
-    prior rows and their ``gammaln`` in ``gammaln_wk``, bit for bit but with no K x V
-    array. The first occupied cell, in C order, with an argument not > 0 raises."""
+    each sum over its cells in C order with ``np.add.reduce``'s bits, an empty
+    word-topic cell adding 0.0. Alpha outside (0, inf), malformed counts and,
+    the first in that order, a log-gamma argument not > 0 raise ValueError."""
+    check_alpha(alpha)
+    _check_array("n_dk", n_dk, np.int32, 2)
     _check_array("n_wk", n_wk, np.int32, 2)
-    _check_array("eta_wk", eta_wk, np.float64, 2)
-    _check_array("gammaln_wk", gammaln_wk, np.float64, 2)
-    _check_rows(n_wk, eta_wk, topic_rows)
-    if gammaln_wk.shape != eta_wk.shape:
-        raise ValueError(f"gammaln_wk is {gammaln_wk.shape}, eta_wk is {eta_wk.shape}")
-    if _gammaln_cells_c is None:
-        return _gammaln_cells_py(n_wk, eta_wk, gammaln_wk, topic_rows)
-    cells = np.empty(min(n_wk.size, CELL_LEAF))
-    args = (_address(n_wk), _address(eta_wk), _address(gammaln_wk), _address(topic_rows),
-            *n_wk.shape[::-1], eta_wk.shape[1], _address(cells))
-
-    def fill(lo, hi):
-        _check_cell(n_wk, eta_wk, topic_rows, _gammaln_cells_c(*args, lo, hi))
-    return float(_pairwise(fill, cells, 0, n_wk.size))
-
-
-def take_sum(table: np.ndarray, index: np.ndarray) -> float:
-    """``table.take(index).sum()`` for a C-contiguous index of positions in
-    table, bit for bit, but taking at most CELL_LEAF values at a time."""
-    flat = index.reshape(-1)
-    cells = np.empty(min(flat.size, CELL_LEAF))
-    return float(_pairwise(lambda lo, hi: table.take(flat[lo:hi], out=cells[:hi - lo],
-                                                     mode="clip"), cells, 0, flat.size))
+    _check_array("n_k", n_k, np.int32, 1)
+    _check_array("doc_lengths", doc_lengths, np.int64, 1)
+    counts = (n_dk, n_wk, n_k, doc_lengths)
+    k_total, (vocab_size, n_rows) = len(prior.topic_rows), prior.rows_by_word.shape
+    if not (n_dk.shape == (len(doc_lengths), k_total) and n_wk.shape == (vocab_size, k_total)
+            and n_k.shape == (k_total,)):
+        raise ValueError(f"n_dk is {n_dk.shape}, n_wk {n_wk.shape}, n_k {n_k.shape} and "
+                         f"doc_lengths {doc_lengths.shape}, for a prior of {k_total} topics "
+                         f"over {vocab_size} words")
+    if _loglik_c is None:
+        bad, total = _loglik_py(*counts, prior, alpha)
+    else:
+        out = ctypes.c_double()
+        bad = _loglik_c(*map(_address, counts), *prior.addresses, alpha, len(doc_lengths),
+                        k_total, vocab_size, n_rows, ctypes.byref(out))
+        total = out.value
+    if bad >= 0:
+        _bad_term(bad, n_dk, n_wk, prior)
+    return total
 
 
-def _pairwise(fill, cells, lo, hi):
-    """np.add.reduce of the values lo..hi-1 of a grid that fill(lo, hi) writes
-    into cells, if at most CELL_LEAF, else the sum of the halves numpy's
-    pairwise sum splits n > 128 values into: the first n // 2 rounded down to a
-    multiple of 8, and the rest. So the total has np.add.reduce's bits over the
-    whole grid."""
-    if hi - lo > CELL_LEAF:
-        mid = lo + (hi - lo) // 2 // 8 * 8
-        return _pairwise(fill, cells, lo, mid) + _pairwise(fill, cells, mid, hi)
-    fill(lo, hi)
-    return np.add.reduce(cells[:hi - lo])
+def _bad_term(at, n_dk, n_wk, prior):
+    """Raise ValueError naming term ``at``, counted across loglik's four parts."""
+    for part, size in (("document", len(n_dk)), ("document cell", n_dk.size),
+                       ("topic", n_dk.shape[1])):
+        if at < size:
+            raise ValueError(f"{part} {at}: a log-gamma argument is not > 0")
+        at -= size
+    k, w = divmod(at, len(n_wk))
+    raise ValueError(f"cell ({k}, {w}): count {n_wk[w, k]} and weight "
+                     f"{float(prior.rows_by_word[w, prior.topic_rows[k]])!r} are outside "
+                     "the domain of gammaln")
+
+
+def _loglik_py(n_dk, n_wk, n_k, doc_lengths, prior, alpha):
+    from scipy.special import gammaln
+    k_alpha, row_sums = len(n_k) * alpha, prior.row_sums
+    counts = np.ascontiguousarray(n_wk.T)  # the (K, V) grid in C order
+    eta, g_eta = (np.ascontiguousarray(a.T[prior.topic_rows])
+                  for a in (prior.rows_by_word, prior.gammaln_by_word))
+    occupied = counts != 0
+    bad = np.concatenate([~(doc_lengths + k_alpha > 0), ~(n_dk + alpha > 0).ravel(),
+                          ~((row_sums > 0) & (n_k + row_sums > 0)),
+                          (occupied & ~((eta > 0) & (counts + eta > 0))).ravel()])
+    if bad.any():
+        return int(bad.argmax()), math.nan
+    docs = float((gammaln(k_alpha) - gammaln(doc_lengths + k_alpha)).sum())
+    docs += float((gammaln(n_dk + alpha) - gammaln(alpha)).sum())
+    topics = float((gammaln(row_sums) - gammaln(n_k + row_sums)).sum())
+    cells = np.zeros(counts.shape)
+    cells[occupied] = gammaln(counts[occupied] + eta[occupied]) - g_eta[occupied]
+    topics += float(cells.sum())
+    return -1, docs + topics
 
 
 def _check_rows(n_wk, eta_wk, topic_rows):
@@ -564,24 +729,69 @@ def _check_rows(n_wk, eta_wk, topic_rows):
         raise ValueError(f"topic_rows has a row outside [0, {eta_wk.shape[1]})")
 
 
-def _check_cell(n_wk, eta_wk, topic_rows, at):
-    if at >= 0:
-        k, w = divmod(at, n_wk.shape[0])
-        raise ValueError(f"cell ({k}, {w}): count {n_wk[w, k]} and weight "
-                         f"{eta_wk[w, topic_rows[k]]!r} are outside the domain of gammaln")
+def _block(counts, doc_freq):
+    """counts as an int64 (m, m) array, read in place, for the int64 document
+    counts of m words; ValueError otherwise."""
+    _check_array("doc_freq", doc_freq, np.int64, 1)
+    counts = np.asarray(counts, np.int64)
+    m = len(doc_freq)
+    if counts.shape != (m, m):
+        raise ValueError(f"counts must be {m}x{m}, got {counts.shape}")
+    return counts
 
 
-def _gammaln_cells_py(n_wk, eta_wk, gammaln_wk, topic_rows):
-    from scipy.special import gammaln
-    counts = np.ravel(n_wk.T)  # the (K, V) grid in C order
-    occupied = np.flatnonzero(counts != 0)  # faster on bools than on int32
-    e, g = (np.ravel(a.T[topic_rows])[occupied] for a in (eta_wk, gammaln_wk))
-    args = counts[occupied] + e
-    bad = np.flatnonzero(~((e > 0) & (args > 0)))
-    _check_cell(n_wk, eta_wk, topic_rows, int(occupied[bad[0]]) if bad.size else -1)
-    cells = np.zeros(counts.size)
-    cells[occupied] = gammaln(args) - g
-    return float(cells.sum())
+def coherence(counts, doc_freq) -> float:
+    """0.0 + log(x_01) + log(x_02) + ... + log(x_(m-2)(m-1)), added left to right
+    with ``math.log``'s bits over the pairs i<j, i-major, where x_ij =
+    (counts[i, j] + 1) / doc_freq[i], for an (m, m) block of co-document counts,
+    read at its strides, and the m words' document counts. NaN and +inf pass
+    through; the first x <= 0 raises ValueError."""
+    counts = _block(counts, doc_freq)
+    total = ctypes.c_double(0.0)
+    bad = (_coherence_py(counts, doc_freq, total) if _coherence_c is None
+           else _coherence_c(_address(counts), *counts.strides, _address(doc_freq),
+                             len(doc_freq), ctypes.byref(total)))
+    if bad >= 0:
+        i, j = (int(a[bad]) for a in np.triu_indices(len(doc_freq), 1))
+        raise ValueError(f"pair ({i}, {j}): ({counts[i, j]} + 1) / {doc_freq[i]} is outside "
+                         "the domain of log")
+    return total.value
+
+
+def _coherence_py(counts, doc_freq, total):
+    rows, cols = np.triu_indices(len(doc_freq), 1)
+    x = (counts[rows, cols] + 1) / doc_freq[rows]
+    bad = np.flatnonzero(x <= 0)
+    if bad.size:
+        return int(bad[0])
+    # a strict left fold: sum() compensates from Python 3.12, np.sum is pairwise
+    total.value = functools.reduce(operator.add, map(math.log, x.tolist()), 0.0)
+    return -1
+
+
+def pmi_argument(counts, doc_freq, n_docs: int) -> float:
+    """The lower median, in ``np.sort``'s order, over the pairs i<j of
+    ((counts[i, j] + 1) / n) / (p_i * p_j), p = doc_freq / n for n = n_docs,
+    with counts and doc_freq as for ``coherence``; fewer than 2 words raise
+    ValueError. Any selection method gives that order statistic exactly."""
+    if len(doc_freq) < 2:
+        raise ValueError("pmi needs at least 2 words")
+    counts = _block(counts, doc_freq)
+    if _pmi_c is None:
+        return _pmi_py(counts, doc_freq, n_docs)
+    median = ctypes.c_double()
+    if _pmi_c(_address(counts), *counts.strides, _address(doc_freq), len(doc_freq), n_docs,
+              ctypes.byref(median)) == -2:
+        raise MemoryError("no memory for the pairs' PMI arguments")
+    return median.value
+
+
+def _pmi_py(counts, doc_freq, n_docs):
+    rows, cols = np.triu_indices(len(doc_freq), 1)
+    p = doc_freq / n_docs
+    args = ((counts[rows, cols] + 1) / n_docs) / (p[rows] * p[cols])
+    k = (args.size - 1) // 2
+    return float(np.partition(args, k)[k])
 
 
 def co_doc_counts(index, lengths, ids, n_docs: int) -> np.ndarray:
@@ -727,9 +937,10 @@ def sweep_tokens(tokens, doc_ix, z, n_dk, n_wk, n_k, eta_wk, topic_rows, eta_sum
     topic k's weights are its column topic_rows[k]; eta_sums are the K row
     sums. The C kernel keeps each topic's n_dk + alpha and n_k + eta_sums
     between tokens, and the Python twin recomputes them, with the same bits.
-    Raises ValueError, changing nothing, if an argument is malformed or a
-    token's word, document or topic is out of range.
+    Raises ValueError, changing nothing, if alpha is outside (0, inf), an
+    argument is malformed or a token's word, document or topic is out of range.
     """
+    check_alpha(alpha)
     _check_sweep_args(tokens, doc_ix, z, n_dk, n_wk, n_k, eta_wk, topic_rows, eta_sums,
                       uniforms)
     dims = (*n_dk.shape, n_wk.shape[0])

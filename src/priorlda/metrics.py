@@ -6,18 +6,20 @@ appear in every document, which the lift score is here to counterbalance.
 
 The counts come from one kernel call (``corpus.co_doc_counts``), which
 ``report`` makes once over every topic's top words; it passes each topic's
-block to one ``coherence`` call per window and one ``pmi_score`` call, which
-compute their pairs' log arguments with numpy over the pairs i<j. Coherence
-adds libm's log of each in that order (``_kernels.log_sum``, ``math.log``'s
-bits; ``np.log`` may differ in the last bit); PMI takes one ``math.log``, of
-the lower-median argument, since a monotone log keeps the arguments' order.
-The other scores are array passes over all topics' windows at once.
+block to one ``coherence`` call per window and one ``pmi_score`` call. Each
+is one kernel call (``_kernels.coherence``, ``_kernels.pmi_argument``) that
+reads the block in place and forms its pairs' log arguments over the pairs
+i<j, i-major, with numpy's operations in numpy's order. Coherence adds
+libm's log of each in that order (``math.log``'s bits; ``np.log`` may differ
+in the last bit); PMI takes one ``math.log``, of the lower-median argument,
+since a monotone log keeps the arguments' order. The other scores are array
+passes over all topics' windows at once, the list rates read from boolean
+masks over the vocabulary.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import math
 from collections.abc import Iterable, Sequence
@@ -61,26 +63,6 @@ def _word_ids(top: Sequence[str], stats: CorpusStats) -> list[int]:
         raise ValueError(f"word {exc.args[0]!r} is not in the statistics vocabulary") from None
 
 
-@functools.lru_cache(maxsize=16)
-def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (rows, cols) of the pairs i<j among m words, i-major."""
-    rows, cols = np.triu_indices(m, 1)
-    rows.flags.writeable = cols.flags.writeable = False
-    return rows, cols
-
-
-def _pair_counts(ids: list[int], stats: CorpusStats,
-                 counts: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Co-document counts of the pairs i<j of ``ids`` and the pairs' (rows, cols),
-    from ``counts`` when given (one row and column per id, in order), else one product."""
-    if counts is None:
-        counts = co_doc_counts(stats, ids)
-    elif np.shape(counts) != (len(ids), len(ids)):
-        raise ValueError(f"counts must be {len(ids)}x{len(ids)}, got {np.shape(counts)}")
-    pairs = _pairs(len(ids))
-    return np.asarray(counts)[pairs], *pairs
-
-
 def coherence(top: Sequence[str], stats: CorpusStats, *,
               counts: np.ndarray | None = None) -> float:
     """Sum over ordered pairs i<j of ln((D(v_i,v_j) + 1) / D(v_i)).
@@ -88,13 +70,13 @@ def coherence(top: Sequence[str], stats: CorpusStats, *,
     ``top`` must be ordered by descending probability: the denominator is the
     document count of the more probable word of each pair. ``counts``, when
     given, holds D(v_i,v_j) for every pair of ``top``, as ``co_doc_counts``
-    returns it.
+    returns it; it is read in place, at its strides.
     """
     ids = _word_ids(top, stats)
     if len(ids) < 2:
         raise ValueError("coherence needs at least 2 words")
-    joint, rows, _ = _pair_counts(ids, stats, counts)
-    return _kernels.log_sum((joint + 1) / stats.doc_freq[ids][rows])
+    return _kernels.coherence(co_doc_counts(stats, ids) if counts is None else counts,
+                              stats.doc_freq[ids])
 
 
 def pmi_score(top: Sequence[str], stats: CorpusStats, *,
@@ -108,14 +90,8 @@ def pmi_score(top: Sequence[str], stats: CorpusStats, *,
     is monotone, so that is the lower median of the pairs' logs, bit for bit.
     """
     ids = _word_ids(top, stats)
-    if len(ids) < 2:
-        raise ValueError("pmi needs at least 2 words")
-    joint, rows, cols = _pair_counts(ids, stats, counts)
-    n = stats.n_docs
-    p = stats.doc_freq[ids] / n
-    args = ((joint + 1) / n) / (p[rows] * p[cols])
-    k = (args.size - 1) // 2
-    return math.log(np.partition(args, k)[k])
+    return math.log(_kernels.pmi_argument(co_doc_counts(stats, ids) if counts is None
+                                          else counts, stats.doc_freq[ids], stats.n_docs))
 
 
 def log_lift(model: FittedModel, topic: int, stats: CorpusStats,
@@ -127,12 +103,19 @@ def log_lift(model: FittedModel, topic: int, stats: CorpusStats,
     return float(np.mean(np.log(beta / stats.word_freq[_word_ids(top, stats)])))
 
 
-def _touches_whitelist(ids: list[int], white_ids: list[int], stats: CorpusStats) -> np.ndarray:
-    """Whether each word id shares a document with a whitelist word, as bools."""
+def _mask(words: Iterable[str], stats: CorpusStats) -> np.ndarray:
+    """Whether each word of the statistics vocabulary is among ``words``."""
+    mask = np.zeros(stats.vocabulary.size, bool)
+    mask[stats.vocabulary.ids(set(words))] = True
+    return mask
+
+
+def _touches_whitelist(white: np.ndarray, stats: CorpusStats) -> np.ndarray:
+    """Whether each word shares a document with a word of the ``white`` mask."""
     word = np.repeat(np.arange(stats.vocabulary.size), stats.doc_freq)  # each entry's word
     white_docs = np.zeros(stats.n_docs, bool)
-    white_docs[stats.doc_index[np.isin(word, white_ids)]] = True
-    return np.bincount(word, white_docs[stats.doc_index], stats.vocabulary.size)[ids] > 0
+    white_docs[stats.doc_index[white[word]]] = True
+    return np.bincount(word, white_docs[stats.doc_index], stats.vocabulary.size) > 0
 
 
 def _rows_csv(header: Sequence, rows: Iterable[Sequence]) -> str:
@@ -210,7 +193,8 @@ def report(model: FittedModel, stats: CorpusStats, stoplist: Iterable[str],
     Top words follow ``top_words``: one stable argsort of every topic row.
     Every co-document count comes from one product over the union of the
     topics' heads (see ``MetricConfig``), and each score but coherence and
-    PMI is one array pass over all topics.
+    PMI is one array pass over all topics; the stopword, expert and
+    co-document flags of the union's words are read from vocabulary masks.
     """
     small, large = slice(config.m_small), slice(config.m_large)
     n_head = max(config.m_small, config.m_large)
@@ -218,14 +202,14 @@ def report(model: FittedModel, stats: CorpusStats, stoplist: Iterable[str],
     union, inverse = np.unique(head, return_inverse=True)
     inverse = inverse.reshape(head.shape)
     union_words = [model.vocabulary.id_to_word[i] for i in union.tolist()]
-    union_ids = _word_ids(union_words, stats)
+    union_ids = np.array(_word_ids(union_words, stats))
     counts = co_doc_counts(stats, union_ids)
     window = inverse[:, large]
     lift = np.log(np.take_along_axis(model.beta_hat, head[:, large], axis=1)
                   / stats.word_freq[union_ids][window]).mean(axis=1).tolist()
-    white_ids = stats.vocabulary.ids(set(whitelist))
-    flags = (np.isin(union_ids, stats.vocabulary.ids(set(stoplist))),
-             np.isin(union_ids, white_ids), _touches_whitelist(union_ids, white_ids, stats))
+    white = _mask(whitelist, stats)
+    flags = (_mask(stoplist, stats)[union_ids], white[union_ids],
+             _touches_whitelist(white, stats)[union_ids])
     stop_rate, expert_rate, codoc = ((f[window].sum(axis=1) / window.shape[1]).tolist()
                                      for f in flags)
     scores = []

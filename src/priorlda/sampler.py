@@ -14,7 +14,6 @@ an alpha x eta grid and keeps the most likely model and its eta.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -56,8 +55,7 @@ class ModelConfig:
             object.__setattr__(self, "burn_in", self.iterations // 2)
         if self.topics < 1:
             raise ValueError("topics must be >= 1")
-        if not 0 < self.alpha < math.inf:
-            raise ValueError(f"alpha must be positive and finite, not {self.alpha}")
+        _kernels.check_alpha(self.alpha)
         if not self.iterations > self.burn_in >= 0:
             raise ValueError("need iterations > burn_in >= 0")
 
@@ -179,28 +177,14 @@ def log_likelihood(state: ModelState, prior: PriorMatrix, alpha: float) -> float
     """Collapsed joint log p(w, z | alpha, eta): a product of
     Dirichlet-multinomial normalizers over documents and topics.
 
-    Two kernels compute every gammaln term. One takes the short
-    arguments in one array: K alpha, alpha, the row sums, n_k plus the row
-    sums, the document lengths plus K alpha, and alpha plus each count
-    0..max n_dk, so the document cells read a table by count, a bounded range
-    of the (D, K) cells at a time. The other sums the (K, V) word-topic cells a
-    range at a time, with no K x V array, taking gammaln(eta) from the prior's
-    table of its distinct rows; an empty cell is exactly 0.0, gammaln(0 + eta)
-    - gammaln(eta), since PriorMatrix keeps gammaln(eta) finite. Both sums
-    split their cells as numpy's pairwise sum does, so they have the dense
-    formula's bits.
+    One kernel call, ``_kernels.loglik``, computes each gammaln term as it
+    sums it, with no (D, K) or (K, V) array, taking gammaln(eta) from the
+    prior's table of its distinct rows; an empty cell is exactly 0.0,
+    gammaln(0 + eta) - gammaln(eta), since PriorMatrix keeps gammaln(eta)
+    finite. It splits each part as numpy's pairwise sum does, so the total has
+    the dense formula's bits. Alpha outside (0, inf) raises ValueError.
     """
-    k_total, n_docs = state.n_topics, len(state.doc_lengths)
-    g = _kernels.gammaln(np.concatenate((
-        [k_total * alpha, alpha], prior.row_sums, state.n_k + prior.row_sums,
-        state.doc_lengths + k_total * alpha, np.arange(state.n_dk.max(initial=0) + 1) + alpha)))
-    docs_at = 2 + 2 * k_total
-    doc_part = float((g[0] - g[docs_at:docs_at + n_docs]).sum())
-    doc_part += _kernels.take_sum(g[docs_at + n_docs:] - g[1], state.n_dk)
-    topic_part = float((g[2:2 + k_total] - g[2 + k_total:docs_at]).sum())
-    topic_part += _kernels.gammaln_cell_sum(state.n_wk, prior.rows_by_word,
-                                            prior.gammaln_by_word, prior.topic_rows)
-    return doc_part + topic_part
+    return _kernels.loglik(state.n_dk, state.n_wk, state.n_k, state.doc_lengths, prior, alpha)
 
 
 def _point_estimates(state: ModelState, prior: PriorMatrix, alpha: float):

@@ -69,12 +69,10 @@ def alice_stats(alice_corpus):
 
 
 def python_twins():
-    """Switch every C entry point off, so the sweep, the log fold, the JSON
-    float writer, both log-gamma kernels and the co-document counts run on
-    their Python twins, as they do where no compiler is present."""
-    return mock.patch.multiple(_kernels, _sweep_c=None, _tabulate_c=None, _log_sum_c=None,
-                               _json_floats_c=None,
-                               _gammaln_c=None, _gammaln_cells_c=None, _co_doc_c=None)
+    """Switch every C entry point off, so each kernel runs on its Python twin,
+    as it does where no compiler is present: the handle of each entry of
+    ``_kernels._ENTRIES``, ``_<name>_c``, becomes None."""
+    return mock.patch.multiple(_kernels, **{f"_{name}_c": None for name in _kernels._ENTRIES})
 
 
 @pytest.fixture(params=["c", "numpy"])

@@ -40,7 +40,12 @@ def test_each_k_by_v_array_once():
     fit(corpus, prior, config)  # the first calls load what later ones reuse
     state = init(corpus, prior, config)
     sweep(state, prior, config.alpha)
-    assert _peak(lambda: log_likelihood(state, prior, config.alpha)) < kv / 2
+    # the log-likelihood computes each term as it sums it, so it holds no (D, K)
+    # or (K, V) array and no buffer of cells: at most a value per topic,
+    # document and count 0..max n_dk, and 4 KB for the call's Python and
+    # ctypes objects (about 3 KB)
+    terms = state.n_topics + len(state.doc_lengths) + int(state.n_dk.max()) + 1
+    assert _peak(lambda: log_likelihood(state, prior, config.alpha)) < 8 * terms + 4096
     # init counts straight into n_dk (int32, 4 bytes a document and topic) and
     # n_wk (int32, 0.5 K x V), beside z (int32) and the int64 draws it is cast
     # from, 12 bytes a token

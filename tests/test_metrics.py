@@ -1,4 +1,5 @@
 import math
+import re
 from contextlib import nullcontext
 
 import numpy as np
@@ -91,6 +92,11 @@ class TestPmiScore:
         stats = compute_stats(build_corpus(docs))
         want = naive_pmi(["a", "b", "c"], [d.split() for d in docs])
         assert pmi_score(["a", "b", "c"], stats) == pytest.approx(want, abs=1e-12)
+
+    def test_needs_two_words(self, backend, alice_stats):
+        for top in ([], ["alice"]):
+            with pytest.raises(ValueError, match="^pmi needs at least 2 words$"):
+                pmi_score(top, alice_stats)
 
     def test_lower_median_for_even_counts(self):
         # four words, six pairs; engineered so pair values are distinct
@@ -346,6 +352,16 @@ class TestBatchedCounts:
         with pytest.raises(ValueError, match="counts must be 2x2"):
             pmi_score(["a", "b"], stats, counts=np.zeros((3, 3), dtype=np.int64))
 
+    @pytest.mark.parametrize("shape", [(2, 2), (3,), (3, 3, 1), (3, 2)])
+    def test_counts_of_another_shape_raise_on_each_backend(self, backend, shape):
+        stats = compute_stats(build_corpus(["a b", "b c"]))
+        counts = np.zeros(shape, dtype=np.int64)
+        message = rf"^counts must be 3x3, got {re.escape(str(shape))}$"
+        with pytest.raises(ValueError, match=message):
+            coherence(["a", "b", "c"], stats, counts=counts)
+        with pytest.raises(ValueError, match=message):
+            pmi_score(["a", "b", "c"], stats, counts=counts)
+
 
 def zipf_corpus(seed, n_docs=300, doc_len=60, max_rank=2000):
     """Documents of words drawn by a Zipf law with exponent 1 over ranks
@@ -431,26 +447,31 @@ def scored_windows(draw):
 class TestExactScores:
     """coherence and pmi_score give bit for bit what the per-pair oracles
     give: ln of each pair's quotient in i<j order, summed left to right or
-    taken at the lower median, with and without a ``counts`` block, on the
-    C log fold and on its Python twin."""
+    taken at the lower median, with and without a ``counts`` block, read in
+    place at its strides, on the C kernels and on their Python twins."""
 
     @settings(max_examples=200, deadline=None)
     @given(scored_windows())
+    @example(case=(build_corpus(["w0 w1", "w1 w2", "w0"]), ["w1", "w0", "w2"], 2))
     def test_equal_to_oracles(self, case):
         corpus, order, m = case
         stats = compute_stats(corpus)
         token_docs = token_docs_of(corpus)
         window = order[:m]
-        # the window's block cut from a larger one, as report cuts it
-        block = co_doc_counts(stats, stats.vocabulary.ids(order))[:m, :m]
-        want = naive_coherence(window, token_docs)
-        for twins in (nullcontext, python_twins):
-            with twins():
-                assert coherence(window, stats) == want
-                assert coherence(window, stats, counts=block) == want
-        want = naive_pmi(window, token_docs)
-        assert pmi_score(window, stats) == want
-        assert pmi_score(window, stats, counts=block) == want
+        ids = stats.vocabulary.ids(order)
+        # the window's block cut from a larger one, as report cuts it; every
+        # other row and column of a block with a word between each two; and a
+        # reversed block read backwards, at negative strides
+        spaced = [i for pair in zip(ids, ids[::-1]) for i in pair]
+        blocks = (co_doc_counts(stats, ids)[:m, :m], co_doc_counts(stats, spaced)[:2 * m:2, :2 * m:2],
+                  co_doc_counts(stats, ids[:m][::-1])[::-1, ::-1])
+        for score, naive in ((coherence, naive_coherence), (pmi_score, naive_pmi)):
+            want = naive(window, token_docs)
+            for twins in (nullcontext, python_twins):
+                with twins():
+                    assert score(window, stats) == want
+                    for block in blocks:
+                        assert score(window, stats, counts=block) == want
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.one_of(st.integers(-8, 8).map(lambda j: 1.0 + j * 2.0 ** -53),

@@ -41,4 +41,4 @@ def test_traced_benchmark_runs_clean(tmp_path):
     finally:
         for run in runs.values():
             run.kill()  # a no-op once it has exited
-            run.wait()
+            run.communicate()  # reaps it and closes its pipes, however the test ends

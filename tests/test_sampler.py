@@ -1,9 +1,12 @@
+import copy
 import ctypes
+import gc
 import hashlib
 import importlib
 import json
 import logging
 import math
+import pickle
 import re
 import shutil
 import subprocess
@@ -180,6 +183,34 @@ def _copy(args):
 
 
 @st.composite
+def count_blocks(draw):
+    """An (m, m) int64 block of counts, in place in a larger array or read
+    backwards from it, the m words' document counts, and a document total.
+    Small counts make ties; a zero document count makes +inf, or NaN over a
+    count of -1; a negative count makes an argument <= 0."""
+    m = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    big = rng.integers(draw(st.sampled_from([0, -2])), draw(st.sampled_from([3, 60])),
+                       (m + 3, m + 3))
+    counts = big[:m, :m] if draw(st.booleans()) else big[m - 1::-1, m - 1::-1]
+    doc_freq = rng.integers(draw(st.sampled_from([0, 1])), 60, m)
+    return counts, doc_freq, int(rng.integers(1, 200))
+
+
+def _score_outcomes(counts, doc_freq, n_docs):
+    """The bits of coherence's fold and of PMI's median argument, or each
+    one's error message."""
+    got = []
+    for score in (lambda: _kernels.coherence(counts, doc_freq),
+                  lambda: _kernels.pmi_argument(counts, doc_freq, n_docs)):
+        try:
+            got.append(score().hex())
+        except ValueError as exc:
+            got.append(str(exc))
+    return got
+
+
+@st.composite
 def kernel_cases(draw):
     n_topics = draw(st.integers(1, 5))
     vocab_size = draw(st.integers(1, 6))
@@ -313,19 +344,34 @@ class TestKernelsAgree:
         assert c_args[2][0] == py_args[2][0] == 1
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.one_of(st.just(1.0), st.integers(-8, 8).map(lambda j: 1.0 + j * 2.0 ** -52),
-                              st.floats(5e-324, 2.2250738585072014e-308),  # subnormals
-                              st.floats(5e-324, 1.7976931348623157e308),
-                              st.floats(1e300, 1.7976931348623157e308),
-                              st.sampled_from([math.nan, math.inf])), min_size=1, max_size=10)
-           .flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=500)))
-    @example(values=[])
-    def test_log_sum_same_bits_as_the_python_fold(self, values):
-        # ties come from drawing a long list out of a small pool
-        x = np.array(values, dtype=np.float64)
+    @given(count_blocks())
+    def test_log_sum_same_bits_as_the_python_fold(self, case):
+        # coherence's fold of libm's log and PMI's lower median, against the
+        # twins: the same bits, or the same error
+        with np.errstate(divide="ignore", invalid="ignore"):  # the twins' inf and NaN
+            kernels = _score_outcomes(*case)
+            with python_twins():
+                assert _score_outcomes(*case) == kernels
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 10), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    @example(k_total=1, vocab_size=1, n_docs=1, seed=0)
+    def test_gammaln_cells_same_bits_as_the_numpy_cells(self, k_total, vocab_size, n_docs,
+                                                        seed):
+        # about half the cells empty; weights log-uniform over nine decades,
+        # R <= K distinct rows
+        rng = np.random.default_rng(seed)
+        n_wk = rng.integers(0, 40, (vocab_size, k_total)) * rng.integers(0, 2, (vocab_size, k_total))
+        n_dk = rng.integers(0, 30, (n_docs, k_total))
+        state = _counts_state(n_dk, n_wk, n_wk.sum(axis=0), n_dk.sum(axis=1))
+        n_rows = int(rng.integers(1, k_total + 1))
+        prior = PriorMatrix.from_rows(np.exp(rng.uniform(np.log(1e-6), np.log(1e3),
+                                                         (n_rows, vocab_size))),
+                                      rng.integers(0, n_rows, k_total), (TopicKind.TFIDF,) * k_total)
+        alpha = float(rng.uniform(1e-3, 10.0))
         with python_twins():
-            twin = _kernels.log_sum(x)
-        assert _kernels.log_sum(x).hex() == twin.hex()
+            want = log_likelihood(state, prior, alpha)
+        assert log_likelihood(state, prior, alpha).hex() == want.hex()
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.one_of(st.floats(0.0, exclude_min=True, allow_nan=False),
@@ -343,24 +389,6 @@ class TestKernelsAgree:
                       for edge in at + np.arange(-5, 6) * np.spacing(at)])
         assert _kernels.gammaln(x).tobytes() == gammaln(x).tobytes()
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 6), st.integers(1, 10), st.integers(0, 2**32 - 1))
-    @example(k_total=1, vocab_size=1, seed=0)
-    def test_gammaln_cells_same_bits_as_the_numpy_cells(self, k_total, vocab_size, seed):
-        # about half the cells empty; weights log-uniform over nine decades
-        rng = np.random.default_rng(seed)
-        n_wk = (rng.integers(0, 40, (vocab_size, k_total))
-                * rng.integers(0, 2, (vocab_size, k_total))).astype(np.int32)
-        # R <= K distinct rows, each topic taking one of them
-        n_rows = int(rng.integers(1, k_total + 1))
-        rows = rng.integers(0, n_rows, k_total)
-        eta_wk = np.exp(rng.uniform(np.log(1e-6), np.log(1e3), (vocab_size, n_rows)))
-        args = n_wk, eta_wk, gammaln(eta_wk), rows
-        want = _kernels._gammaln_cells_py(*args)
-        assert _kernels.gammaln_cell_sum(*args).hex() == want.hex()
-        dense = gammaln(n_wk.T + eta_wk.T[rows]) - gammaln(eta_wk.T[rows])
-        assert want == np.ascontiguousarray(np.where(n_wk.T == 0, 0.0, dense)).sum()
-
     def test_fallback_without_compiler_gives_same_bytes(self, no_compiler, caplog, tmp_path):
         corpus = random_corpus(seed=3, n_docs=20, vocab_size=15)
         prior = symmetric_prior(3, corpus.vocabulary.size, 0.5)
@@ -369,9 +397,8 @@ class TestKernelsAgree:
         with caplog.at_level(logging.WARNING, logger=_kernels.__name__):
             importlib.reload(_kernels)
         assert _kernels.BACKEND == "numpy"
-        assert (_kernels._tabulate_c is _kernels._log_sum_c is _kernels._json_floats_c
-                is _kernels._gammaln_c is _kernels._gammaln_cells_c is _kernels._co_doc_c
-                is None)
+        assert [name for name in _kernels._ENTRIES
+                if getattr(_kernels, f"_{name}_c") is not None] == []
         assert [r.levelno for r in caplog.records] == [logging.WARNING]
         save_model(fit(corpus, prior, cfg), tmp_path / "numpy.json")
         assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "c.json").read_bytes()
@@ -383,10 +410,8 @@ def test_c_kernel_loads_where_a_compiler_is_present():
     if shutil.which("cc") is None:
         pytest.skip("no C compiler on PATH")
     assert _kernels.BACKEND == "c"
-    for entry in (_kernels._sweep_c, _kernels._tabulate_c, _kernels._log_sum_c,
-                  _kernels._json_floats_c,
-                  _kernels._gammaln_c, _kernels._gammaln_cells_c, _kernels._co_doc_c):
-        assert entry is not None
+    for name in _kernels._ENTRIES:  # each entry point's handle, _<name>_c, is that entry
+        assert getattr(_kernels, f"_{name}_c").__name__ == name
 
 
 def test_c_kernel_source_compiles_without_warnings(tmp_path, monkeypatch):
@@ -411,68 +436,143 @@ def test_gammaln_outside_the_domain_raises(backend, value):
         _kernels.gammaln(np.array([2.0, math.inf, value, -1.0]))
 
 
+def _counts_state(n_dk, n_wk, n_k, doc_lengths):
+    """A ModelState that holds the given counts and no tokens: the
+    log-likelihood reads the counts alone."""
+    empty = np.zeros(0, np.int32)
+    return ModelState(tokens=empty, doc_ix=empty, z=empty,
+                      doc_lengths=np.asarray(doc_lengths, np.int64),
+                      n_dk=np.asarray(n_dk, np.int32), n_wk=np.asarray(n_wk, np.int32),
+                      n_k=np.asarray(n_k, np.int32), rng=np.random.default_rng(0))
+
+
+def _raw_prior(rows_by_word, row_sums):
+    """A prior holding word-major rows as given, one per topic, past
+    PriorMatrix's checks: the kernels' own checks of the weights meet it."""
+    prior = PriorMatrix.__new__(PriorMatrix)
+    for name, value in (("rows_by_word", rows_by_word), ("gammaln_by_word", gammaln(rows_by_word)),
+                        ("topic_rows", np.arange(rows_by_word.shape[1])),
+                        ("row_sums", np.asarray(row_sums, np.float64))):
+        object.__setattr__(prior, name, value)
+    object.__setattr__(prior, "kinds", (TopicKind.TFIDF,) * rows_by_word.shape[1])
+    return prior
+
+
 @pytest.mark.parametrize("count,weight", [(-1, 0.5), (-3, 3.0), (2, -0.5), (1, math.nan)])
 def test_gammaln_cells_outside_the_domain_raise(backend, count, weight):
-    # the first bad occupied cell in C order is named; the weight of an empty
-    # cell, (0, 0) here, is never checked
-    n_wk = np.array([[0, 1], [count, 0], [0, count]], dtype=np.int32)
-    eta_wk = np.array([[-1.0, 0.5], [weight, 0.5], [0.5, weight]])
-    with pytest.raises(ValueError, match=r"^cell \(0, 1\): "):
-        _kernels.gammaln_cell_sum(n_wk, eta_wk, gammaln(eta_wk), np.arange(2))
+    # the first bad occupied cell of the (K, V) grid in C order is named;
+    # (1, 2) is bad too, and the weight of an empty cell, (0, 0) here, is
+    # never checked
+    state = _counts_state([[1, 1]], [[0, 1], [count, 0], [0, count]], [1, 1], [2])
+    prior = _raw_prior(np.array([[-1.0, 0.5], [weight, 0.5], [0.5, weight]]), [2.0, 2.0])
+    with pytest.raises(ValueError, match=rf"^cell \(0, 1\): count {count} and weight "
+                                         rf"{re.escape(repr(weight))} are outside the domain "):
+        log_likelihood(state, prior, 0.5)
+
+
+@pytest.mark.parametrize("counts,named", [
+    (([[1, 1]], [[1, 1]], [1, 1], [-2]), "document 0"),
+    (([[1, 0], [1, -1]], [[2, 1]], [2, 1], [1, 2]), "document cell 3"),
+    (([[300, -2]], [[1, 1]], [1, -3], [2]), "document cell 1"),
+    (([[1, 1]], [[1, 1]], [1, -3], [2]), "topic 1"),
+], ids=["length", "document-cell", "document-cell-first", "topic"])
+def test_log_likelihood_names_the_first_bad_term(backend, counts, named):
+    # documents, then document cells, then topics, then word-topic cells:
+    # the first term, in that order, whose log-gamma argument is not > 0
+    with pytest.raises(ValueError, match=f"^{named}: a log-gamma argument is not > 0$"):
+        log_likelihood(_counts_state(*counts), symmetric_prior(2, 1, 1.0), 0.5)
+
+
+def test_log_likelihood_negative_count_of_positive_argument(backend):
+    # a count of -1 under alpha 2, and one of 300, past the table by count:
+    # both are read from log-gamma itself, with the dense formula's bits
+    state = _counts_state([[-1, 300], [0, 2]], [[300, 1], [1, 0]], [301, 1], [299, 2])
+    prior = symmetric_prior(2, 2, 0.5)
+    want = _log_likelihood_reference(state, prior, 2.0)
+    assert log_likelihood(state, prior, 2.0).hex() == want.hex()
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
+                         ids=["deepcopy", "pickle"])
+def test_log_likelihood_of_a_cloned_prior(backend, clone):
+    # the kernel reads a prior through the addresses of its arrays: a clone
+    # holds new arrays and must not read the original's, freed here
+    corpus = random_corpus(seed=4, n_docs=8, vocab_size=6)
+    prior = assemble(PriorConfig(topics=3, stopword_topics=1), compute_stats(corpus))
+    state = init(corpus, prior, ModelConfig(topics=3, iterations=2, seed=1))
+    want = log_likelihood(state, prior, 0.5)
+    twin = clone(prior)
+    assert set(twin.addresses).isdisjoint(prior.addresses)
+    del prior
+    gc.collect()
+    assert log_likelihood(state, twin, 0.5).hex() == want.hex()
 
 
 def test_gammaln_cells_rejects_mismatched_shapes(backend):
-    with pytest.raises(ValueError, match="n_wk is"):
-        _kernels.gammaln_cell_sum(np.zeros((3, 2), np.int32), np.ones((2, 3)),
-                                  np.zeros((2, 3)), np.arange(2))
-    for row in (-1, 1):  # one prior row, two topics
-        with pytest.raises(ValueError, match=r"topic_rows has a row outside \[0, 1\)"):
-            _kernels.gammaln_cell_sum(np.zeros((3, 2), np.int32), np.ones((3, 1)),
-                                      np.zeros((3, 1)), np.array([0, row]))
+    # each count array of another shape, set after the state is built, past
+    # ModelState's check of n_wk against n_k
+    for field, shape in (("n_dk", (2, 2)), ("n_wk", (3, 3)), ("n_k", (3,)),
+                         ("doc_lengths", (2,))):
+        state = _counts_state([[1, 1]], [[1, 0], [0, 1]], [1, 1], [2])
+        setattr(state, field, np.ones(shape, getattr(state, field).dtype))
+        with pytest.raises(ValueError, match="^n_dk is "):
+            log_likelihood(state, symmetric_prior(2, 2, 1.0), 0.5)
 
 
-# grid sizes K * V about the bounds of the cell sum's ranges: numpy's unrolled
-# sum, its pairwise split above 128 values, and the largest range it fills
-LEAF = _kernels.CELL_LEAF
-CELL_GRID_SIZES = [7, 8, 9, 127, 128, 129, LEAF - 1, LEAF, LEAF + 1, 2 * LEAF + 8]
+@pytest.mark.parametrize("field", ["n_dk", "n_wk", "n_k", "doc_lengths"])
+def test_log_likelihood_rejects_malformed_counts(backend, field):
+    state = _counts_state([[1, 1]], [[1, 0], [0, 1]], [1, 1], [2])
+    setattr(state, field, getattr(state, field).astype(np.float64))
+    with pytest.raises(ValueError, match=f"^{field} must be a "):
+        log_likelihood(state, symmetric_prior(2, 2, 1.0), 0.5)
 
 
-@pytest.mark.parametrize("size", CELL_GRID_SIZES)
+@pytest.mark.parametrize("alpha", [0.0, -1.0, -math.inf, math.inf, math.nan])
+def test_sweep_and_log_likelihood_reject_alpha_outside_the_open_half_line(backend, alpha):
+    # ModelConfig's check, before any kernel runs: the sweep changes nothing
+    corpus = random_corpus(seed=2, n_docs=5, vocab_size=6)
+    prior = symmetric_prior(3, corpus.vocabulary.size, 0.5)
+    state = init(corpus, prior, ModelConfig(topics=3, iterations=2, seed=1))
+    z = state.z.copy()
+    message = re.escape(f"alpha must be positive and finite, not {alpha}")
+    with pytest.raises(ValueError, match=message):
+        sweep(state, prior, alpha)
+    assert (state.z == z).all() and counts_match_assignments(state)
+    with pytest.raises(ValueError, match=message):
+        log_likelihood(state, prior, alpha)
+    with pytest.raises(ValueError, match=message):
+        ModelConfig(alpha=alpha)
+
+
+# sizes of the (D, K) and (K, V) grids about numpy's pairwise sum: its
+# unrolled block of 8, its leaves of at most 128, the splits of up to 256,
+# of up to 16,384 and one of four levels
+SPLIT_EDGE_SIZES = [7, 8, 9, 127, 128, 129, 255, 256, 257, 8191, 8192, 8193, 16392]
+
+
+@pytest.mark.parametrize("size", SPLIT_EDGE_SIZES)
 @pytest.mark.parametrize("twins", [False, True], ids=["c", "numpy"])
-@settings(max_examples=8, deadline=None)
+@settings(max_examples=6, deadline=None)
 @given(data=st.data())
 def test_bounded_cell_sum_same_bits_as_the_dense_sum(size, twins, data):
     if not twins and _kernels.BACKEND != "c":
         pytest.skip("C kernel not built: no compiler")
-    k_total = data.draw(st.sampled_from([k for k in range(1, 65) if size % k == 0]), "K")
+    k_total = data.draw(st.sampled_from([k for k in range(1, 17) if size % k == 0]), "K")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
-    shape = (size // k_total, k_total)  # word-major (V, K)
-    eta_wk = np.exp(rng.uniform(np.log(1e-6), np.log(1e3), shape))
-    full = rng.integers(1, 50, shape, dtype=np.int32)
-    rows = np.arange(k_total)
+    # D x K = K x V = size; document counts past the table by count of 256
+    # sometimes, and about half the word-topic cells empty
+    most = data.draw(st.sampled_from([3, 40, 300]), "largest count")
+    n_dk = rng.integers(0, most + 1, (size // k_total, k_total))
+    n_wk = rng.integers(0, 40, (size // k_total, k_total)) * rng.integers(0, 2, n_dk.shape)
+    state = _counts_state(n_dk, n_wk, n_wk.sum(axis=0), n_dk.sum(axis=1))
+    n_rows = data.draw(st.integers(1, k_total), "R")
+    rows = np.exp(rng.uniform(np.log(1e-6), np.log(1e3), (n_rows, len(n_wk))))
+    prior = PriorMatrix.from_rows(rows, rng.integers(0, n_rows, k_total),
+                                  (TopicKind.TFIDF,) * k_total)
+    alpha = data.draw(st.floats(1e-3, 10.0), "alpha")
     with python_twins() if twins else nullcontext():
-        for n_wk in (np.zeros(shape, np.int32), full, full * rng.integers(0, 2, shape, np.int32)):
-            dense = gammaln(np.ascontiguousarray(n_wk.T) + eta_wk.T) - gammaln(eta_wk.T)
-            want = np.ascontiguousarray(dense).sum()  # in C order, as the (K, V) grid lies
-            got = _kernels.gammaln_cell_sum(n_wk, eta_wk, gammaln(eta_wk), rows)
-            assert got.hex() == float(want).hex()
-            # the document cells: a table read by count over a (D, K) grid
-            by_count = rng.standard_normal(50) * 10.0 ** rng.integers(-3, 4, 50)
-            want = by_count.take(n_wk).sum()
-            assert _kernels.take_sum(by_count, n_wk).hex() == float(want).hex()
-        # two bad occupied cells in the grid's later half, a later range than
-        # the first where it has more than one, and before both a bad empty
-        # cell: the first bad occupied cell in C order is named
-        first = data.draw(st.integers(size // 2, size - 1), "first bad")
-        counts = {data.draw(st.integers(0, first - 1), "bad empty"): 0, first: 3,
-                  data.draw(st.integers(first, size - 1), "second bad"): 3}
-        for at, count in counts.items():  # at is a C-order index of the (K, V) grid
-            k, w = divmod(at, shape[0])
-            full[w, k], eta_wk[w, k] = count, -2.0 - at
-        k, w = divmod(first, shape[0])
-        with pytest.raises(ValueError, match=rf"^cell \({k}, {w}\): count 3 and weight "
-                                             + re.escape(repr(eta_wk[w, k]))):
-            _kernels.gammaln_cell_sum(full, eta_wk, gammaln(eta_wk), rows)
+        got = log_likelihood(state, prior, alpha)
+    assert got.hex() == _log_likelihood_reference(state, prior, alpha).hex()
 
 
 @pytest.mark.parametrize("doc_streams,digest", [
@@ -489,23 +589,32 @@ def test_loglik_trace_same_bits_on_each_backend(backend, doc_streams, digest):
     assert hashlib.sha256(model.loglik_trace.tobytes()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("value", [0.0, -0.0, -1e-300, -math.inf])
+# a count and a document count whose quotient (count + 1) / doc_freq in
+# coherence's fold is zero, negative zero, a tiny negative or -inf
+@pytest.mark.parametrize("count,doc_freq", [(-1, 5), (-1, -5), (-2, 2**62), (-2, 0)],
+                         ids=["0.0", "-0.0", "-1e-300", "-inf"])
 @pytest.mark.parametrize("position", [0, 3])
-def test_log_sum_outside_the_domain_raises(backend, value, position):
-    # math.log raises on entries <= 0, so the fold raises on both backends,
-    # even after a NaN, and names the entry
-    x = np.array([2.0, math.nan, 0.5, 7.0])
-    x[position] = value
-    with pytest.raises(ValueError, match=rf"^x\[{position}\] = "):
-        _kernels.log_sum(x)
+def test_log_sum_outside_the_domain_raises(backend, count, doc_freq, position):
+    # math.log raises on entries <= 0, so the fold raises on both backends
+    # and names the pair; pair 3 of four words is (1, 2)
+    i, j = [(0, 1), None, None, (1, 2)][position]
+    counts, doc_freqs = np.full((4, 4), 3), np.array([5, 5, 5, 5])
+    counts[i, j], doc_freqs[i] = count, doc_freq
+    with pytest.raises(ValueError, match=rf"^pair \({i}, {j}\): \({counts[i, j]} \+ 1\) / "
+                                         rf"{doc_freq} is outside the domain of log$"):
+        with np.errstate(divide="ignore"):  # the twin's -1 / 0
+            _kernels.coherence(counts, doc_freqs)
 
 
-@pytest.mark.parametrize("x", [np.array([1.0, 2.0], dtype=np.float32), [1.0, 2.0],
-                               np.ones((2, 2)), np.ones(6)[::2]],
+@pytest.mark.parametrize("x", [np.array([1.0, 2.0], dtype=np.float32), [1, 2],
+                               np.ones((2, 1), np.int64), np.ones(4, np.int64)[::2]],
                          ids=["float32", "list", "2-d", "strided"])
 def test_log_sum_rejects_malformed_input(backend, x):
-    with pytest.raises(ValueError, match="^x "):
-        _kernels.log_sum(x)
+    # the document counts of the words, for coherence's fold and for PMI
+    for score in (lambda: _kernels.coherence(np.ones((2, 2), np.int64), x),
+                  lambda: _kernels.pmi_argument(np.ones((2, 2), np.int64), x, 3)):
+        with pytest.raises(ValueError, match="^doc_freq must be a 1-D C-contiguous int64"):
+            score()
 
 
 class TestKernelInputValidation:
