@@ -46,6 +46,7 @@ import operator
 import os
 import subprocess
 import tempfile
+import weakref
 from collections.abc import Iterator
 from pathlib import Path
 
@@ -100,7 +101,7 @@ LGAM_MAX = 2.556348e305
 # not > 0, and loglik the index of the first such term, counted across its
 # four parts: lgam's shifting loops would never end on -inf or a huge negative
 # x. loglik computes each term as it adds it, in numpy's pairwise order, so it
-# holds no cells; a term it met before is looked up, with the same bits.
+# holds no cells.
 # coherence returns the index of its first pair with x <= 0, where math.log
 # raises, and pmi -2 if it gets no memory for its arguments. Both read the
 # counts block at its byte strides, so a view is read in place.
@@ -344,21 +345,6 @@ int64_t gammaln(const double *x, int64_t n, double *out)
     return -1;
 }
 
-/* f(x), kept in a direct-mapped table of 256 slots: a slot holds the last x
-   whose bits hashed to it and f(x). Slots start at 0 bits, x = +0.0, which no
-   caller asks for. */
-struct memo { uint64_t arg[256]; double value[256]; };
-
-static inline double seen(struct memo *m, double (*f)(double), double x)
-{
-    uint64_t bits, slot;
-    memcpy(&bits, &x, sizeof bits);
-    slot = (bits * UINT64_C(0x9E3779B97F4A7C15)) >> 56;
-    if (m->arg[slot] != bits)
-        m->arg[slot] = bits, m->value[slot] = f(x);
-    return m->value[slot];
-}
-
 /* The log-likelihood's parts: 0 the documents, 1 the (D, K) document cells,
    read by count below 256, 2 the topics and 3 the (K, V) word-topic cells. */
 struct terms {
@@ -366,7 +352,6 @@ struct terms {
     const int64_t *lengths, *rows;
     const double *eta, *lgam_eta, *eta_sums;
     double alpha, k_alpha, lgam_alpha, lgam_k_alpha, by_count[256];
-    struct memo lgam_of;
     int64_t start, filled, bad, K, V, R;
 };
 
@@ -378,23 +363,23 @@ static inline __attribute__((always_inline)) double term(struct terms *t, int pa
 {
     double x, c = part == 1 ? t->n_dk[at] : 0;
     if (part == 0 && (x = t->lengths[at] + t->k_alpha) > 0)
-        return t->lgam_k_alpha - seen(&t->lgam_of, lgam, x);
+        return t->lgam_k_alpha - lgam(x);
     if (part == 1 && c >= 0 && c < 256) {
         for (; t->filled <= c; t->filled++)
             t->by_count[t->filled] = lgam(t->filled + t->alpha) - t->lgam_alpha;
         return t->by_count[(int)c];
     }
     if (part == 1 && (x = c + t->alpha) > 0)
-        return seen(&t->lgam_of, lgam, x) - t->lgam_alpha;
+        return lgam(x) - t->lgam_alpha;
     if (part == 2 && t->eta_sums[at] > 0 && (x = t->n_k[at] + t->eta_sums[at]) > 0)
-        return seen(&t->lgam_of, lgam, t->eta_sums[at]) - seen(&t->lgam_of, lgam, x);
+        return lgam(t->eta_sums[at]) - lgam(x);
     if (part == 3) {
         int64_t e = *v * t->R + t->rows[*k];
         c = t->n_wk[*v * t->K + *k];
         if (++*v == t->V)
             *v = 0, ++*k;
         if (c == 0 || (t->eta[e] > 0 && c + t->eta[e] > 0))
-            return c ? seen(&t->lgam_of, lgam, c + t->eta[e]) - t->lgam_eta[e] : 0.0;
+            return c ? lgam(c + t->eta[e]) - t->lgam_eta[e] : 0.0;
     }
     t->bad = t->bad < 0 ? t->start + at : t->bad;
     return 0.0;
@@ -467,15 +452,13 @@ static int64_t pair_count(const char *counts, int64_t rs, int64_t cs, int64_t i,
 int64_t coherence(const char *counts, int64_t rs, int64_t cs, const int64_t *df, int64_t m,
                   double *total)
 {
-    struct memo log_of;
     double sum = 0.0;
-    memset(log_of.arg, 0, sizeof log_of.arg);
     for (int64_t i = 0, at = 0; i < m; i++)
         for (int64_t j = i + 1; j < m; j++, at++) {
             double x = (double)(pair_count(counts, rs, cs, i, j) + 1) / (double)df[i];
             if (x <= 0)
                 return at;
-            sum += seen(&log_of, log, x);
+            sum += log(x);
         }
     *total = sum;
     return -1;
@@ -647,6 +630,20 @@ def _gammaln_py(x, out):
     return -1
 
 
+# each prior's rows_by_word, gammaln_by_word, topic_rows and row_sums, by
+# address: a prior holds those arrays, read-only, for its life
+_prior_addresses = weakref.WeakKeyDictionary()
+
+
+def _prior_args(prior):
+    args = _prior_addresses.get(prior)
+    if args is None:
+        args = _prior_addresses[prior] = tuple(
+            _address(a) for a in (prior.rows_by_word, prior.gammaln_by_word, prior.topic_rows,
+                                  prior.row_sums))
+    return args
+
+
 def loglik(n_dk, n_wk, n_k, doc_lengths, prior, alpha) -> float:
     """The collapsed joint log-likelihood of the int32 counts n_dk (D, K), n_wk
     (V, K) and n_k, the int64 document lengths, alpha and a ``PriorMatrix``:
@@ -675,7 +672,7 @@ def loglik(n_dk, n_wk, n_k, doc_lengths, prior, alpha) -> float:
         bad, total = _loglik_py(*counts, prior, alpha)
     else:
         out = ctypes.c_double()
-        bad = _loglik_c(*map(_address, counts), *prior.addresses, alpha, len(doc_lengths),
+        bad = _loglik_c(*map(_address, counts), *_prior_args(prior), alpha, len(doc_lengths),
                         k_total, vocab_size, n_rows, ctypes.byref(out))
         total = out.value
     if bad >= 0:
@@ -730,14 +727,14 @@ def _check_rows(n_wk, eta_wk, topic_rows):
 
 
 def _block(counts, doc_freq):
-    """counts as an int64 (m, m) array, read in place, for the int64 document
-    counts of m words; ValueError otherwise."""
+    """Raise ValueError unless counts is an int64 (m, m) array, at any
+    strides, for the int64 document counts of m words."""
     _check_array("doc_freq", doc_freq, np.int64, 1)
-    counts = np.asarray(counts, np.int64)
+    if not (isinstance(counts, np.ndarray) and counts.dtype == np.int64):
+        raise ValueError("counts must be an int64 array")  # a cast would cut 2.7 to 2
     m = len(doc_freq)
     if counts.shape != (m, m):
         raise ValueError(f"counts must be {m}x{m}, got {counts.shape}")
-    return counts
 
 
 def coherence(counts, doc_freq) -> float:
@@ -746,7 +743,7 @@ def coherence(counts, doc_freq) -> float:
     (counts[i, j] + 1) / doc_freq[i], for an (m, m) block of co-document counts,
     read at its strides, and the m words' document counts. NaN and +inf pass
     through; the first x <= 0 raises ValueError."""
-    counts = _block(counts, doc_freq)
+    _block(counts, doc_freq)
     total = ctypes.c_double(0.0)
     bad = (_coherence_py(counts, doc_freq, total) if _coherence_c is None
            else _coherence_c(_address(counts), *counts.strides, _address(doc_freq),
@@ -776,7 +773,7 @@ def pmi_argument(counts, doc_freq, n_docs: int) -> float:
     ValueError. Any selection method gives that order statistic exactly."""
     if len(doc_freq) < 2:
         raise ValueError("pmi needs at least 2 words")
-    counts = _block(counts, doc_freq)
+    _block(counts, doc_freq)
     if _pmi_c is None:
         return _pmi_py(counts, doc_freq, n_docs)
     median = ctypes.c_double()

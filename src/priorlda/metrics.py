@@ -69,8 +69,8 @@ def coherence(top: Sequence[str], stats: CorpusStats, *,
 
     ``top`` must be ordered by descending probability: the denominator is the
     document count of the more probable word of each pair. ``counts``, when
-    given, holds D(v_i,v_j) for every pair of ``top``, as ``co_doc_counts``
-    returns it; it is read in place, at its strides.
+    given, holds D(v_i,v_j) for every pair of ``top`` in an int64 array, as
+    ``co_doc_counts`` returns it; it is read in place, at its strides.
     """
     ids = _word_ids(top, stats)
     if len(ids) < 2:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from collections.abc import Iterable
@@ -11,7 +10,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._kernels import LGAM_MAX, _address, gammaln
+from ._kernels import LGAM_MAX, gammaln
 from .corpus import CorpusStats, Vocabulary, _frozen
 
 log = logging.getLogger(__name__)
@@ -164,18 +163,6 @@ class PriorMatrix:
                             ("row_sums", row_sums), ("gammaln_by_word", by_word_gammaln)):
             object.__setattr__(self, name, _frozen(value))
         object.__setattr__(self, "kinds", tuple(kinds))
-
-    @functools.cached_property
-    def addresses(self) -> tuple[int, ...]:
-        """The data addresses of ``rows_by_word``, ``gammaln_by_word``,
-        ``topic_rows`` and ``row_sums`` for a C kernel, taken once: the prior
-        holds those arrays, read-only, for its life."""
-        return tuple(_address(a) for a in (self.rows_by_word, self.gammaln_by_word,
-                                           self.topic_rows, self.row_sums))
-
-    def __getstate__(self):
-        """A pickle or copy holds new arrays, so it takes their addresses anew."""
-        return {name: v for name, v in self.__dict__.items() if name != "addresses"}
 
     @property
     def weights(self) -> np.ndarray:

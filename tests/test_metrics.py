@@ -362,6 +362,15 @@ class TestBatchedCounts:
         with pytest.raises(ValueError, match=message):
             pmi_score(["a", "b", "c"], stats, counts=counts)
 
+    @pytest.mark.parametrize("counts", [np.full((3, 3), 2.7), np.ones((3, 3), np.int32),
+                                        [[1, 1, 1]] * 3], ids=["float64", "int32", "list"])
+    def test_counts_of_another_dtype_raise_on_each_backend(self, backend, counts):
+        # no cast: a float block cut to integers would change the scores
+        stats = compute_stats(build_corpus(["a b", "b c"]))
+        for score in (coherence, pmi_score):
+            with pytest.raises(ValueError, match="^counts must be an int64 array$"):
+                score(["a", "b", "c"], stats, counts=counts)
+
 
 def zipf_corpus(seed, n_docs=300, doc_len=60, max_rank=2000):
     """Documents of words drawn by a Zipf law with exponent 1 over ranks

@@ -502,7 +502,7 @@ def test_log_likelihood_of_a_cloned_prior(backend, clone):
     state = init(corpus, prior, ModelConfig(topics=3, iterations=2, seed=1))
     want = log_likelihood(state, prior, 0.5)
     twin = clone(prior)
-    assert set(twin.addresses).isdisjoint(prior.addresses)
+    assert set(_kernels._prior_args(twin)).isdisjoint(_kernels._prior_args(prior))
     del prior
     gc.collect()
     assert log_likelihood(state, twin, 0.5).hex() == want.hex()
@@ -552,27 +552,45 @@ SPLIT_EDGE_SIZES = [7, 8, 9, 127, 128, 129, 255, 256, 257, 8191, 8192, 8193, 163
 
 @pytest.mark.parametrize("size", SPLIT_EDGE_SIZES)
 @pytest.mark.parametrize("twins", [False, True], ids=["c", "numpy"])
-@settings(max_examples=6, deadline=None)
+@settings(max_examples=8, deadline=None)
 @given(data=st.data())
 def test_bounded_cell_sum_same_bits_as_the_dense_sum(size, twins, data):
     if not twins and _kernels.BACKEND != "c":
         pytest.skip("C kernel not built: no compiler")
-    k_total = data.draw(st.sampled_from([k for k in range(1, 17) if size % k == 0]), "K")
+    k_total = data.draw(st.sampled_from([k for k in range(1, 65) if size % k == 0]), "K")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
-    # D x K = K x V = size; document counts past the table by count of 256
-    # sometimes, and about half the word-topic cells empty
+    shape = (size // k_total, k_total)  # D x K = K x V = size
+    # document counts past the table by count of 256 sometimes
     most = data.draw(st.sampled_from([3, 40, 300]), "largest count")
-    n_dk = rng.integers(0, most + 1, (size // k_total, k_total))
-    n_wk = rng.integers(0, 40, (size // k_total, k_total)) * rng.integers(0, 2, n_dk.shape)
-    state = _counts_state(n_dk, n_wk, n_wk.sum(axis=0), n_dk.sum(axis=1))
+    n_dk = rng.integers(0, most + 1, shape)
     n_rows = data.draw(st.integers(1, k_total), "R")
-    rows = np.exp(rng.uniform(np.log(1e-6), np.log(1e3), (n_rows, len(n_wk))))
+    rows = np.exp(rng.uniform(np.log(1e-6), np.log(1e3), (n_rows, shape[0])))
     prior = PriorMatrix.from_rows(rows, rng.integers(0, n_rows, k_total),
                                   (TopicKind.TFIDF,) * k_total)
     alpha = data.draw(st.floats(1e-3, 10.0), "alpha")
+    full = rng.integers(1, 50, shape)
     with python_twins() if twins else nullcontext():
-        got = log_likelihood(state, prior, alpha)
-    assert got.hex() == _log_likelihood_reference(state, prior, alpha).hex()
+        # every word-topic cell empty, every one occupied, about half empty
+        for n_wk in (np.zeros(shape, np.int64), full, full * rng.integers(0, 2, shape)):
+            state = _counts_state(n_dk, n_wk, n_wk.sum(axis=0), n_dk.sum(axis=1))
+            got = log_likelihood(state, prior, alpha)
+            assert got.hex() == _log_likelihood_reference(state, prior, alpha).hex()
+        # two bad occupied cells in the grid's later half, past the first
+        # split where it has one, and before both a bad empty cell: the first
+        # bad occupied cell in C order is named
+        eta_wk = np.exp(rng.uniform(np.log(1e-6), np.log(1e3), shape))
+        first = data.draw(st.integers(size // 2, size - 1), "first bad")
+        counts = {data.draw(st.integers(0, first - 1), "bad empty"): 0, first: 3,
+                  data.draw(st.integers(first, size - 1), "second bad"): 3}
+        for at, count in counts.items():  # at is a C-order index of the (K, V) grid
+            k, w = divmod(at, shape[0])
+            full[w, k], eta_wk[w, k] = count, -2.0 - at
+        k, w = divmod(first, shape[0])
+        state = _counts_state(n_dk, full, full.sum(axis=0), n_dk.sum(axis=1))
+        with pytest.raises(ValueError, match=rf"^cell \({k}, {w}\): count 3 and weight "
+                                             rf"{re.escape(repr(float(eta_wk[w, k])))} are "
+                                             "outside the domain of gammaln$"):
+            log_likelihood(state, _raw_prior(eta_wk, full.sum(axis=0) + 1.0), alpha)
 
 
 @pytest.mark.parametrize("doc_streams,digest", [
