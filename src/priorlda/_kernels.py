@@ -29,9 +29,11 @@ Below 13 the rational approximation is taken at Cephes' ``x + (p - 2)``: at
 u - 2, for the shifted u, the last bit of about a quarter of the values in
 (0, 3) moves.
 
-The sweep's word-topic counts are word-major (V x K), and the prior comes as its
-R distinct rows, word-major (V x R), and each topic's row index, so the
-weights a token's conditional reads lie next to each other in memory.
+The sweep and the log-likelihood take the prior whole, a ``PriorMatrix``,
+which makes sure it is well formed; ``_prior_args`` is the one reader of its
+arrays for the C calls. Its R distinct rows are word-major (V x R), as the
+word-topic counts are (V x K), so the weights and counts a token's
+conditional reads lie next to each other in memory.
 """
 
 from __future__ import annotations
@@ -657,17 +659,12 @@ def loglik(n_dk, n_wk, n_k, doc_lengths, prior, alpha) -> float:
     word-topic cell adding 0.0. Alpha outside (0, inf), malformed counts and,
     the first in that order, a log-gamma argument not > 0 raise ValueError."""
     check_alpha(alpha)
-    _check_array("n_dk", n_dk, np.int32, 2)
-    _check_array("n_wk", n_wk, np.int32, 2)
-    _check_array("n_k", n_k, np.int32, 1)
+    _check_counts(n_dk, n_wk, n_k, prior)
     _check_array("doc_lengths", doc_lengths, np.int64, 1)
+    if len(doc_lengths) != len(n_dk):
+        raise ValueError(f"n_dk is {n_dk.shape}, for {len(doc_lengths)} documents")
     counts = (n_dk, n_wk, n_k, doc_lengths)
-    k_total, (vocab_size, n_rows) = len(prior.topic_rows), prior.rows_by_word.shape
-    if not (n_dk.shape == (len(doc_lengths), k_total) and n_wk.shape == (vocab_size, k_total)
-            and n_k.shape == (k_total,)):
-        raise ValueError(f"n_dk is {n_dk.shape}, n_wk {n_wk.shape}, n_k {n_k.shape} and "
-                         f"doc_lengths {doc_lengths.shape}, for a prior of {k_total} topics "
-                         f"over {vocab_size} words")
+    k_total, (vocab_size, n_rows) = len(n_k), prior.rows_by_word.shape
     if _loglik_c is None:
         bad, total = _loglik_py(*counts, prior, alpha)
     else:
@@ -712,18 +709,6 @@ def _loglik_py(n_dk, n_wk, n_k, doc_lengths, prior, alpha):
     cells[occupied] = gammaln(counts[occupied] + eta[occupied]) - g_eta[occupied]
     topics += float(cells.sum())
     return -1, docs + topics
-
-
-def _check_rows(n_wk, eta_wk, topic_rows):
-    """Raise ValueError unless topic_rows gives each of n_wk's K topics a column
-    of eta_wk, and eta_wk covers n_wk's V words."""
-    _check_array("topic_rows", topic_rows, np.int64, 1)
-    if n_wk.shape != (len(eta_wk), len(topic_rows)):
-        raise ValueError(f"n_wk is {n_wk.shape}, eta_wk is {eta_wk.shape} and topic_rows "
-                         f"has {len(topic_rows)} topics")
-    # one reduction: as unsigned, a negative row is above 2^63
-    if topic_rows.size and not topic_rows.view(np.uint64).max() < eta_wk.shape[1]:
-        raise ValueError(f"topic_rows has a row outside [0, {eta_wk.shape[1]})")
 
 
 def _block(counts, doc_freq):
@@ -868,20 +853,26 @@ def _json_blocks(a, kernel):
     yield b"]"
 
 
-def _check_sweep_args(tokens, doc_ix, z, n_dk, n_wk, n_k, eta_wk, topic_rows, eta_sums,
-                      uniforms):
-    """Raise ValueError unless the arrays have the dtypes, layout and shapes
-    the kernel indexes them by."""
-    arrays = {"tokens": tokens, "doc_ix": doc_ix, "z": z, "n_dk": n_dk, "n_wk": n_wk,
-              "n_k": n_k, "eta_wk": eta_wk, "eta_sums": eta_sums, "uniforms": uniforms}
-    for name, arr in arrays.items():
-        _check_array(name, arr, np.float64 if name in ("eta_wk", "eta_sums", "uniforms")
-                     else np.int32, 2 if name in ("n_dk", "n_wk", "eta_wk") else 1)
-    if not n_dk.shape[1] == n_wk.shape[1] == len(n_k) == len(eta_sums):
-        raise ValueError("n_dk, n_wk, n_k and eta_sums disagree about the topic count")
-    _check_rows(n_wk, eta_wk, topic_rows)
-    if not len(uniforms) == len(tokens) == len(doc_ix) == len(z):
-        raise ValueError("uniforms, tokens, doc_ix and z differ in length")
+def _check_counts(n_dk, n_wk, n_k, prior):
+    """Raise ValueError unless n_dk (D, K), n_wk (V, K) and n_k (K,) are
+    C-contiguous int32 arrays for the prior's K topics over its V words."""
+    _check_array("n_dk", n_dk, np.int32, 2)
+    _check_array("n_wk", n_wk, np.int32, 2)
+    _check_array("n_k", n_k, np.int32, 1)
+    k_total, vocab_size = len(prior.topic_rows), len(prior.rows_by_word)
+    if not (n_dk.shape[1] == k_total and n_wk.shape == (vocab_size, k_total)
+            and n_k.shape == (k_total,)):
+        raise ValueError(f"n_dk is {n_dk.shape}, n_wk {n_wk.shape} and n_k {n_k.shape}, "
+                         f"for a prior of {k_total} topics over {vocab_size} words")
+
+
+def _check_assignments(tokens, doc_ix, z):
+    """Raise ValueError unless tokens, doc_ix and z are int32 1-D C-contiguous
+    arrays of one length."""
+    for name, arr in (("tokens", tokens), ("doc_ix", doc_ix), ("z", z)):
+        _check_array(name, arr, np.int32, 1)
+    if not len(tokens) == len(doc_ix) == len(z):
+        raise ValueError("tokens, doc_ix and z differ in length")
 
 
 def _check_tokens(first_bad, tokens, doc_ix, z, n_docs, k_total, vocab_size):
@@ -902,10 +893,7 @@ def tabulate(tokens, doc_ix, z, n_docs: int, n_topics: int, vocab_size: int):
     and n_k (K,) of the int32 assignments z, as int32 arrays, in one pass.
     Raises ValueError, naming the first bad token, if a word, document or
     topic is out of range; every index is checked before any is counted."""
-    for name, arr in (("tokens", tokens), ("doc_ix", doc_ix), ("z", z)):
-        _check_array(name, arr, np.int32, 1)
-    if not len(tokens) == len(doc_ix) == len(z):
-        raise ValueError("tokens, doc_ix and z differ in length")
+    _check_assignments(tokens, doc_ix, z)
     counts = (np.zeros((n_docs, n_topics), np.int32), np.zeros((vocab_size, n_topics), np.int32),
               np.zeros(n_topics, np.int32))
     dims = (n_docs, n_topics, vocab_size)
@@ -925,40 +913,45 @@ def _tabulate_py(tokens, doc_ix, z, n_dk, n_wk, n_k, n_docs, k_total, vocab_size
     return first_bad
 
 
-def sweep_tokens(tokens, doc_ix, z, n_dk, n_wk, n_k, eta_wk, topic_rows, eta_sums, alpha,
-                 uniforms):
+def sweep_tokens(tokens, doc_ix, z, n_dk, n_wk, n_k, prior, alpha, uniforms):
     """Resample every token once, in order, updating z and the counts in place.
 
     n_dk is (D, K); n_wk is word-major (V, K): row w holds word w's count in
-    every topic. eta_wk holds R distinct prior rows word-major (V, R), and
-    topic k's weights are its column topic_rows[k]; eta_sums are the K row
-    sums. The C kernel keeps each topic's n_dk + alpha and n_k + eta_sums
-    between tokens, and the Python twin recomputes them, with the same bits.
-    Raises ValueError, changing nothing, if alpha is outside (0, inf), an
-    argument is malformed or a token's word, document or topic is out of range.
+    every topic. Topic k reads the ``PriorMatrix`` prior's row topic_rows[k]
+    and its sum. The C kernel keeps each topic's n_dk + alpha and n_k +
+    row_sums between tokens, and the Python twin recomputes them, with the
+    same bits. Raises ValueError, changing nothing, if alpha is outside
+    (0, inf), an array is malformed or read-only where the sweep writes it,
+    or a token's word, document or topic is out of range.
     """
     check_alpha(alpha)
-    _check_sweep_args(tokens, doc_ix, z, n_dk, n_wk, n_k, eta_wk, topic_rows, eta_sums,
-                      uniforms)
+    _check_assignments(tokens, doc_ix, z)
+    _check_counts(n_dk, n_wk, n_k, prior)
+    _check_array("uniforms", uniforms, np.float64, 1)
+    if len(uniforms) != len(tokens):
+        raise ValueError("uniforms and tokens differ in length")
+    for name, arr in (("z", z), ("n_dk", n_dk), ("n_wk", n_wk), ("n_k", n_k)):
+        if not arr.flags.writeable:
+            raise ValueError(f"{name} is read-only, and the sweep writes it")
     dims = (*n_dk.shape, n_wk.shape[0])
     if _sweep_c is None:
         first_bad = _first_bad_py(tokens, doc_ix, z, *dims)
         if first_bad < 0:
-            _sweep_py(tokens, doc_ix, z, n_dk, n_wk, n_k, eta_wk, topic_rows, eta_sums, alpha,
-                      uniforms)
+            _sweep_py(tokens, doc_ix, z, n_dk, n_wk, n_k, prior, alpha, uniforms)
     else:
+        eta, _, rows, sums = _prior_args(prior)
         # the running totals, and the kernel's two cached terms per topic
         cum = np.empty(3 * len(n_k))
         first_bad = _sweep_c(_address(tokens), _address(doc_ix), _address(z), len(tokens),
-                             _address(n_dk), _address(n_wk), _address(n_k), _address(eta_wk),
-                             _address(topic_rows), _address(eta_sums), alpha,
-                             _address(uniforms), _address(cum), *dims, eta_wk.shape[1])
+                             _address(n_dk), _address(n_wk), _address(n_k), eta, rows, sums,
+                             alpha, _address(uniforms), _address(cum), *dims,
+                             prior.rows_by_word.shape[1])
     _check_tokens(first_bad, tokens, doc_ix, z, *dims)
 
 
-def _sweep_py(tokens, doc_ix, z, n_dk, n_wk, n_k, eta_wk, topic_rows, eta_sums, alpha,
-              uniforms):
+def _sweep_py(tokens, doc_ix, z, n_dk, n_wk, n_k, prior, alpha, uniforms):
     k_total = n_k.shape[0]
+    eta_wk, topic_rows, eta_sums = prior.rows_by_word, prior.topic_rows, prior.row_sums
     for t in range(tokens.shape[0]):
         w = tokens[t]
         d = doc_ix[t]
@@ -976,16 +969,17 @@ def _sweep_py(tokens, doc_ix, z, n_dk, n_wk, n_k, eta_wk, topic_rows, eta_sums, 
         n_k[k_new] += 1
 
 
-def sweep_doc_snapshot(tokens, z, n_dk_row, n_wk, n_k, wk_snap, k_snap,
-                       eta_wk, topic_rows, eta_sums, alpha, uniforms):
+def sweep_doc_snapshot(tokens, z, n_dk_row, n_wk, n_k, wk_snap, k_snap, prior, alpha,
+                       uniforms):
     """Resample one document's tokens against the sweep-start counts.
 
     n_wk and n_k hold the snapshot wk_snap and k_snap on entry. The document
-    runs through ``sweep_tokens`` on them, seeing only its own changes, and
-    the rows of its words and the topic totals are then put back to the
-    snapshot. n_dk_row and z are updated in place.
+    runs through ``sweep_tokens`` on them and the ``PriorMatrix`` prior,
+    seeing only its own changes, and the rows of its words and the topic
+    totals are then put back to the snapshot. n_dk_row and z are updated in
+    place.
     """
     sweep_tokens(tokens, np.zeros(len(tokens), dtype=np.int32), z, n_dk_row[None],
-                 n_wk, n_k, eta_wk, topic_rows, eta_sums, alpha, uniforms)
+                 n_wk, n_k, prior, alpha, uniforms)
     n_wk[tokens] = wk_snap[tokens]
     n_k[:] = k_snap

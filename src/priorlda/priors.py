@@ -112,14 +112,14 @@ def keyword_prior(vocab: Vocabulary, keywords: Iterable[str],
 
 @dataclass(frozen=True, eq=False, init=False)
 class PriorMatrix:
-    """K strictly positive Dirichlet weight rows with topic-kind labels, held
-    as their R distinct rows: ``rows_by_word`` is a read-only C-contiguous
-    word-major (V, R) array of them, in order of first use, as the sweep reads
-    it, ``gammaln_by_word`` its ``gammaln``, and ``topic_rows`` the read-only
-    (K,) index of each topic's row. ``PriorMatrix(weights, kinds)`` folds the
-    repeated rows of a (K, V) array; ``weights`` builds that array again for a
-    caller that asks. ``row_sums`` are the distinct rows' sums in C order, so
-    they have the bits of the (K, V) weights' sums in C order."""
+    """K strictly positive Dirichlet weight rows with topic-kind labels: topic k
+    takes row ``topic_rows[k]``, an integer in [0, R), of the (R, V) ``rows``.
+    Repeated rows are folded: ``rows_by_word`` is a read-only C-contiguous
+    word-major array of the distinct rows, in order of first use, as the kernels
+    read them, ``gammaln_by_word`` its ``gammaln``, and ``topic_rows`` the
+    read-only int64 index of each topic's row among them. ``weights`` builds the
+    (K, V) array for a caller that asks. ``row_sums`` are the distinct rows' sums
+    in C order, so they have the bits of the (K, V) weights' sums in C order."""
 
     rows_by_word: np.ndarray
     topic_rows: np.ndarray
@@ -127,22 +127,15 @@ class PriorMatrix:
     row_sums: np.ndarray = field(repr=False)
     gammaln_by_word: np.ndarray = field(repr=False)
 
-    def __init__(self, weights: np.ndarray, kinds: tuple[TopicKind, ...]):
-        if weights.ndim != 2:
-            raise ValueError("weights must be a K x V matrix")
-        self._fold(weights, np.arange(len(weights)), kinds)
-
-    @classmethod
-    def from_rows(cls, rows: np.ndarray, topic_rows, kinds: tuple[TopicKind, ...]
-                  ) -> PriorMatrix:
-        """The prior whose topic k has the weights ``rows[topic_rows[k]]``, with
-        no (K, V) array; repeated rows are folded."""
-        prior = cls.__new__(cls)
-        prior._fold(rows, np.asarray(topic_rows, np.int64), kinds)
-        return prior
-
-    def _fold(self, rows, topic_rows, kinds):
-        if len(kinds) != len(topic_rows):
+    def __init__(self, rows, topic_rows, kinds: tuple[TopicKind, ...]):
+        rows, index = np.asarray(rows, np.float64), np.asarray(topic_rows)
+        if rows.ndim != 2:
+            raise ValueError("rows must be an R x V matrix")
+        # a cast or a negative index would give a topic another row than asked
+        if index.ndim != 1 or index.dtype.kind not in "iu" or index.size and not (
+                0 <= index.min() and index.max() < len(rows)):
+            raise ValueError(f"topic_rows must be integers in [0, {len(rows)})")
+        if len(kinds) != len(index):
             raise ValueError("one kind label required per topic row")
         seen = {}  # each distinct row's bytes, in C order, and its place among them
         places = [seen.setdefault(row.tobytes(), len(seen)) for row in rows]
@@ -150,7 +143,7 @@ class PriorMatrix:
         distinct = np.ascontiguousarray(rows[[places.index(r) for r in range(len(seen))]])
         if not ((distinct > 0) & (distinct < np.inf)).all():
             raise ValueError("Dirichlet weights must be strictly positive and finite")
-        topic_rows = np.array(places, np.int64)[topic_rows]
+        topic_rows = np.array(places, np.int64)[index]
         row_sums = distinct.sum(axis=1)[topic_rows]
         # every weight is at most its row sum, so this keeps gammaln finite on
         # every weight too, and the log-likelihood free of inf - inf
@@ -182,9 +175,8 @@ def symmetric_prior(topics: int, vocab_size: int, weight: float = 1.0) -> PriorM
     """Plain symmetric prior; the baseline models use this."""
     if weight <= 0:
         raise ValueError("weight must be positive")
-    return PriorMatrix.from_rows(np.full((1, vocab_size), float(weight)),
-                                 np.zeros(topics, np.int64),
-                                 (TopicKind.SYMMETRIC,) * topics)
+    return PriorMatrix(np.full((1, vocab_size), float(weight)), np.zeros(topics, np.int64),
+                       (TopicKind.SYMMETRIC,) * topics)
 
 
 def assemble(config: PriorConfig, stats: CorpusStats,
@@ -207,8 +199,8 @@ def assemble(config: PriorConfig, stats: CorpusStats,
                    lambda: np.ones(v)))
     counts, rows = zip(*[(n, row()) for n, _, row in layout if n])
     kinds = tuple(kind for n, kind, _ in layout for _ in range(n))
-    return PriorMatrix.from_rows(np.maximum(rows, DEFAULT_FLOOR),
-                                 np.repeat(np.arange(len(rows)), counts), kinds)
+    return PriorMatrix(np.maximum(rows, DEFAULT_FLOOR),
+                       np.repeat(np.arange(len(rows)), counts), kinds)
 
 
 def validate(prior: PriorMatrix) -> list[str]:

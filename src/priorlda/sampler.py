@@ -143,8 +143,7 @@ def sweep(state: ModelState, prior: PriorMatrix, alpha: float) -> ModelState:
     """Resample every token once, in document order, updating counts in place."""
     uniforms = state.rng.random(state.tokens.shape[0])
     _kernels.sweep_tokens(state.tokens, state.doc_ix, state.z,
-                          state.n_dk, state.n_wk, state.n_k,
-                          prior.rows_by_word, prior.topic_rows, prior.row_sums, alpha, uniforms)
+                          state.n_dk, state.n_wk, state.n_k, prior, alpha, uniforms)
     return state
 
 
@@ -165,9 +164,8 @@ def sweep_snapshot(state: ModelState, prior: PriorMatrix, alpha: float) -> Model
         lo, hi = state.doc_starts[d], state.doc_starts[d + 1]
         uniforms = state.doc_rngs[d].random(int(hi - lo))
         _kernels.sweep_doc_snapshot(state.tokens[lo:hi], state.z[lo:hi], state.n_dk[d],
-                                    state.n_wk, state.n_k, wk_snap, k_snap,
-                                    prior.rows_by_word, prior.topic_rows, prior.row_sums,
-                                    alpha, uniforms)
+                                    state.n_wk, state.n_k, wk_snap, k_snap, prior, alpha,
+                                    uniforms)
     state.n_dk, state.n_wk, state.n_k = tabulate(
         state.tokens, state.doc_ix, state.z, len(state.doc_lengths), state.n_topics, len(wk_snap))
     return state

@@ -182,30 +182,27 @@ def _recount(token_docs, z_docs, k_total, v_total):
     return n_dk, n_kw, n_k
 
 
-def snapshot_sweeps(resample, token_docs, z_docs, eta, alpha, uniforms):
+def snapshot_sweeps(resample, token_docs, z_docs, prior, alpha, uniforms):
     """Snapshot sweeps by their definition: within a sweep each document is
     resampled on fresh copies of the sweep-start topic-word and topic
     counts, so no document sees another's changes; after the sweep every
     table is recounted from the assignments.
 
     ``resample`` is a sequential token sweep taking (tokens, doc_ix, z,
-    n_dk, n_wk, n_k, eta_wk, topic_rows, eta_sums, alpha, uniforms), as the
-    package's numpy kernel does, with n_wk and eta_wk word-major (V, K): the
-    (K, V) tables kept here are transposed at the call, and topic k takes
-    row k. ``uniforms[s][d]`` holds
-    document d's draws in sweep s. Returns the assignments per document and
-    n_dk, n_kw, n_k.
+    n_dk, n_wk, n_k, prior, alpha, uniforms), as the package's numpy kernel
+    does, with n_wk word-major (V, K): the (K, V) topic-word table kept here
+    is transposed at the call. ``prior`` is passed through to it whole, and
+    gives only K and V here. ``uniforms[s][d]`` holds document d's draws in
+    sweep s. Returns the assignments per document and n_dk, n_kw, n_k.
     """
-    k_total, v_total = eta.shape
-    eta_sums = eta.sum(axis=1)
-    eta_wk = np.ascontiguousarray(eta.T)
+    k_total, v_total = prior.n_topics, prior.vocab_size
     z_docs = [np.array(zs, dtype=np.int32) for zs in z_docs]
     n_dk, n_kw, n_k = _recount(token_docs, z_docs, k_total, v_total)
     for sweep_uniforms in uniforms:
         for d, words in enumerate(token_docs):
             resample(np.array(words, dtype=np.int32), np.zeros(len(words), dtype=np.int32),
                      z_docs[d], n_dk[d:d + 1].copy(), n_kw.T.copy(), n_k.copy(),
-                     eta_wk, np.arange(k_total), eta_sums, alpha, sweep_uniforms[d])
+                     prior, alpha, sweep_uniforms[d])
         n_dk, n_kw, n_k = _recount(token_docs, z_docs, k_total, v_total)
     return z_docs, n_dk, n_kw, n_k
 

@@ -30,7 +30,7 @@ def test_each_k_by_v_array_once():
     k_total, vocab_size = 40, corpus.vocabulary.size
     kv = 8 * k_total * vocab_size  # bytes of one K x V float64 array
     prior = PriorMatrix(np.random.default_rng(2).uniform(0.01, 1.0, (k_total, vocab_size)),
-                        (TopicKind.TFIDF,) * k_total)
+                        np.arange(k_total), (TopicKind.TFIDF,) * k_total)
     # K distinct rows, held once, word-major as the sweep reads them
     assert prior.rows_by_word.shape == (vocab_size, k_total)
     assert prior.rows_by_word.flags.c_contiguous

@@ -201,14 +201,14 @@ class TestValidate:
 class TestPriorMatrix:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            PriorMatrix(np.zeros((1, 3)), (TopicKind.SYMMETRIC,))
+            PriorMatrix(np.zeros((1, 3)), [0], (TopicKind.SYMMETRIC,))
 
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     def test_rejects_non_finite(self, value):
         weights = np.ones((2, 3))
         weights[1, 2] = value
         with pytest.raises(ValueError, match="strictly positive and finite"):
-            PriorMatrix(weights, (TopicKind.SYMMETRIC,) * 2)
+            PriorMatrix(weights, np.arange(2), (TopicKind.SYMMETRIC,) * 2)
 
     @pytest.mark.parametrize("weight", [1e306, 1e308], ids=["gammaln-overflows", "sum-overflows"])
     @pytest.mark.filterwarnings("ignore:overflow encountered in reduce:RuntimeWarning")
@@ -216,7 +216,7 @@ class TestPriorMatrix:
         # gammaln(2e306) is inf, and 2 * 1e308 overflows to inf (numpy warns
         # as it sums the row); the trace would come out NaN
         with pytest.raises(ValueError, match="too large for a finite log-gamma"):
-            PriorMatrix(np.full((2, 2), weight), (TopicKind.SYMMETRIC,) * 2)
+            PriorMatrix(np.full((2, 2), weight), np.arange(2), (TopicKind.SYMMETRIC,) * 2)
 
     def test_heaviest_row_has_a_finite_log_gamma(self, backend):
         # gammaln is finite up to LGAM_MAX and inf just above it, on both
@@ -224,9 +224,9 @@ class TestPriorMatrix:
         edge = np.array([_kernels.LGAM_MAX, np.nextafter(_kernels.LGAM_MAX, np.inf)])
         assert np.isfinite(gammaln(edge)).tolist() == [True, False]
         assert _kernels.gammaln(edge).tobytes() == gammaln(edge).tobytes()
-        assert PriorMatrix(edge[None, :1], (TopicKind.SYMMETRIC,)).row_sums[0] == edge[0]
+        assert PriorMatrix(edge[None, :1], [0], (TopicKind.SYMMETRIC,)).row_sums[0] == edge[0]
         with pytest.raises(ValueError, match="too large for a finite log-gamma"):
-            PriorMatrix(edge[None, 1:], (TopicKind.SYMMETRIC,))
+            PriorMatrix(edge[None, 1:], [0], (TopicKind.SYMMETRIC,))
 
     def test_weights_are_a_read_only_copy(self, alice_stats):
         # a write after row_sums is taken would leave them stale
@@ -238,7 +238,7 @@ class TestPriorMatrix:
             with pytest.raises(ValueError, match="read-only"):
                 arr[1:] *= 3
         weights = np.ones((2, 3))
-        flat = PriorMatrix(weights, (TopicKind.SYMMETRIC,) * 2)
+        flat = PriorMatrix(weights, np.arange(2), (TopicKind.SYMMETRIC,) * 2)
         weights[1:] *= 3
         assert (flat.weights == 1.0).all()
         assert (prior.row_sums == row_sums).all()
@@ -250,7 +250,7 @@ class TestPriorMatrix:
         odd = base[1].copy()
         odd[-1] = np.nextafter(odd[-1], np.inf)
         weights = np.array([base[0], base[1], base[1], base[0], base[1], odd])
-        prior = PriorMatrix(weights, (TopicKind.TFIDF,) * 6)
+        prior = PriorMatrix(weights, np.arange(6), (TopicKind.TFIDF,) * 6)
         assert prior.topic_rows.tolist() == [0, 1, 1, 0, 1, 2]
         assert prior.rows_by_word.tobytes() == np.ascontiguousarray(weights[[0, 1, 5]].T).tobytes()
         assert prior.gammaln_by_word.tobytes() == gammaln(prior.rows_by_word).tobytes()
@@ -270,9 +270,19 @@ class TestPriorMatrix:
         assert rows[1].tobytes() == np.maximum(tfidf_prior(alice_stats), DEFAULT_FLOOR).tobytes()
         assert prior.row_sums.tobytes() == prior.weights.sum(axis=1).tobytes()
 
+    @pytest.mark.parametrize("topic_rows", [[-1, 0], [0, 2], [1.7, 0.2], [1.0, 0.0],
+                                            [True, False], [[0], [1]]],
+                             ids=["negative", "past-the-end", "fractions", "floats", "bools",
+                                  "2-d"])
+    def test_topic_rows_must_index_the_rows(self, topic_rows):
+        # nothing is cast or wrapped: -1 would give topic 0 the last row, and
+        # 1.7 would be cut to row 1
+        with pytest.raises(ValueError, match=r"^topic_rows must be integers in \[0, 2\)$"):
+            PriorMatrix(np.ones((2, 3)), topic_rows, (TopicKind.SYMMETRIC,) * 2)
+
     def test_kind_count_must_match(self):
         with pytest.raises(ValueError):
-            PriorMatrix(np.ones((2, 3)), (TopicKind.SYMMETRIC,))
+            PriorMatrix(np.ones((2, 3)), np.arange(2), (TopicKind.SYMMETRIC,))
 
     def test_fortran_ordered_weights_fit_the_same_chain(self, tmp_path):
         # a row sum over an F-ordered matrix adds in another order than over
@@ -283,7 +293,7 @@ class TestPriorMatrix:
         assert (fortran.sum(axis=1) != weights.sum(axis=1)).any()
         saved = []
         for w in (weights, fortran):
-            prior = PriorMatrix(w, (TopicKind.TFIDF,) * 6)
+            prior = PriorMatrix(w, np.arange(6), (TopicKind.TFIDF,) * 6)
             assert prior.rows_by_word.flags.c_contiguous
             assert prior.topic_rows.tolist() == list(range(6))
             assert prior.weights.tobytes() == weights.tobytes()
